@@ -9,8 +9,12 @@ Usage::
 """
 
 import argparse
+import pathlib
 import random
+import sys
 import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from lzero import fixtures
 from lzero.classify import (ZeroSolveClass, classify, is_zero_solvable,
@@ -78,5 +82,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    import sys
     sys.exit(main())

@@ -17,6 +17,10 @@ identity is the unlink class, and a link is trivial in this sense —
 equivalently, its components cobound class-2 gropes, equivalently it
 bounds an order-2 Whitney tower — iff its tuple is zero.
 
+``classify`` and ``is_zero_solvable`` read the tuple from one
+computation of the invariant battery (:mod:`lzero.invariants`), which
+refuses at the first nonzero linking number before any skein work.
+
 ``representative`` builds a canonical diagram in a given class from
 unknots decorated with trefoil summands, Borromean insertions and
 clasped pairs.
@@ -29,9 +33,9 @@ from dataclasses import dataclass
 from .construct import build_from_gadgets
 from .diagram import LinkDiagram
 from .errors import DiagramParseError, NotClassifiableError
-from .invariants import (arf, component_pairs, component_triples,
-                         invariant_tuple, sato_levine)
-from .milnor import linking_number, triple_linking
+from .invariants import (InvariantTuple, battery, component_pairs,
+                         component_triples)
+from .milnor import linking_numbers
 
 __all__ = [
     "ZeroSolveClass",
@@ -115,26 +119,24 @@ def class_order(g: ZeroSolveClass):
 # diagrams -> classes
 
 
-def _first_nonzero_linking(d: LinkDiagram):
-    for i, j in component_pairs(d.m):
-        v = linking_number(d, i, j)
+def _classifiable_battery(d: LinkDiagram) -> InvariantTuple:
+    """The battery; refuses at the first nonzero linking number in lex
+    order, before any skein work."""
+    linking = {}
+    for (i, j), v in linking_numbers(d):
         if v != 0:
-            return (i, j), v
-    return None
+            raise NotClassifiableError(
+                f"not classifiable: lk(K_{i},K_{j})={v}",
+                pair=(i, j), linking=v)
+        linking[i, j] = v
+    return battery(d, linking)
 
 
 def classify(d: LinkDiagram) -> ZeroSolveClass:
     """Class of the link; requires all pairwise linking numbers zero."""
-    bad = _first_nonzero_linking(d)
-    if bad is not None:
-        (i, j), v = bad
-        raise NotClassifiableError(
-            f"not classifiable: lk(K_{i},K_{j})={v}", pair=(i, j), linking=v)
-    a = tuple(arf(d, c) for c in range(1, d.m + 1))
-    b = tuple(triple_linking(d, i, j, k)
-              for i, j, k in component_triples(d.m))
-    c = tuple(sato_levine(d, i, j) % 2 for i, j in component_pairs(d.m))
-    return ZeroSolveClass(d.m, a, b, c)
+    t = _classifiable_battery(d)
+    return ZeroSolveClass(d.m, t.arf, tuple(t.triple.values()),
+                          tuple(v % 2 for v in t.sato_levine.values()))
 
 
 def equivalent(d1: LinkDiagram, d2: LinkDiagram) -> bool:
@@ -162,27 +164,18 @@ class SolvableReport:
 def is_zero_solvable(d: LinkDiagram) -> SolvableReport:
     """Trivial-class test with the first obstruction in scan order
     (linking, then Arf, then triples, then pair parities)."""
-    obstruction = None
-    bad = _first_nonzero_linking(d)
-    if bad is not None:
-        (i, j), v = bad
-        obstruction = f"lk(K_{i},K_{j})={v}"
+    try:
+        t = _classifiable_battery(d)
+    except NotClassifiableError as exc:
+        (i, j), v = exc.pair, exc.linking
+        found = [f"lk(K_{i},K_{j})={v}"]
     else:
-        t = invariant_tuple(d)
-        for c, v in enumerate(t.arf, start=1):
-            if v:
-                obstruction = f"Arf(K_{c})=1"
-                break
-        if obstruction is None:
-            for (i, j, k), v in sorted(t.triple.items()):
-                if v:
-                    obstruction = f"mubar({i},{j},{k})={v}"
-                    break
-        if obstruction is None:
-            for (i, j), v in sorted(t.sato_levine.items()):
-                if v % 2:
-                    obstruction = f"mubar({i},{i},{j},{j})={v} (odd)"
-                    break
+        found = [f"Arf(K_{c})=1" for c, v in enumerate(t.arf, start=1) if v]
+        found += [f"mubar({i},{j},{k})={v}"
+                  for (i, j, k), v in t.triple.items() if v]
+        found += [f"mubar({i},{i},{j},{j})={v} (odd)"
+                  for (i, j), v in t.sato_levine.items() if v % 2]
+    obstruction = found[0] if found else None
     ok = obstruction is None
     return SolvableReport(ok, ok, ok, obstruction)
 

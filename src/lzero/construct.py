@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, LinkDiagram, check_valid
+from .diagram import Crossing, LinkDiagram, check_valid, component_cycles
 from .moves import MoveSite
 
 __all__ = [
@@ -86,27 +86,11 @@ def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
                               cr.under_in, rename.get(cr.under_out, cr.under_out),
                               cr.over_in, rename.get(cr.over_out, cr.over_out)))
 
-    nxt = {}
-    for cr in fixed:
-        nxt[cr.under_in] = cr.under_out
-        nxt[cr.over_in] = cr.over_out
-    items = []
-    seen = set()
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        cyc = []
-        a = start
-        while True:
-            cyc.append(a)
-            seen.add(a)
-            a = nxt[a]
-            if a == start:
-                break
-        items.append((min(cyc), cyc))
-    for p in range(n):
-        if pos[p] == p + 1:
-            items.append((p + 1, None))
+    # Each cycle starts at its lowest arc id, which names it.
+    provisional = LinkDiagram(1, tuple(fixed),
+                              {a: 1 for cr in fixed for a in cr.arcs()})
+    items = [(cyc[0], cyc) for cyc in component_cycles(provisional)]
+    items += [(p + 1, None) for p in range(n) if pos[p] == p + 1]
     items.sort(key=lambda t: t[0])
 
     arc_comp = {}

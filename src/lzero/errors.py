@@ -58,4 +58,5 @@ class NotClassifiableError(InvariantUndefinedError):
 
 
 class ExpansionError(LZeroError):
-    """The truncated expansion failed to stabilize; indicates a defect."""
+    """The degree-two expansion does not satisfy every relation; on a
+    planar diagram, exactly when some pairwise linking number is nonzero."""

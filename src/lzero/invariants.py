@@ -2,17 +2,19 @@
 
 Four layers, in order of the information they carry:
 
-* pairwise linking numbers (signed crossing count over two);
+* pairwise linking numbers, all from one scan over the crossings;
 * the Arf invariant of each component knot, read off as the degree-two
   Conway coefficient of the component alone, mod 2;
-* triple linking numbers for every component triple, defined only when
-  all pairwise linking numbers vanish;
+* triple linking numbers for every component triple, all read from one
+  degree-two expansion of the whole link, defined only when all
+  pairwise linking numbers vanish;
 * the self-pairing invariant of every two-component sublink with zero
   linking: the degree-three Conway coefficient of that sublink.
 
-``invariant_tuple`` packages the whole battery; the last two layers are
-``None`` whenever some pairwise linking number is nonzero, since they
-are undefined there.
+``invariant_tuple`` computes the whole battery once; ``classify`` and
+``is_zero_solvable`` read from the same computation.  The last two
+layers are ``None`` whenever some pairwise linking number is nonzero,
+since they are undefined there.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from .conway import conway_polynomial
 from .diagram import LinkDiagram, sublink
 from .errors import InvariantUndefinedError
-from .milnor import linking_number, triple_linking
+from .milnor import linking_number, linking_numbers, triple_linkings
 
 __all__ = [
     "arf",
@@ -62,8 +64,11 @@ def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
     if lk != 0:
         raise InvariantUndefinedError(
             f"undefined for lk(K_{i},K_{j})={lk}", pair=(i, j), linking=lk)
-    pair = sublink(d, [i, j])
-    return conway_polynomial(pair).coefficient(3)
+    return _pair_coefficient(d, i, j)
+
+
+def _pair_coefficient(d: LinkDiagram, i: int, j: int) -> int:
+    return conway_polynomial(sublink(d, [i, j])).coefficient(3)
 
 
 @dataclass
@@ -79,14 +84,17 @@ class InvariantTuple:
 
 
 def invariant_tuple(d: LinkDiagram) -> InvariantTuple:
-    linking = {(i, j): linking_number(d, i, j)
-               for i, j in component_pairs(d.m)}
+    return battery(d, dict(linking_numbers(d)))
+
+
+def battery(d: LinkDiagram, linking) -> InvariantTuple:
+    """The battery, given every pairwise linking number of ``d``."""
     arfs = tuple(arf(d, c) for c in range(1, d.m + 1))
     if any(v != 0 for v in linking.values()):
         return InvariantTuple(d.m, linking, arfs, None, None)
-    triple = {(i, j, k): triple_linking(d, i, j, k)
-              for i, j, k in component_triples(d.m)}
-    sato = {(i, j): sato_levine(d, i, j) for i, j in component_pairs(d.m)}
+    triple = triple_linkings(d)
+    sato = {(i, j): _pair_coefficient(d, i, j)
+            for i, j in component_pairs(d.m)}
     return InvariantTuple(d.m, linking, arfs, triple, sato)
 
 

@@ -11,24 +11,29 @@ Generators are expanded as power series in non-commuting variables
 The base overpass of each component (the one holding its lowest arc
 id) is pinned to the exact series ``1 + h_c``; every other overpass of
 the component then has the same degree-one part and a degree-two part
-accumulated by walking the component once from the base arc, so one
-assignment sweep settles every generator and a second sweep verifies
-stability.  Relations are only exactly satisfiable when the pairwise
-linking numbers vanish — precisely the regime where the degree-two
-longitude coefficients below are meaningful — and ``magnus_expand``
-checks that on demand.
+accumulated by walking the component once from the base arc.  A
+conjugation reads only the degree-one part of its overpass, which is
+fixed from the start, and the relations are listed in walk order, so
+one pass over them settles every generator.  Relations are only
+exactly satisfiable when the pairwise linking numbers vanish —
+precisely the regime where the degree-two longitude coefficients below
+are meaningful — and ``magnus_expand`` checks that on demand.
 
-The longitude of a component is the product of the overpass series met
-at its underpasses (with sign exponents), corrected by the component's
-meridian to the power of minus its self-writhe.  Its degree-one
-coefficients are the linking numbers; for a triple of components with
-zero pairwise linking, the coefficient of ``h_i h_j`` in the longitude
-of ``k`` is the triple linking number of ``(i, j, k)``, alternating
-under permutations.
+Walking once around a component from its base arc, with overpass
+letters ``a_1 .. a_n`` met at its underpasses, carries the base
+generator ``x`` to ``(a_n .. a_1) x (a_n .. a_1)^-1``.  The longitude,
+which commutes with the base meridian, is therefore the product of the
+letters in reverse walk order, corrected by the component's meridian
+to the power of minus its self-writhe.  Its degree-one coefficients
+are the linking numbers.  When all pairwise linking numbers vanish,
+the coefficient of ``h_i h_j`` in the longitude of ``k`` is the triple
+linking number of ``(i, j, k)``, alternating under permutations; one
+expansion of the whole link gives every triple at once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .diagram import LinkDiagram, component_cycles, consumer_map, sublink
@@ -214,31 +219,17 @@ def magnus_expand(pres: WirtingerPresentation,
                   require_exact: bool = True) -> dict[int, MagnusSeries]:
     """Series for every generator; see the module docstring.
 
-    With ``require_exact`` the relations are re-checked after the
-    sweeps settle and any degree-two defect raises
-    :class:`ExpansionError`; defects occur exactly when some pairwise
-    linking number is nonzero, so gated callers never see the error.
+    With ``require_exact`` the relations are re-checked after the pass
+    and any degree-two defect raises :class:`ExpansionError`; defects
+    occur exactly when some pairwise linking number is nonzero, so
+    gated callers never see the error.
     """
     series = {r: MagnusSeries.meridian(c)
               for r, c in pres.class_comp.items()}
     pinned = set(pres.base_class.values())
-
-    stable = False
-    for _ in range(3):
-        changed = False
-        for tgt, src, over, sign in pres.relations:
-            if tgt in pinned:
-                continue
-            new = _conjugate(series[src], series[over], sign)
-            if new != series[tgt]:
-                series[tgt] = new
-                changed = True
-        if not changed:
-            stable = True
-            break
-    if not stable:
-        raise ExpansionError(
-            "generator series failed to stabilize in three sweeps")
+    for tgt, src, over, sign in pres.relations:
+        if tgt not in pinned:
+            series[tgt] = _conjugate(series[src], series[over], sign)
 
     if require_exact and relation_defects(pres, series):
         raise ExpansionError(
@@ -266,9 +257,10 @@ def relation_defects(pres: WirtingerPresentation,
 def longitude_series(pres: WirtingerPresentation,
                      series: dict[int, MagnusSeries],
                      comp: int) -> MagnusSeries:
-    """Zero-framed longitude of ``comp`` as a truncated series."""
+    """Zero-framed longitude of ``comp``: its letters in reverse walk
+    order (see the module docstring), as a truncated series."""
     out = MagnusSeries.unit()
-    for over, sign in pres.letters.get(comp, ()):
+    for over, sign in reversed(pres.letters.get(comp, ())):
         out = out.mul(series[over].power(sign))
     w = pres.writhe.get(comp, 0)
     if w:
@@ -280,6 +272,34 @@ def longitude_series(pres: WirtingerPresentation,
 # the invariants
 
 
+def _pair_totals(d: LinkDiagram) -> dict[tuple[int, int], int]:
+    """Signed crossing count of every component pair i < j, in lex
+    order, from one scan over the crossings."""
+    totals = {p: 0 for p in itertools.combinations(range(1, d.m + 1), 2)}
+    comp = d.arc_components
+    for cr in d.crossings:
+        a, b = comp[cr.under_in], comp[cr.over_in]
+        if a != b:
+            totals[min(a, b), max(a, b)] += cr.sign
+    return totals
+
+
+def _half(i: int, j: int, total: int) -> int:
+    if total % 2:
+        raise DiagramStructureError([
+            f"components {i} and {j} cross an odd signed total of {total}; "
+            "the code does not describe a planar diagram"])
+    return total // 2
+
+
+def linking_numbers(d: LinkDiagram):
+    """Yield ``((i, j), lk)`` for every pair i < j in lex order, from
+    one scan over the crossings.  An odd signed total raises
+    :class:`DiagramStructureError` only once its pair is reached."""
+    for (i, j), total in _pair_totals(d).items():
+        yield (i, j), _half(i, j, total)
+
+
 def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     """Half the signed count of crossings between components i and j."""
     if i == j:
@@ -287,16 +307,7 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     for c in (i, j):
         if not 1 <= c <= d.m:
             raise ValueError(f"component {c} out of range 1..{d.m}")
-    total = 0
-    for cr in d.crossings:
-        comps = {d.arc_components[cr.under_in], d.arc_components[cr.over_in]}
-        if comps == {i, j}:
-            total += cr.sign
-    if total % 2:
-        raise DiagramStructureError([
-            f"components {i} and {j} cross an odd signed total of {total}; "
-            "the code does not describe a planar diagram"])
-    return total // 2
+    return _half(i, j, _pair_totals(d)[min(i, j), max(i, j)])
 
 
 def _permutation_sign(seq) -> int:
@@ -307,6 +318,23 @@ def _permutation_sign(seq) -> int:
             if seq[a] > seq[b]:
                 sign = -sign
     return sign
+
+
+def triple_linkings(d: LinkDiagram) -> dict[tuple[int, int, int], int]:
+    """Every triple linking number, keyed by lex-ordered triple.
+
+    One presentation and one expansion of the whole link: the value
+    for i < j < k is the coefficient of ``h_i h_j`` in the longitude of
+    ``k``.  Requires all pairwise linking numbers to vanish; otherwise
+    the expansion raises :class:`ExpansionError`.
+    """
+    if d.m < 3:
+        return {}
+    pres = wirtinger(d)
+    series = magnus_expand(pres, require_exact=True)
+    ell = {k: longitude_series(pres, series, k) for k in range(3, d.m + 1)}
+    return {(i, j, k): ell[k].coefficient((i, j))
+            for i, j, k in itertools.combinations(range(1, d.m + 1), 3)}
 
 
 def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
@@ -320,14 +348,10 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
         raise ValueError("triple linking needs three distinct components")
     ordered = sorted((i, j, k))
     sub = sublink(d, ordered)
-    back = {new: old for new, old in enumerate(ordered, start=1)}
-    for p, q in ((1, 2), (1, 3), (2, 3)):
-        lk = linking_number(sub, p, q)
+    for (p, q), lk in linking_numbers(sub):
         if lk != 0:
+            a, b = ordered[p - 1], ordered[q - 1]
             raise InvariantUndefinedError(
-                f"triple linking undefined: lk(K_{back[p]},K_{back[q]})={lk}",
-                pair=(back[p], back[q]), linking=lk)
-    pres = wirtinger(sub)
-    series = magnus_expand(pres, require_exact=True)
-    ell = longitude_series(pres, series, 3)
-    return _permutation_sign((i, j, k)) * ell.coefficient((1, 2))
+                f"triple linking undefined: lk(K_{a},K_{b})={lk}",
+                pair=(a, b), linking=lk)
+    return _permutation_sign((i, j, k)) * triple_linkings(sub)[1, 2, 3]

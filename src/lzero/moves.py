@@ -452,7 +452,6 @@ def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
 def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:
     cons = consumer_map(d)
     sites = []
-    n = len(d.crossings)
     for i, c1 in enumerate(d.crossings, start=1):
         nxt_over = cons.get(c1.over_out)
         if nxt_over is None or nxt_over[1] != "over":
@@ -472,7 +471,7 @@ def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:
         if cons.get(c4.under_out) != (i - 1, "under"):
             continue
         site = MoveSite("BANDPASS", crossings=(i, j, k, l))
-        if len({i, j, k, l}) != 4 or not 1 <= l <= n:
+        if len({i, j, k, l}) != 4:
             continue
         try:
             apply_move(d, site)

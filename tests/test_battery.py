@@ -1,0 +1,116 @@
+"""The invariant battery against independent oracles.
+
+Each coordinate has one production route; these checks compare it with
+readings it does not share: the class a diagram was built in, the other
+two longitudes of a triple, the per-sublink expansion, and the leading
+Conway coefficient.
+"""
+
+import random
+
+import pytest
+
+from lzero import fixtures
+from lzero.classify import (ZeroSolveClass, classify, parse_class,
+                            representative)
+from lzero.cli import main
+from lzero.conway import conway_polynomial
+from lzero.diagram import disjoint_union, parse_diagram, render_diagram
+from lzero.invariants import component_triples
+from lzero.milnor import (longitude_series, magnus_expand, triple_linking,
+                          triple_linkings, wirtinger)
+from lzero.moves import apply_move, enumerate_sites, render_site
+from util import random_class, random_walk
+
+
+def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):
+    """The representative of ``g`` after a seeded R1-R3 walk, and the
+    number of R3 steps the walk took."""
+    d = representative(g)
+    r3 = 0
+    for site, d in random_walk(d, rng, steps,
+                               max_crossings=len(d.crossings) + growth):
+        r3 += site.kind == "R3"
+    return d, r3
+
+
+def test_r3_moves_keep_the_class():
+    g = parse_class("m=3; a=0,0,0; b=+1; c=0,0,0")
+    d = representative(g)
+    sites = enumerate_sites(d, "R3")
+    assert len(sites) == 9
+    for site in sites:
+        assert classify(apply_move(d, site)) == g, render_site(site)
+
+
+def test_longitudes_agree_cyclically_after_walks():
+    # mubar(ij;k) = mubar(jk;i) = mubar(ki;j): three longitudes, one value
+    r3_steps = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = 3 + seed % 2
+        g = random_class(rng, m, b_bound=1)
+        d, r3 = _walked(g, rng, 12, 6)
+        r3_steps += r3
+        pres = wirtinger(d)
+        series = magnus_expand(pres)
+        lon = {c: longitude_series(pres, series, c) for c in range(1, m + 1)}
+        for (i, j, k), b in zip(component_triples(m), g.b):
+            readings = (lon[k].coefficient((i, j)),
+                        lon[i].coefficient((j, k)),
+                        lon[j].coefficient((k, i)))
+            assert readings == (b, b, b), (seed, (i, j, k), readings)
+    assert r3_steps > 0
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_whole_link_reading_matches_each_sublink(m):
+    rng = random.Random(m)
+    for _ in range(3):
+        g = random_class(rng, m, b_bound=2)
+        d = representative(g)
+        whole = triple_linkings(d)
+        assert whole == {t: triple_linking(d, *t)
+                         for t in component_triples(m)}, g
+        assert tuple(whole.values()) == g.b
+
+
+def test_leading_conway_coefficient_is_triple_squared():
+    # Levine: for three components with vanishing linking numbers the
+    # z^4 coefficient of the Conway polynomial is mubar(123)^2
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = ZeroSolveClass(3, (0, 0, 0), (rng.choice((-2, -1, 1, 2)),),
+                           (0, 0, 0))
+        d, _ = _walked(g, rng, 8, 4)
+        (b,) = classify(d).b
+        assert conway_polynomial(d).coefficient(4) == b * b, (seed, b)
+
+
+# A pair of circles meeting in a single crossing: a valid code whose
+# signed crossing total is odd, so no planar diagram has it.
+_ODD = "components 2\nx + 1 1 2 2\na 1 1\na 2 2\n"
+_ODD_MSG = ("error: components {} and {} cross an odd signed total of 1; "
+            "the code does not describe a planar diagram\n")
+_SOLVABLE_LK = ("solvable: no\ngrope_class_2: no\n"
+                "whitney_tower_order_2: no\nobstruction: lk(K_1,K_2)=1\n")
+
+
+@pytest.mark.parametrize("command,linked_first,code,out,err", [
+    ("classify", True, 1, "", "error: not classifiable: lk(K_1,K_2)=1\n"),
+    ("solvable", True, 0, _SOLVABLE_LK, ""),
+    ("classify", False, 2, "", _ODD_MSG.format(1, 2)),
+    ("solvable", False, 2, "", _ODD_MSG.format(1, 2)),
+])
+def test_refusal_order_with_an_odd_pair(tmp_path, capsys, command,
+                                        linked_first, code, out, err):
+    # pairs are scanned in lex order and the first nonzero or odd pair
+    # decides; a nonzero pair hides a later odd one
+    hopf, odd = fixtures.load("hopf+"), parse_diagram(_ODD)
+    d = disjoint_union(hopf, odd) if linked_first else \
+        disjoint_union(odd, hopf)
+    path = tmp_path / "mixed.lz"
+    path.write_text(render_diagram(d), encoding="utf-8")
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)

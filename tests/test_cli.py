@@ -223,3 +223,13 @@ def test_console_script_is_wired_up(fx, tmp_path):
     proc = _console_script(["conway", str(tmp_path / "missing.lz")])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot read")
+
+
+def test_classify_demo_runs_from_a_source_tree(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / \
+        "classify_demo.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--trials", "3"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
