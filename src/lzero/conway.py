@@ -14,9 +14,12 @@ terminates.
 ``conway_polynomial`` adds exact rewrites that never change the value
 (removing curls and opposite-sign bigons, returning 0 early on split
 diagrams), chooses the component walk order that minimizes violations,
-and memoizes on a relabeling-canonical code.  ``conway_polynomial_naive``
-is kept free of all of that — fixed walk order, no rewrites, no memo —
-so the two give genuinely independent routes to the same value.
+and memoizes on a relabeling-canonical code.  Curls and bigons go in
+batched rounds: one scan collects every curl and every bigon whose
+crossings are still untaken, and one surgery removes them all.
+``conway_polynomial_naive`` is kept free of all of that — fixed walk
+order, no rewrites, no memo — so the two give genuinely independent
+routes to the same value.
 """
 
 from __future__ import annotations
@@ -192,37 +195,44 @@ def _kink_fusion(cr: Crossing):
     return None
 
 
-def _reduce_once(d: LinkDiagram) -> LinkDiagram | None:
-    """One exact, value-preserving rewrite, or None if none applies."""
-    for idx, cr in enumerate(d.crossings):
-        fusion = _kink_fusion(cr)
-        if fusion is not None:
-            return delete_crossings(d, {idx}, [fusion])
-    cons = consumer_map(d)
-    for idx, a in enumerate(d.crossings):
-        nxt = cons.get(a.over_out)
-        if nxt is None or nxt[1] != "over" or nxt[0] == idx:
-            continue
-        jdx = nxt[0]
-        b = d.crossings[jdx]
-        if a.sign != -b.sign:
-            continue
-        if a.under_out == b.under_in:
-            under = (a.under_in, b.under_out)
-        elif b.under_out == a.under_in:
-            under = (b.under_in, a.under_out)
-        else:
-            continue
-        return delete_crossings(d, {idx, jdx}, [(a.over_in, b.over_out), under])
-    return None
-
-
 def _reduce(d: LinkDiagram) -> LinkDiagram:
+    """Remove curls and opposite-sign bigons until none is left.
+
+    Each round scans the diagram once: it takes every curl, then every
+    opposite-sign bigon whose two crossings are still untaken, and
+    removes them all with one :func:`delete_crossings` call, which
+    resolves fusion chains through adjacent removals and records
+    chains that close up as free loops.  Rounds repeat until a scan
+    finds nothing.
+    """
     while True:
-        nd = _reduce_once(d)
-        if nd is None:
+        kill: set[int] = set()
+        fusions = []
+        for idx, cr in enumerate(d.crossings):
+            fusion = _kink_fusion(cr)
+            if fusion is not None:
+                kill.add(idx)
+                fusions.append(fusion)
+        cons = consumer_map(d)
+        for idx, a in enumerate(d.crossings):
+            nxt = cons.get(a.over_out)
+            if idx in kill or nxt is None or nxt[1] != "over":
+                continue
+            jdx = nxt[0]
+            b = d.crossings[jdx]
+            if jdx in kill or a.sign != -b.sign:
+                continue
+            if a.under_out == b.under_in:
+                under = (a.under_in, b.under_out)
+            elif b.under_out == a.under_in:
+                under = (b.under_in, a.under_out)
+            else:
+                continue
+            kill.update((idx, jdx))
+            fusions += [(a.over_in, b.over_out), under]
+        if not kill:
             return d
-        d = nd
+        d = delete_crossings(d, kill, fusions)
 
 
 # ---------------------------------------------------------------------------

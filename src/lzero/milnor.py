@@ -348,9 +348,10 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
         raise ValueError("triple linking needs three distinct components")
     ordered = sorted((i, j, k))
     sub = sublink(d, ordered)
-    for (p, q), lk in linking_numbers(sub):
+    for (p, q), total in _pair_totals(sub).items():
+        a, b = ordered[p - 1], ordered[q - 1]
+        lk = _half(a, b, total)
         if lk != 0:
-            a, b = ordered[p - 1], ordered[q - 1]
             raise InvariantUndefinedError(
                 f"triple linking undefined: lk(K_{a},K_{b})={lk}",
                 pair=(a, b), linking=lk)

@@ -191,6 +191,12 @@ def test_color_never_reaches_files_or_json(fx, capsys, tmp_path, monkeypatch):
     assert "\x1b[" not in target.read_text(encoding="utf-8")
 
 
+def _source_env():
+    """The environment with ``PYTHONPATH`` set to this ``lzero``'s tree."""
+    return dict(os.environ,
+                PYTHONPATH=str(Path(lzero.__file__).resolve().parent.parent))
+
+
 def _console_script(argv):
     """Run ``argv`` through the ``lzero`` entry in ``[project.scripts]``.
 
@@ -207,10 +213,8 @@ def _console_script(argv):
         entry = tomllib.load(fh)["project"]["scripts"]["lzero"]
     module, attr = entry.split(":")
     stub = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(lzero.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-c", stub, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_source_env())
 
 
 def test_console_script_is_wired_up(fx, tmp_path):
@@ -223,6 +227,21 @@ def test_console_script_is_wired_up(fx, tmp_path):
     proc = _console_script(["conway", str(tmp_path / "missing.lz")])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot read")
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = _source_env()
+    borromean = Path(fixtures.__file__).resolve().parent / "borromean.lz"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lzero", "classify", str(borromean)],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "m=3; a=0,0,0; b=+1; c=0,0,0\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lzero", "classify", "missing.lz"],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read missing.lz")
 
 
 def test_classify_demo_runs_from_a_source_tree(tmp_path):

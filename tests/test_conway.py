@@ -1,18 +1,22 @@
 """The one-variable polynomial: arithmetic, skein recursion, memo vs naive."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lzero import fixtures
+from lzero import conway, fixtures
+from lzero.classify import representative
 from lzero.construct import braid_closure
-from lzero.conway import (ONE, ZERO, ConwayPolynomial, canonical_key,
+from lzero.conway import (ONE, ZERO, ConwayPolynomial, _reduce, canonical_key,
                           conway_polynomial, conway_polynomial_naive,
                           smooth_crossing, switch_crossing)
-from lzero.diagram import disjoint_union, mirror
-from util import assert_sound, corpus
+from lzero.diagram import (disjoint_union, mirror, parse_diagram, sublink,
+                           validate)
+from lzero.moves import apply_move, enumerate_sites
+from util import assert_sound, corpus, random_class
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +166,133 @@ def test_memo_is_shared_across_calls():
     again = conway_polynomial(d, memo)
     assert again == first
     assert len(memo) == filled
+
+
+# ---------------------------------------------------------------------------
+# batched exact reductions
+
+
+def _rewrites_left(d):
+    """Curls and opposite-sign bigons still present, found pairwise."""
+    found = [("curl", i) for i, cr in enumerate(d.crossings)
+             if cr.under_out == cr.over_in or cr.over_out == cr.under_in]
+    for (i, a), (j, b) in itertools.permutations(enumerate(d.crossings), 2):
+        if (a.over_out == b.over_in and a.sign == -b.sign
+                and (a.under_out == b.under_in or b.under_out == a.under_in)):
+            found.append(("bigon", i, j))
+    return found
+
+
+def _surgery_counter(monkeypatch):
+    """Count the ``delete_crossings`` calls made from the Conway engine."""
+    calls = []
+    real = conway.delete_crossings
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(conway, "delete_crossings", counted)
+    return calls
+
+
+def _stacked(d, rng, steps, max_crossings=9):
+    """Apply up to ``steps`` random R1+/R2+ moves, one on top of the other."""
+    for _ in range(steps):
+        kind = rng.choice(("R1+", "R2+"))
+        if len(d.crossings) + (1 if kind == "R1+" else 2) > max_crossings:
+            break
+        sites = enumerate_sites(d, kind)
+        if sites:
+            d = apply_move(d, rng.choice(sites))
+    return d
+
+
+def _stacked_corpus():
+    rng = random.Random(11)
+    out = []
+    for name in ("unknot", "trefoil", "fig8", "hopf+", "whitehead"):
+        base = fixtures.load(name)
+        for trial in range(4):
+            out.append((f"{name}/{trial}", _stacked(base, rng, 3)))
+    return out
+
+
+def _representative_sublinks():
+    """Every knot and pair sublink of two seeded representatives per m."""
+    rng = random.Random(5)
+    for m in range(3, 9):
+        for _ in range(2):
+            d = representative(random_class(rng, m, 2))
+            for r in (1, 2):
+                for keep in itertools.combinations(range(1, m + 1), r):
+                    yield f"m={m} {keep}", sublink(d, keep)
+
+
+def test_reduce_reaches_a_fixpoint():
+    cases = _stacked_corpus() + list(_representative_sublinks())
+    assert any(_rewrites_left(d) for _, d in cases)
+    for name, d in cases:
+        r = _reduce(d)
+        assert _rewrites_left(r) == [], name
+        assert validate(r) == [], name
+        assert r.m == d.m, name
+
+
+def test_memo_agrees_with_naive_after_stacked_moves():
+    for name, d in _stacked_corpus():
+        assert_sound(d)
+        assert conway_polynomial(d, {}) == conway_polynomial_naive(d), name
+
+
+def test_curl_chain_collapses_to_a_free_loop_in_one_round(monkeypatch):
+    # five curls in a row on one circle: crossing i takes arc 2i+1 in
+    # under, loops through arc 2i+2 and leaves over on the next arc
+    k = 5
+    lines = ["components 1"]
+    for i in range(k):
+        nxt = 2 * i + 3 if i < k - 1 else 1
+        lines.append(f"x {'+-'[i % 2]} {2 * i + 1} {2 * i + 2} "
+                     f"{2 * i + 2} {nxt}")
+    lines += [f"a {arc} 1" for arc in range(1, 2 * k + 1)]
+    d = parse_diagram("\n".join(lines) + "\n")
+    assert_sound(d)
+    calls = _surgery_counter(monkeypatch)
+    r = _reduce(d)
+    assert calls == [k]
+    assert r.crossings == () and r.free_loops == (1,)
+    assert validate(r) == []
+    assert conway_polynomial(d, {}) == ONE
+
+
+def test_bigons_sharing_a_crossing_take_one_per_round(monkeypatch):
+    # component 1 passes over component 2 at crossings 2, 1, 3 in that
+    # order (signs +, -, +), so bigons {2, 1} and {1, 3} share crossing
+    # 1, and the scan meets {1, 3} first; component 2 passes over 1 at
+    # crossing 4
+    d = parse_diagram("components 2\n"
+                      "x - 5 6 1 2\nx + 8 5 4 1\nx + 6 7 2 3\nx + 3 4 7 8\n"
+                      + "".join(f"a {arc} {1 + (arc > 4)}\n"
+                                for arc in range(1, 9)))
+    assert_sound(d)
+    assert {f[0] for f in _rewrites_left(d)} == {"bigon"}
+    calls = _surgery_counter(monkeypatch)
+    r = _reduce(d)
+    assert calls == [2]
+    assert len(r.crossings) == 2 and _rewrites_left(r) == []
+    assert validate(r) == []
+    assert conway_polynomial(d, {}) == conway_polynomial_naive(d) \
+        == conway_polynomial(fixtures.load("hopf+"))
+
+
+def test_reduction_surgeries_stay_few(monkeypatch):
+    # one surgery per round, not one per removed curl or bigon: a
+    # return to rebuilding the diagram per rewrite shows up as dozens
+    calls = _surgery_counter(monkeypatch)
+    removed = 0
+    for name, d in _representative_sublinks():
+        calls.clear()
+        r = _reduce(d)
+        removed += len(d.crossings) - len(r.crossings)
+        assert len(calls) <= 4, (name, calls)
+    assert removed > 1000

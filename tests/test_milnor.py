@@ -203,6 +203,19 @@ def test_triple_linking_undefined_over_nonzero_linking():
     assert exc.value.linking == 1
 
 
+def test_triple_linking_names_the_callers_odd_pair():
+    # components 3 and 4 meet in a single crossing; inside the sublink
+    # (1, 3, 4) they are numbered 2 and 3, but the error must not be
+    from lzero.diagram import parse_diagram
+    odd = parse_diagram("components 2\nx + 1 1 2 2\na 1 1\na 2 2\n")
+    unknot = fixtures.load("unknot")
+    d = disjoint_union(disjoint_union(unknot, unknot), odd)
+    with pytest.raises(DiagramStructureError) as exc:
+        triple_linking(d, 1, 3, 4)
+    assert exc.value.violations[0].startswith(
+        "components 3 and 4 cross an odd signed total of 1;")
+
+
 def test_triple_linking_needs_distinct_components():
     bor = fixtures.load("borromean")
     with pytest.raises(ValueError):
