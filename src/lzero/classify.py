@@ -19,7 +19,7 @@ bounds an order-2 Whitney tower — iff its tuple is zero.
 
 ``classify`` and ``is_zero_solvable`` read the tuple from one
 computation of the invariant battery (:mod:`lzero.invariants`), which
-refuses at the first nonzero linking number before any skein work.
+refuses at the first nonzero linking number before any expansion.
 
 ``representative`` builds a canonical diagram in a given class from
 unknots decorated with trefoil summands, Borromean insertions and
@@ -121,7 +121,7 @@ def class_order(g: ZeroSolveClass):
 
 def _classifiable_battery(d: LinkDiagram) -> InvariantTuple:
     """The battery; refuses at the first nonzero linking number in lex
-    order, before any skein work."""
+    order, before any expansion."""
     linking = {}
     for (i, j), v in linking_numbers(d):
         if v != 0:

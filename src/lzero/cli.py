@@ -32,8 +32,7 @@ from .classify import (class_json, classify, is_zero_solvable, parse_class,
                        render_class, representative)
 from .conway import conway_polynomial
 from .diagram import parse_diagram, render_diagram
-from .errors import (DiagramParseError, DiagramStructureError,
-                     InvariantUndefinedError, LZeroError, MovePatternError)
+from .errors import DiagramParseError, DiagramStructureError, LZeroError
 from .invariants import invariant_tuple, invariants_json, render_invariants
 from .moves import apply_move, parse_site, render_site
 
@@ -161,9 +160,6 @@ def main(argv=None) -> int:
     except (DiagramParseError, DiagramStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantUndefinedError, MovePatternError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except LZeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

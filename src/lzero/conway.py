@@ -11,15 +11,15 @@ diagrams are unlinks.  Switching the first violating crossing moves the
 walk strictly forward and smoothing drops a crossing, so the recursion
 terminates.
 
-``conway_polynomial`` adds exact rewrites that never change the value
-(removing curls and opposite-sign bigons, returning 0 early on split
-diagrams), chooses the component walk order that minimizes violations,
-and memoizes on a relabeling-canonical code.  Curls and bigons go in
+Both engines walk components in numeric order.  ``conway_polynomial``
+adds exact rewrites that never change the value (removing curls and
+opposite-sign bigons, returning 0 early on split diagrams) and memoizes
+on a code renamed by one walk of the diagram.  Curls and bigons go in
 batched rounds: one scan collects every curl and every bigon whose
 crossings are still untaken, and one surgery removes them all.
-``conway_polynomial_naive`` is kept free of all of that — fixed walk
-order, no rewrites, no memo — so the two give genuinely independent
-routes to the same value.
+``conway_polynomial_naive`` is kept free of all of that — no rewrites,
+no memo — so the two give genuinely independent routes to the same
+value.
 """
 
 from __future__ import annotations
@@ -131,56 +131,21 @@ def smooth_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
 # walks
 
 
-def _walk(d: LinkDiagram, comp_order: tuple[int, ...]):
-    """Crossing passages in walk order: (crossing index, level) pairs.
-
-    Components are traversed in ``comp_order``, each from its lowest
-    arc id.
-    """
+def _violations(d: LinkDiagram) -> list[int]:
+    """0-based indices of crossings first met on their under strand,
+    walking components in numeric order, each from its lowest arc."""
     cons = consumer_map(d)
-    cycles = {}
-    for cyc in component_cycles(d):
-        cycles[d.arc_components[cyc[0]]] = cyc
-    passages = []
-    for comp in comp_order:
-        for arc in cycles.get(comp, ()):
-            passages.append(cons[arc])
-    return passages
-
-
-def _violations(d: LinkDiagram, comp_order: tuple[int, ...]) -> list[int]:
-    """0-based indices of crossings first met on their under strand."""
+    cycles = sorted(component_cycles(d), key=lambda c: d.arc_components[c[0]])
     seen = set()
     bad = []
-    for idx, level in _walk(d, comp_order):
-        if idx in seen:
-            continue
-        seen.add(idx)
-        if level == "under":
-            bad.append(idx)
+    for cyc in cycles:
+        for arc in cyc:
+            idx, level = cons[arc]
+            if idx not in seen:
+                seen.add(idx)
+                if level == "under":
+                    bad.append(idx)
     return bad
-
-
-def _component_order(d: LinkDiagram) -> tuple[int, ...]:
-    """Walk order with the fewest violations (ties broken lexically).
-
-    Only orders of the crossing-bearing components matter; with more
-    than four of those the identity order is kept.
-    """
-    comps = sorted(set(d.arc_components.values()))
-    base = tuple(range(1, d.m + 1))
-    if len(comps) > 4:
-        return base
-    best = base
-    best_count = len(_violations(d, base))
-    for perm in itertools.permutations(comps):
-        if best_count == 0:
-            break
-        order = tuple(perm)
-        count = len(_violations(d, order))
-        if count < best_count or (count == best_count and order < best):
-            best, best_count = order, count
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -239,44 +204,22 @@ def _reduce(d: LinkDiagram) -> LinkDiagram:
 # canonical memo key
 
 
-_CANON_CAP = 256
-
-
 def canonical_key(d: LinkDiagram):
     """Relabeling-canonical fingerprint of a diagram.
 
-    Components are walked in order of their lowest arc id; within each
-    component every arc is tried as the starting point as long as the
-    number of start combinations stays under a fixed cap (beyond it,
-    only the lowest arc starts are used).  Each walk renames arcs by
-    first appearance; the lexicographically smallest resulting code is
-    the key.  Diagrams equal up to such relabelings share a key; a
-    missed identification only costs a memo miss.
+    Components are walked in order of their lowest arc id, each from
+    that arc, and arcs are renamed by first appearance.  The key is the
+    flat tuple ``(m, free loops, *code)``, the code being the renamed
+    crossings, sorted and run together.  Diagrams equal up to a
+    relabeling that keeps the lowest arcs share a key; a missed
+    identification only costs a memo miss.
     """
-    cycles = component_cycles(d)
-    if not cycles:
-        return (d.m, len(d.free_loops), ())
-    starts = [range(len(cyc)) for cyc in cycles]
-    combos = 1
-    for cyc in cycles:
-        combos *= len(cyc)
-    if combos > _CANON_CAP:
-        starts = [range(1) for _ in cycles]
-
-    best = None
-    for offsets in itertools.product(*starts):
-        rename: dict[int, int] = {}
-        for cyc, off in zip(cycles, offsets):
-            for pos in range(len(cyc)):
-                arc = cyc[(off + pos) % len(cyc)]
-                rename[arc] = len(rename) + 1
-        code = tuple(sorted(
-            (cr.sign, rename[cr.under_in], rename[cr.under_out],
-             rename[cr.over_in], rename[cr.over_out])
-            for cr in d.crossings))
-        if best is None or code < best:
-            best = code
-    return (d.m, len(d.free_loops), best)
+    walk = itertools.chain.from_iterable(component_cycles(d))
+    rename = {arc: n for n, arc in enumerate(walk, start=1)}
+    code = sorted((cr.sign, rename[cr.under_in], rename[cr.under_out],
+                   rename[cr.over_in], rename[cr.over_out])
+                  for cr in d.crossings)
+    return (d.m, len(d.free_loops), *itertools.chain.from_iterable(code))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +236,10 @@ def conway_polynomial(d: LinkDiagram, memo: dict | None = None) -> ConwayPolynom
     """
     if memo is None:
         memo = _MEMO
-    return _conway(d, memo, order=None)
+    return _conway(d, memo)
 
 
-def _conway(d: LinkDiagram, memo: dict,
-            order: tuple[int, ...] | None) -> ConwayPolynomial:
+def _conway(d: LinkDiagram, memo: dict) -> ConwayPolynomial:
     d = _reduce(d)
     if d.free_loops or crossing_graph_parts(d) > 1:
         # A crossing-free circle, or a crossing graph in several parts,
@@ -313,19 +255,14 @@ def _conway(d: LinkDiagram, memo: dict,
     if hit is not None:
         return hit
 
-    if order is None or len(order) != d.m:
-        order = _component_order(d)
-    bad = _violations(d, order)
+    bad = _violations(d)
     if not bad:
         result = ONE if d.m == 1 else ZERO
     else:
         cid = bad[0] + 1
         sign = d.crossing(cid).sign
-        # Keep the parent's walk order down the switch branch: the
-        # shadow is unchanged there and the first violation strictly
-        # advances, which is the termination argument.
-        switched = _conway(switch_crossing(d, cid), memo, order)
-        smoothed = _conway(smooth_crossing(d, cid), memo, None)
+        switched = _conway(switch_crossing(d, cid), memo)
+        smoothed = _conway(smooth_crossing(d, cid), memo)
         if sign > 0:
             result = switched.add(smoothed.shift())
         else:
@@ -337,12 +274,10 @@ def _conway(d: LinkDiagram, memo: dict,
 def conway_polynomial_naive(d: LinkDiagram) -> ConwayPolynomial:
     """Reference implementation: bare skein recursion, nothing else.
 
-    Components are always walked in numeric order; no rewrites, no
-    split detection, no caching.  Slow but independent, for checking
-    the engine above.
+    No rewrites, no split detection, no caching.  Slow but
+    independent, for checking the engine above.
     """
-    order = tuple(range(1, d.m + 1))
-    bad = _violations(d, order)
+    bad = _violations(d)
     if not bad:
         return ONE if d.m == 1 else ZERO
     cid = bad[0] + 1

@@ -58,5 +58,5 @@ class NotClassifiableError(InvariantUndefinedError):
 
 
 class ExpansionError(LZeroError):
-    """The degree-two expansion does not satisfy every relation; on a
-    planar diagram, exactly when some pairwise linking number is nonzero."""
+    """An expansion fails a relation; on a planar diagram, only when
+    some pairwise linking number is nonzero."""

@@ -3,14 +3,17 @@
 Four layers, in order of the information they carry:
 
 * pairwise linking numbers, all from one scan over the crossings;
-* the Arf invariant of each component knot, read off as the degree-two
-  Conway coefficient of the component alone, mod 2;
+* the Arf invariant of each component knot: its degree-two Conway
+  coefficient mod 2, read as a Gauss-diagram count on one walk of the
+  component;
 * triple linking numbers for every component triple, all read from one
   degree-two expansion of the whole link, defined only when all
   pairwise linking numbers vanish;
 * the self-pairing invariant of every two-component sublink with zero
-  linking: the degree-three Conway coefficient of that sublink.
+  linking: the degree-three Conway coefficient of that sublink, read as
+  -mubar(iijj) from the whole link's presentation.
 
+No layer cuts out a sublink or runs the skein engine.
 ``invariant_tuple`` computes the whole battery once; ``classify`` and
 ``is_zero_solvable`` read from the same computation.  The last two
 layers are ``None`` whenever some pairwise linking number is nonzero,
@@ -22,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .conway import conway_polynomial
-from .diagram import LinkDiagram, sublink
+from .diagram import LinkDiagram, component_cycles, consumer_map
 from .errors import InvariantUndefinedError
-from .milnor import linking_number, linking_numbers, triple_linkings
+from .milnor import (linking_number, linking_numbers, mubar_iijj,
+                     triple_linkings, wirtinger)
 
 __all__ = [
     "arf",
@@ -46,9 +49,29 @@ def component_triples(m: int):
 
 
 def arf(d: LinkDiagram, comp: int) -> int:
-    """Arf invariant (0 or 1) of the knot formed by one component."""
-    knot = sublink(d, [comp])
-    return conway_polynomial(knot).coefficient(2) % 2
+    """Arf invariant (0 or 1) of the knot formed by one component.
+
+    Walking the component from its lowest arc, each self-crossing x is
+    passed once under (at position u_x) and once over (o_x); the
+    degree-two Conway coefficient is the sum of e_a e_b over ordered
+    pairs with u_a < o_b < o_a < u_b (Polyak-Viro), and the Arf
+    invariant is its parity.  A free loop gives 0.
+    """
+    if not 1 <= comp <= d.m:
+        raise ValueError(f"component {comp} out of range 1..{d.m}")
+    comp_of, crs, cons = d.arc_components, d.crossings, consumer_map(d)
+    cyc = next((c for c in component_cycles(d) if comp_of[c[0]] == comp), ())
+    walk = [(x, level) for x, level in map(cons.get, cyc)
+            if comp_of[crs[x].under_in] == comp_of[crs[x].over_in]]
+    pos = {passage: p for p, passage in enumerate(walk)}
+    a2 = 0
+    for (a, level), ua in pos.items():
+        if level == "under":
+            oa = pos[a, "over"]
+            for b, lv in walk[ua + 1:oa]:
+                if lv == "over" and pos[b, "under"] > oa:
+                    a2 += crs[a].sign * crs[b].sign
+    return a2 % 2
 
 
 def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
@@ -64,11 +87,7 @@ def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
     if lk != 0:
         raise InvariantUndefinedError(
             f"undefined for lk(K_{i},K_{j})={lk}", pair=(i, j), linking=lk)
-    return _pair_coefficient(d, i, j)
-
-
-def _pair_coefficient(d: LinkDiagram, i: int, j: int) -> int:
-    return conway_polynomial(sublink(d, [i, j])).coefficient(3)
+    return -mubar_iijj(wirtinger(d), i, j)
 
 
 @dataclass
@@ -92,9 +111,9 @@ def battery(d: LinkDiagram, linking) -> InvariantTuple:
     arfs = tuple(arf(d, c) for c in range(1, d.m + 1))
     if any(v != 0 for v in linking.values()):
         return InvariantTuple(d.m, linking, arfs, None, None)
-    triple = triple_linkings(d)
-    sato = {(i, j): _pair_coefficient(d, i, j)
-            for i, j in component_pairs(d.m)}
+    pres = wirtinger(d)
+    triple = triple_linkings(d, pres)
+    sato = {(i, j): -mubar_iijj(pres, i, j) for i, j in component_pairs(d.m)}
     return InvariantTuple(d.m, linking, arfs, triple, sato)
 
 

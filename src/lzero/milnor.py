@@ -49,6 +49,7 @@ __all__ = [
     "longitude_series",
     "linking_number",
     "triple_linking",
+    "mubar_iijj",
 ]
 
 
@@ -269,6 +270,68 @@ def longitude_series(pres: WirtingerPresentation,
 
 
 # ---------------------------------------------------------------------------
+# two-letter series to degree three: 6-tuples of coefficients on the
+# words (), i, j, ii, ij, iij.  The set is closed under taking factors,
+# so truncating to it is a ring map.  Every series here has constant 1.
+
+
+def _mul2(x, y):
+    e, i, j, ii, ij, iij = x
+    f, k, l, kk, kl, kkl = y
+    return (e * f, e * k + i * f, e * l + j * f, e * kk + i * k + ii * f,
+            e * kl + i * l + ij * f, e * kkl + i * kl + ii * l + iij * f)
+
+
+def _inv2(x):
+    _, i, j, ii, ij, iij = x
+    return (1, -i, -j, i * i - ii, i * j - ij,
+            i * ij + ii * j - i * i * j - iij)
+
+
+def _conj2(x, o, sign):
+    """o^sign x o^-sign; ``o`` None stands for 1."""
+    if o is None:
+        return x
+    a, b = (o, _inv2(o)) if sign > 0 else (_inv2(o), o)
+    return _mul2(_mul2(a, x), b)
+
+
+def mubar_iijj(pres: WirtingerPresentation, i: int, j: int) -> int:
+    """Coefficient of ``h_i h_i h_j`` in the zero-framed longitude of
+    ``j``, expanded in ``h_i, h_j`` alone; with lk(i, j) = 0 it is minus
+    the sublink's degree-three Conway coefficient (Cochran).
+
+    Other components' generators count as 1, as deleting them would
+    make them, so no surgery is needed.  The relations of ``i`` and
+    ``j`` go in walk order twice: the first pass reads the meridians and
+    is exact through degree two, the second reads the first's values
+    and is exact through degree three, and checks the closing (pinned)
+    relations; a defect raises :class:`ExpansionError`.
+    """
+    unit = {i: (1, 1, 0, 0, 0, 0), j: (1, 0, 1, 0, 0, 0)}
+    meridians = {g: unit[c] for g, c in pres.class_comp.items() if c in unit}
+    rels = [r for r in pres.relations if r[0] in meridians]
+    pinned = set(pres.base_class.values())
+    series = meridians
+    for final in (False, True):
+        prev, series = series, dict(meridians)
+        for tgt, src, over, sign in rels:
+            value = _conj2(series[src], prev.get(over), sign)
+            if tgt not in pinned:
+                series[tgt] = value
+            elif final and value != series[tgt]:
+                raise ExpansionError(
+                    f"components {i} and {j}: relations are not exactly "
+                    "satisfiable at degree three; not a planar diagram")
+    out = (1, 0, -pres.writhe.get(j, 0), 0, 0, 0)
+    for over, sign in pres.letters.get(j, ()):
+        o = series.get(over)
+        if o is not None:
+            out = _mul2(o if sign > 0 else _inv2(o), out)
+    return out[5]
+
+
+# ---------------------------------------------------------------------------
 # the invariants
 
 
@@ -320,17 +383,19 @@ def _permutation_sign(seq) -> int:
     return sign
 
 
-def triple_linkings(d: LinkDiagram) -> dict[tuple[int, int, int], int]:
+def triple_linkings(d: LinkDiagram, pres: WirtingerPresentation | None = None
+                    ) -> dict[tuple[int, int, int], int]:
     """Every triple linking number, keyed by lex-ordered triple.
 
-    One presentation and one expansion of the whole link: the value
-    for i < j < k is the coefficient of ``h_i h_j`` in the longitude of
-    ``k``.  Requires all pairwise linking numbers to vanish; otherwise
-    the expansion raises :class:`ExpansionError`.
+    One presentation (``pres`` if given, else built from ``d``) and one
+    expansion of the whole link: the value for i < j < k is the
+    coefficient of ``h_i h_j`` in the longitude of ``k``.  Requires all
+    pairwise linking numbers to vanish; otherwise the expansion raises
+    :class:`ExpansionError`.
     """
     if d.m < 3:
         return {}
-    pres = wirtinger(d)
+    pres = pres or wirtinger(d)
     series = magnus_expand(pres, require_exact=True)
     ell = {k: longitude_series(pres, series, k) for k in range(3, d.m + 1)}
     return {(i, j, k): ell[k].coefficient((i, j))

@@ -2,11 +2,12 @@
 
 Each coordinate has one production route; these checks compare it with
 readings it does not share: the class a diagram was built in, the other
-two longitudes of a triple, the per-sublink expansion, and the leading
-Conway coefficient.
+two longitudes of a triple, the per-sublink expansion, and the skein
+engine's Conway coefficients of cut-out sublinks.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -14,13 +15,16 @@ from lzero import fixtures
 from lzero.classify import (ZeroSolveClass, classify, parse_class,
                             representative)
 from lzero.cli import main
+from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
-from lzero.diagram import disjoint_union, parse_diagram, render_diagram
-from lzero.invariants import component_triples
-from lzero.milnor import (longitude_series, magnus_expand, triple_linking,
-                          triple_linkings, wirtinger)
+from lzero.diagram import (disjoint_union, mirror, parse_diagram,
+                           render_diagram, sublink, validate)
+from lzero.invariants import (arf, component_pairs, component_triples,
+                              invariant_tuple, sato_levine)
+from lzero.milnor import (linking_number, longitude_series, magnus_expand,
+                          triple_linking, triple_linkings, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import random_class, random_walk
+from util import corpus, euler_ok, random_class, random_walk
 
 
 def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):
@@ -114,3 +118,98 @@ def test_refusal_order_with_an_odd_pair(tmp_path, capsys, command,
     assert main([command, str(path)]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+# ---------------------------------------------------------------------------
+# Arf and the pair coordinate against the skein engine on sublinks
+
+
+def _braids(seed, count, strands, length):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(strands)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                     for _ in range(rng.randint(1, length)))
+        yield str(word), braid_closure(word, n)
+
+
+def _walked_reps(seed, count):
+    rng = random.Random(seed)
+    for t in range(count):
+        g = random_class(rng, 2 + t % 2, b_bound=1)
+        yield f"walk {t}", _walked(g, rng, 10, 4)[0]
+
+
+def test_arf_matches_the_skein_on_knot_sublinks():
+    cases = (corpus() + list(_braids(31, 60, (2, 3, 4), 10))
+             + list(_walked_reps(32, 8)))
+    odd = 0
+    for name, d in cases:
+        for c in range(1, d.m + 1):
+            want = conway_polynomial(sublink(d, [c])).coefficient(2) % 2
+            assert arf(d, c) == want, (name, c)
+            odd += want
+    assert odd > 10
+
+
+def test_sato_levine_matches_the_skein_on_pair_sublinks():
+    stacks = []
+    for k in range(1, 5):
+        d, _ = build_from_gadgets(2, [("WHITEHEAD", (1, 2))] * k)
+        stacks += [(f"whitehead x{k}", d), (f"mirror whitehead x{k}",
+                                            mirror(d))]
+    cases = (corpus() + stacks + list(_braids(33, 120, (3, 4), 12))
+             + list(_walked_reps(34, 8)))
+    seen = set()
+    for name, d in cases:
+        for i, j in component_pairs(d.m):
+            if linking_number(d, i, j):
+                continue
+            want = conway_polynomial(sublink(d, [i, j])).coefficient(3)
+            assert sato_levine(d, i, j) == sato_levine(d, j, i) == want, \
+                (name, i, j)
+            seen.add(want)
+    assert {-4, 4, -1, 1} <= seen
+
+
+def test_class_battery_uses_neither_the_skein_nor_sublinks(monkeypatch):
+    rng = random.Random(36)
+    built = [(g, representative(g))
+             for g in (random_class(rng, m, b_bound=2) for m in range(2, 7))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class battery left the whole diagram")
+
+    for name, module in list(sys.modules.items()):
+        if name == "lzero" or name.startswith("lzero."):
+            for attr in ("conway_polynomial", "sublink"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    for g, d in built:
+        assert classify(d) == g
+        t = invariant_tuple(d)
+        assert (t.arf, tuple(t.triple.values())) == (g.a, g.b)
+        assert tuple(v % 2 for v in t.sato_levine.values()) == g.c
+
+
+# A valid code with lk(1, 2) = 0 whose pair relations fail to close at
+# degree three: no planar diagram has it.
+_NON_PLANAR_PAIR = """components 2
+x + 7 6 4 8
+x - 1 5 6 4
+x - 8 1 2 3
+x + 5 7 3 2
+""" + "".join(f"a {arc} {1 + (arc in (2, 3))}\n" for arc in range(1, 9))
+
+
+def test_non_planar_pair_is_refused(tmp_path, capsys):
+    d = parse_diagram(_NON_PLANAR_PAIR)
+    assert validate(d) == [] and not euler_ok(d)
+    assert linking_number(d, 1, 2) == 0
+    path = tmp_path / "witness.lz"
+    path.write_text(_NON_PLANAR_PAIR, encoding="utf-8")
+    assert main(["invariants", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -36,6 +36,13 @@ def test_arf_ignores_the_other_components():
     assert arf(d, 2) == 0 and arf(d, 3) == 0
 
 
+def test_arf_rejects_bad_components():
+    d = fixtures.load("hopf+")
+    for comp in (0, 3):
+        with pytest.raises(ValueError):
+            arf(d, comp)
+
+
 def test_arf_is_mirror_invariant():
     for name in ("trefoil", "fig8"):
         d = fixtures.load(name)
