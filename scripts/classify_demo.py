@@ -14,22 +14,13 @@ import random
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from lzero import fixtures
-from lzero.classify import (ZeroSolveClass, classify, is_zero_solvable,
-                            render_class, representative)
-from lzero.invariants import component_pairs, component_triples
-
-
-def random_class(rng: random.Random, m: int,
-                 b_bound: int = 3) -> ZeroSolveClass:
-    return ZeroSolveClass(
-        m,
-        tuple(rng.randint(0, 1) for _ in range(m)),
-        tuple(rng.randint(-b_bound, b_bound)
-              for _ in component_triples(m)),
-        tuple(rng.randint(0, 1) for _ in component_pairs(m)))
+from lzero.classify import (classify, is_zero_solvable, render_class,
+                            representative)
+from util import random_class
 
 
 def main() -> int:

@@ -23,9 +23,9 @@ from .errors import (DiagramParseError, DiagramStructureError,
                      MovePatternError, NotClassifiableError)
 from .invariants import (InvariantTuple, arf, invariant_tuple,
                          invariants_json, render_invariants, sato_levine)
-from .milnor import (MagnusSeries, WirtingerPresentation, linking_number,
-                     longitude_series, magnus_expand, relation_defects,
-                     triple_linking, wirtinger)
+from .milnor import (WirtingerPresentation, linking_number,
+                     longitude_series, magnus_expand, triple_linking,
+                     wirtinger)
 from .moves import (KINDS, MoveSite, apply_move, enumerate_sites, parse_site,
                     render_site)
 
@@ -40,9 +40,8 @@ __all__ = [
     "MoveSite", "KINDS", "apply_move", "enumerate_sites", "parse_site",
     "render_site",
     "ConwayPolynomial", "conway_polynomial", "conway_polynomial_naive",
-    "MagnusSeries", "WirtingerPresentation", "wirtinger", "magnus_expand",
-    "relation_defects", "longitude_series", "linking_number",
-    "triple_linking",
+    "WirtingerPresentation", "wirtinger", "magnus_expand",
+    "longitude_series", "linking_number", "triple_linking",
     "InvariantTuple", "arf", "sato_levine", "invariant_tuple",
     "render_invariants", "invariants_json",
     "ZeroSolveClass", "identity_class", "class_add", "class_neg",

@@ -6,12 +6,13 @@ Four layers, in order of the information they carry:
 * the Arf invariant of each component knot: its degree-two Conway
   coefficient mod 2, read as a Gauss-diagram count on one walk of the
   component;
-* triple linking numbers for every component triple, all read from one
-  degree-two expansion of the whole link, defined only when all
-  pairwise linking numbers vanish;
+* triple linking numbers for every component triple, defined only when
+  all pairwise linking numbers vanish: mubar(ijk) for every k > j is
+  read from the two-letter, degree-three expansion of the pair (i, j)
+  that the next layer runs anyway;
 * the self-pairing invariant of every two-component sublink with zero
   linking: the degree-three Conway coefficient of that sublink, read as
-  -mubar(iijj) from the whole link's presentation.
+  -mubar(iijj) from the same expansion of the whole link's presentation.
 
 No layer cuts out a sublink or runs the skein engine.
 ``invariant_tuple`` computes the whole battery once; ``classify`` and
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram, component_cycles, consumer_map
 from .errors import InvariantUndefinedError
-from .milnor import (linking_number, linking_numbers, mubar_iijj,
-                     triple_linkings, wirtinger)
+from .milnor import (linking_number, linking_numbers, longitude_series,
+                     magnus_expand, wirtinger)
 
 __all__ = [
     "arf",
@@ -87,7 +88,8 @@ def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
     if lk != 0:
         raise InvariantUndefinedError(
             f"undefined for lk(K_{i},K_{j})={lk}", pair=(i, j), linking=lk)
-    return -mubar_iijj(wirtinger(d), i, j)
+    pres = wirtinger(d)
+    return -longitude_series(pres, magnus_expand(pres, i, j), j)[5]
 
 
 @dataclass
@@ -112,8 +114,12 @@ def battery(d: LinkDiagram, linking) -> InvariantTuple:
     if any(v != 0 for v in linking.values()):
         return InvariantTuple(d.m, linking, arfs, None, None)
     pres = wirtinger(d)
-    triple = triple_linkings(d, pres)
-    sato = {(i, j): -mubar_iijj(pres, i, j) for i, j in component_pairs(d.m)}
+    triple, sato = {}, {}
+    for i, j in component_pairs(d.m):
+        series = magnus_expand(pres, i, j)
+        sato[i, j] = -longitude_series(pres, series, j)[5]
+        for k in range(j + 1, d.m + 1):
+            triple[i, j, k] = longitude_series(pres, series, k)[4]
     return InvariantTuple(d.m, linking, arfs, triple, sato)
 
 

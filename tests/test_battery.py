@@ -6,6 +6,7 @@ two longitudes of a triple, the per-sublink expansion, and the skein
 engine's Conway coefficients of cut-out sublinks.
 """
 
+import itertools
 import random
 import sys
 
@@ -21,8 +22,8 @@ from lzero.diagram import (disjoint_union, mirror, parse_diagram,
                            render_diagram, sublink, validate)
 from lzero.invariants import (arf, component_pairs, component_triples,
                               invariant_tuple, sato_levine)
-from lzero.milnor import (linking_number, longitude_series, magnus_expand,
-                          triple_linking, triple_linkings, wirtinger)
+from lzero.milnor import (linking_number, linking_numbers, longitude_series,
+                          magnus_expand, triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
 from util import corpus, euler_ok, random_class, random_walk
 
@@ -57,14 +58,65 @@ def test_longitudes_agree_cyclically_after_walks():
         d, r3 = _walked(g, rng, 12, 6)
         r3_steps += r3
         pres = wirtinger(d)
-        series = magnus_expand(pres)
-        lon = {c: longitude_series(pres, series, c) for c in range(1, m + 1)}
         for (i, j, k), b in zip(component_triples(m), g.b):
-            readings = (lon[k].coefficient((i, j)),
-                        lon[i].coefficient((j, k)),
-                        lon[j].coefficient((k, i)))
+            readings = tuple(
+                longitude_series(pres, magnus_expand(pres, p, q), r)[4]
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)))
             assert readings == (b, b, b), (seed, (i, j, k), readings)
     assert r3_steps > 0
+
+
+def test_zero_framed_longitudes_have_no_meridian_terms():
+    # a zero-framed longitude bounds in its own component's complement,
+    # so its words in its own letter alone vanish; walks with R1 moves
+    # give nonzero self-writhes for the framing factor to cancel
+    pairs, writhes = 0, set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_class(rng, 2 + seed % 3, b_bound=1)
+        d, _ = _walked(g, rng, 12, 6)
+        pres = wirtinger(d)
+        for i, j in itertools.permutations(range(1, d.m + 1), 2):
+            if not (pres.writhe[i] or pres.writhe[j]):
+                continue
+            series = magnus_expand(pres, i, j)
+            lon_i = longitude_series(pres, series, i)
+            lon_j = longitude_series(pres, series, j)
+            assert (lon_i[1], lon_i[3], lon_j[2]) == (0, 0, 0), (seed, i, j)
+            pairs += 1
+            writhes.add(pres.writhe[i])
+    assert pairs >= 200 and {-3, 2, 5} <= writhes
+
+
+def _count_calls(monkeypatch, *funcs):
+    """Count calls to ``funcs`` through every ``lzero`` binding of them."""
+    counts = {f.__name__: 0 for f in funcs}
+    for f in funcs:
+        def counted(*args, _f=f, **kwargs):
+            counts[_f.__name__] += 1
+            return _f(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name == "lzero" or name.startswith("lzero."):
+                for attr, val in list(vars(module).items()):
+                    if val is f:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_battery_expands_each_pair_once(monkeypatch):
+    rng = random.Random(37)
+    built = [representative(random_class(rng, m, b_bound=1))
+             for m in range(2, 7)]
+    counts = _count_calls(monkeypatch, wirtinger, magnus_expand, sublink)
+    for d in built:
+        counts.update(dict.fromkeys(counts, 0))
+        invariant_tuple(d)
+        assert counts == {"wirtinger": 1,
+                          "magnus_expand": d.m * (d.m - 1) // 2,
+                          "sublink": 0}, d.m
+        for t in itertools.permutations(range(1, d.m + 1), 3):
+            triple_linking(d, *t)
+        assert counts["sublink"] == 0, d.m
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -73,7 +125,9 @@ def test_whole_link_reading_matches_each_sublink(m):
     for _ in range(3):
         g = random_class(rng, m, b_bound=2)
         d = representative(g)
-        whole = triple_linkings(d)
+        whole = invariant_tuple(d).triple
+        assert whole == {t: triple_linking(sublink(d, t), 1, 2, 3)
+                         for t in component_triples(m)}, g
         assert whole == {t: triple_linking(d, *t)
                          for t in component_triples(m)}, g
         assert tuple(whole.values()) == g.b
@@ -192,24 +246,37 @@ def test_class_battery_uses_neither_the_skein_nor_sublinks(monkeypatch):
         assert tuple(v % 2 for v in t.sato_levine.values()) == g.c
 
 
-# A valid code with lk(1, 2) = 0 whose pair relations fail to close at
-# degree three: no planar diagram has it.
+# Valid codes with every linking number 0 whose (1, 2) relations fail to
+# close: no planar diagram has them.
 _NON_PLANAR_PAIR = """components 2
 x + 7 6 4 8
 x - 1 5 6 4
 x - 8 1 2 3
 x + 5 7 3 2
 """ + "".join(f"a {arc} {1 + (arc in (2, 3))}\n" for arc in range(1, 9))
+_NON_PLANAR_TRIPLE = """components 3
+x + 6 1 5 2
+x - 4 3 3 4
+x - 2 5 1 6
+a 1 1
+a 2 2
+a 3 3
+a 4 3
+a 5 2
+a 6 1
+"""
 
 
 def test_non_planar_pair_is_refused(tmp_path, capsys):
-    d = parse_diagram(_NON_PLANAR_PAIR)
-    assert validate(d) == [] and not euler_ok(d)
-    assert linking_number(d, 1, 2) == 0
-    path = tmp_path / "witness.lz"
-    path.write_text(_NON_PLANAR_PAIR, encoding="utf-8")
-    assert main(["invariants", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    for code in (_NON_PLANAR_PAIR, _NON_PLANAR_TRIPLE):
+        d = parse_diagram(code)
+        assert validate(d) == [] and not euler_ok(d)
+        assert all(lk == 0 for _, lk in linking_numbers(d))
+        path = tmp_path / "witness.lz"
+        path.write_text(code, encoding="utf-8")
+        assert main(["invariants", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: components 1 and 2")
+        assert captured.err.count("\n") == 1
+        assert "nonzero" not in captured.err

@@ -1,5 +1,7 @@
 """Truncated group-ring series, link group presentations, linking data."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,69 +11,73 @@ from lzero.construct import braid_closure, build_from_gadgets
 from lzero.diagram import disjoint_union, mirror
 from lzero.errors import (DiagramStructureError, ExpansionError,
                           InvariantUndefinedError)
-from lzero.milnor import (MagnusSeries, linking_number, longitude_series,
-                          magnus_expand, relation_defects, triple_linking,
-                          wirtinger)
+from lzero.milnor import (WirtingerPresentation, _inv2, _mul2,
+                          linking_number, longitude_series, magnus_expand,
+                          triple_linking, wirtinger)
 
 
 # ---------------------------------------------------------------------------
-# series algebra (degree <= 2 truncation)
+# two-letter series algebra (words (), i, j, ii, ij, iij)
+
+ONE = (1, 0, 0, 0, 0, 0)
+H_I = (1, 1, 0, 0, 0, 0)
+H_J = (1, 0, 1, 0, 0, 0)
 
 
 def test_unit_and_meridian_shapes():
-    one = MagnusSeries.unit()
-    assert one.coefficient(()) == 1
-    assert one.lin_dict() == {} and one.quad_dict() == {}
-    mer = MagnusSeries.meridian(3)
-    assert mer.coefficient(()) == 1
-    assert mer.lin_dict() == {3: 1}
+    # magnus_expand pins each base overpass to its exact meridian
+    pres = wirtinger(fixtures.load("borromean"))
+    for i, j in ((1, 2), (1, 3), (2, 3), (3, 1)):
+        series = magnus_expand(pres, i, j)
+        assert series[pres.base_class[i]] == H_I
+        assert series[pres.base_class[j]] == H_J
+    assert _mul2(ONE, H_I) == _mul2(H_I, ONE) == H_I
 
 
 def test_product_is_noncommutative_at_degree_two():
-    a, b = MagnusSeries.meridian(1), MagnusSeries.meridian(2)
-    ab, ba = a.mul(b), b.mul(a)
-    assert ab.coefficient((1, 2)) == 1 and ab.coefficient((2, 1)) == 0
-    assert ba.coefficient((2, 1)) == 1 and ba.coefficient((1, 2)) == 0
-    assert ab.lin_dict() == ba.lin_dict() == {1: 1, 2: 1}
+    ab, ba = _mul2(H_I, H_J), _mul2(H_J, H_I)
+    assert ab[4] == 1 and ba[4] == 0  # word ij: h_i h_j != h_j h_i
+    assert ab[1:3] == ba[1:3] == (1, 1)
 
 
 def test_meridian_powers():
-    m = MagnusSeries.meridian(1)
-    cube = m.power(3)
-    assert cube.lin_dict() == {1: 3}
-    assert cube.coefficient((1, 1)) == 3  # C(3, 2)
-    inv = m.power(-1)
-    assert inv == m.inverse()
-    assert inv.lin_dict() == {1: -1}
-    assert inv.coefficient((1, 1)) == 1
+    cube = _mul2(_mul2(H_I, H_I), H_I)
+    assert cube[1] == 3
+    assert cube[3] == 3  # C(3, 2)
+    inv = _inv2(H_I)
+    assert inv[1] == -1
+    assert inv[3] == 1
 
 
-def _series(draw_lin, draw_quad):
-    return MagnusSeries.make(1, lin=draw_lin, quad=draw_quad)
+series6 = st.tuples(st.just(1), *[st.integers(-4, 4)] * 5)
 
 
-@given(lin=st.dictionaries(st.integers(1, 3), st.integers(-4, 4), max_size=3),
-       quad=st.dictionaries(
-           st.tuples(st.integers(1, 3), st.integers(1, 3)),
-           st.integers(-4, 4), max_size=4))
+@given(s=series6)
 @settings(max_examples=80, deadline=None)
-def test_inverse_round_trip(lin, quad):
-    s = _series(lin, quad)
-    assert s.mul(s.inverse()) == MagnusSeries.unit()
-    assert s.inverse().mul(s) == MagnusSeries.unit()
+def test_inverse_round_trip(s):
+    assert _mul2(s, _inv2(s)) == ONE
+    assert _mul2(_inv2(s), s) == ONE
 
 
-@given(lin=st.dictionaries(st.integers(1, 3), st.integers(-3, 3), max_size=3),
-       exp=st.integers(-4, 4))
-@settings(max_examples=60, deadline=None)
-def test_power_matches_repeated_multiplication(lin, exp):
-    s = _series(lin, {})
-    direct = s.power(exp)
-    slow = MagnusSeries.unit()
-    step = s if exp >= 0 else s.inverse()
-    for _ in range(abs(exp)):
-        slow = slow.mul(step)
-    assert direct == slow
+@given(x=series6, y=series6, z=series6)
+@settings(max_examples=80, deadline=None)
+def test_product_is_associative(x, y, z):
+    assert _mul2(_mul2(x, y), z) == _mul2(x, _mul2(y, z))
+
+
+@given(w=st.integers(-6, 6))
+@settings(max_examples=30, deadline=None)
+def test_power_matches_repeated_multiplication(w):
+    # a component with self-writhe w and no letters: its longitude is
+    # the framing factor alone, the meridian to the power -w
+    pres = WirtingerPresentation(2, {}, {10: 1, 20: 2}, {1: 10, 2: 20}, (),
+                                 {1: (), 2: ()}, {1: w, 2: w})
+    series = {10: H_I, 20: H_J}
+    for comp, mer in ((1, H_I), (2, H_J)):
+        slow, step = ONE, (mer if w < 0 else _inv2(mer))
+        for _ in range(abs(w)):
+            slow = _mul2(slow, step)
+        assert longitude_series(pres, series, comp) == slow, comp
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +95,11 @@ def test_wirtinger_shape():
 
 
 def test_wirtinger_handles_free_loops():
-    d = fixtures.load("unknot")
+    d = disjoint_union(fixtures.load("unknot"), fixtures.load("unknot"))
     pres = wirtinger(d)
-    series = magnus_expand(pres)
-    lon = longitude_series(pres, series, 1)
-    assert lon == MagnusSeries.unit()
+    series = magnus_expand(pres, 1, 2)
+    assert longitude_series(pres, series, 1) == ONE
+    assert longitude_series(pres, series, 2) == ONE
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +143,26 @@ def test_linking_rejects_odd_crossing_totals():
 
 def test_expansion_exact_on_borromean():
     pres = wirtinger(fixtures.load("borromean"))
-    series = magnus_expand(pres)
-    assert relation_defects(pres, series) == []
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        magnus_expand(pres, i, j)
 
 
 def test_expansion_gate_fires_on_linked_input():
     pres = wirtinger(fixtures.load("hopf+"))
     with pytest.raises(ExpansionError):
-        magnus_expand(pres)
-    series = magnus_expand(pres, require_exact=False)
-    assert relation_defects(pres, series)
+        magnus_expand(pres, 1, 2)
+    series = magnus_expand(pres, 1, 2, require_exact=False)
+    assert longitude_series(pres, series, 2)[1] == 1
 
 
 def test_longitude_degree_one_reads_linking():
     for name in ("hopf+", "whitehead", "borromean"):
         d = fixtures.load(name)
         pres = wirtinger(d)
-        series = magnus_expand(pres, require_exact=False)
-        for i in range(1, d.m + 1):
-            lon = longitude_series(pres, series, i)
-            for j in range(1, d.m + 1):
-                if j == i:
-                    continue
-                assert lon.coefficient((j,)) == linking_number(d, i, j), (name, i, j)
+        for i, j in itertools.permutations(range(1, d.m + 1), 2):
+            series = magnus_expand(pres, j, i, require_exact=False)
+            assert longitude_series(pres, series, i)[1] == \
+                linking_number(d, i, j), (name, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +217,21 @@ def test_triple_linking_names_the_callers_odd_pair():
         triple_linking(d, 1, 3, 4)
     assert exc.value.violations[0].startswith(
         "components 3 and 4 cross an odd signed total of 1;")
+
+
+def test_triple_linking_refuses_a_non_planar_code():
+    # every linking number is 0 and the (1, 2) relations close, but the
+    # (2, 3) relations do not: no planar diagram has this code
+    from lzero.diagram import parse_diagram
+    d = parse_diagram("components 3\n"
+                      "x - 2 6 3 8\nx - 6 3 10 5\nx - 4 1 9 7\n"
+                      "x + 5 10 8 2\nx - 1 9 7 4\n"
+                      + "".join(f"a {arc} {comp}\n" for arc, comp in
+                                enumerate((1, 2, 2, 1, 3, 2, 1, 2, 1, 3), 1)))
+    assert [linking_number(d, *p) for p in ((1, 2), (1, 3), (2, 3))] == \
+        [0, 0, 0]
+    with pytest.raises(ExpansionError, match="components 2 and 3"):
+        triple_linking(d, 1, 2, 3)
 
 
 def test_triple_linking_needs_distinct_components():
