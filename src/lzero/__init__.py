@@ -13,8 +13,7 @@ from .classify import (SolvableReport, ZeroSolveClass, class_add, class_json,
                        identity_class, is_zero_solvable, parse_class,
                        render_class, representative)
 from .construct import braid_closure, build_from_gadgets
-from .conway import (ConwayPolynomial, conway_polynomial,
-                     conway_polynomial_naive)
+from .conway import ConwayPolynomial, conway_polynomial
 from .diagram import (Crossing, LinkDiagram, check_valid, disjoint_union,
                       mirror, parse_diagram, render_diagram, sublink,
                       validate)
@@ -39,7 +38,7 @@ __all__ = [
     "ExpansionError",
     "MoveSite", "KINDS", "apply_move", "enumerate_sites", "parse_site",
     "render_site",
-    "ConwayPolynomial", "conway_polynomial", "conway_polynomial_naive",
+    "ConwayPolynomial", "conway_polynomial",
     "WirtingerPresentation", "wirtinger", "magnus_expand",
     "longitude_series", "linking_number", "triple_linking",
     "InvariantTuple", "arf", "sato_levine", "invariant_tuple",

@@ -1,25 +1,30 @@
-"""Conway polynomial of a diagram via the skein recursion.
+"""Conway polynomial of a diagram as one integer determinant.
 
-The engine resolves one crossing at a time against the relation
+Kauffman's state sum (*Formal Knot Theory*, 1983).  A connected planar
+diagram with n crossings has n + 2 faces; star the two on either side
+of an arc that separates two faces.  A *state* gives every crossing one
+of its corners so that each unstarred face gets exactly one.  At a crossing of sign e the
+corner between the outgoing strands is labelled s^e, the corner between
+the incoming strands (the *black hole*) s^-e, and the side corners 1:
 
-    nabla(L+) - nabla(L-) = z * nabla(L0)
+    nabla(s - 1/s) = sum over states of (-1)^(black holes) * labels.
 
-anchored at nabla(unknot) = 1 and nabla(split link) = 0.  A diagram is
-*descending* for a walk order if, traversing every component from its
-base arc, each crossing is first met on its over strand; descending
-diagrams are unlinks.  Switching the first violating crossing moves the
-walk strictly forward and smoothing drops a crossing, so the recursion
-terminates.
+Let M (crossings x unstarred faces) sum the labels of each crossing's
+corners in each face, and S the same with -1 on black holes and +1
+elsewhere.  Each state's sign (-1)^(black holes) is its permutation
+sign times one global factor (the clock theorem), so det S is that
+factor times the number of states, and
 
-Both engines walk components in numeric order.  ``conway_polynomial``
-adds exact rewrites that never change the value (removing curls and
-opposite-sign bigons, returning 0 early on split diagrams) and memoizes
-on a code renamed by one walk of the diagram.  Curls and bigons go in
-batched rounds: one scan collects every curl and every bigon whose
-crossings are still untaken, and one surgery removes them all.
-``conway_polynomial_naive`` is kept free of all of that — no rewrites,
-no memo — so the two give genuinely independent routes to the same
-value.
+    nabla(s - 1/s) = sign(det S) * det M.
+
+Every state is one monomial s^k with |k| <= n, so |det S| bounds every
+coefficient: det M is taken over the integers at s = 2^K, read back as
+signed base-2^K digits and rewritten in z = s - 1/s.
+
+Curls and opposite-sign bigons go first, in batched rounds (one scan
+and one surgery per round), and split diagrams return 0.  A connected
+diagram without n + 2 faces is not planar and is refused.  The tests
+check the engine with the skein primitives kept here.
 """
 
 from __future__ import annotations
@@ -28,13 +33,13 @@ import itertools
 from dataclasses import dataclass
 
 from .diagram import (Crossing, LinkDiagram, component_cycles, consumer_map,
-                      crossing_graph_parts, delete_crossings,
+                      crossing_graph_parts, delete_crossings, face_walks,
                       renumber_components)
+from .errors import DiagramStructureError
 
 __all__ = [
     "ConwayPolynomial",
     "conway_polynomial",
-    "conway_polynomial_naive",
     "switch_crossing",
     "smooth_crossing",
 ]
@@ -56,22 +61,6 @@ class ConwayPolynomial:
 
     def coefficient(self, degree: int) -> int:
         return dict(self.coeffs).get(degree, 0)
-
-    def add(self, other: "ConwayPolynomial") -> "ConwayPolynomial":
-        out = dict(self.coeffs)
-        for deg, c in other.coeffs:
-            out[deg] = out.get(deg, 0) + c
-        return ConwayPolynomial.from_dict(out)
-
-    def sub(self, other: "ConwayPolynomial") -> "ConwayPolynomial":
-        out = dict(self.coeffs)
-        for deg, c in other.coeffs:
-            out[deg] = out.get(deg, 0) - c
-        return ConwayPolynomial.from_dict(out)
-
-    def shift(self, k: int = 1) -> "ConwayPolynomial":
-        """Multiply by z**k."""
-        return ConwayPolynomial(tuple((deg + k, c) for deg, c in self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -128,27 +117,6 @@ def smooth_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
 
 
 # ---------------------------------------------------------------------------
-# walks
-
-
-def _violations(d: LinkDiagram) -> list[int]:
-    """0-based indices of crossings first met on their under strand,
-    walking components in numeric order, each from its lowest arc."""
-    cons = consumer_map(d)
-    cycles = sorted(component_cycles(d), key=lambda c: d.arc_components[c[0]])
-    seen = set()
-    bad = []
-    for cyc in cycles:
-        for arc in cyc:
-            idx, level = cons[arc]
-            if idx not in seen:
-                seen.add(idx)
-                if level == "under":
-                    bad.append(idx)
-    return bad
-
-
-# ---------------------------------------------------------------------------
 # exact reductions
 
 
@@ -201,7 +169,7 @@ def _reduce(d: LinkDiagram) -> LinkDiagram:
 
 
 # ---------------------------------------------------------------------------
-# canonical memo key
+# canonical key
 
 
 def canonical_key(d: LinkDiagram):
@@ -211,8 +179,8 @@ def canonical_key(d: LinkDiagram):
     that arc, and arcs are renamed by first appearance.  The key is the
     flat tuple ``(m, free loops, *code)``, the code being the renamed
     crossings, sorted and run together.  Diagrams equal up to a
-    relabeling that keeps the lowest arcs share a key; a missed
-    identification only costs a memo miss.
+    relabeling that keeps the lowest arcs share a key.  The engine no
+    longer uses it; ``bench/tracer.py`` still names it as a layer.
     """
     walk = itertools.chain.from_iterable(component_cycles(d))
     rename = {arc: n for n, arc in enumerate(walk, start=1)}
@@ -223,67 +191,119 @@ def canonical_key(d: LinkDiagram):
 
 
 # ---------------------------------------------------------------------------
-# the two engines
-
-_MEMO: dict = {}
+# the state-sum determinant
 
 
-def conway_polynomial(d: LinkDiagram, memo: dict | None = None) -> ConwayPolynomial:
-    """Conway polynomial, with reductions and memoization.
-
-    ``memo`` may be supplied to control caching; by default a shared
-    module-level cache is used.
-    """
-    if memo is None:
-        memo = _MEMO
-    return _conway(d, memo)
-
-
-def _conway(d: LinkDiagram, memo: dict) -> ConwayPolynomial:
+def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
+    """Conway polynomial, as one integer determinant after reduction."""
     d = _reduce(d)
-    if d.free_loops or crossing_graph_parts(d) > 1:
-        # A crossing-free circle, or a crossing graph in several parts,
-        # makes the diagram split unless it is a lone unknot.
-        if not d.crossings and d.m == 1:
-            return ONE
-        return ZERO
     if not d.crossings:
         return ONE if d.m == 1 else ZERO
+    if d.free_loops or crossing_graph_parts(d) > 1:
+        # a crossing-free circle, or a crossing graph in several parts
+        return ZERO
 
-    key = canonical_key(d)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    n = len(d.crossings)
+    walks = face_walks(d)
+    if len(walks) != n + 2:
+        raise DiagramStructureError([
+            f"{len(walks)} faces for {n} crossings in one connected part, "
+            f"not {n + 2}: not a planar diagram"])
+    face_of = {c[0]: f for f, walk in enumerate(walks) for c in walk}
+    starred = next((face_of[arc, True], face_of[arc, False])
+                   for arc in sorted(d.arc_components)
+                   if face_of[arc, True] != face_of[arc, False])
+    columns = sorted(set(range(n + 2)) - set(starred),
+                     key=lambda f: len(walks[f]))
+    # Rows of M are scaled by s: s^(1+e) on the out-corner, s^(1-e) on
+    # the black hole, s on the sides.
+    signs = [{} for _ in range(n)]
+    powers = [{} for _ in range(n)]
+    for k, f in enumerate(columns):
+        for _, idx, slot, nslot in walks[f]:
+            ins = slot.endswith("_in") + nslot.endswith("_in")
+            signs[idx][k] = signs[idx].get(k, 0) + (-1 if ins == 2 else 1)
+            powers[idx].setdefault(k, []).append(
+                1 + (1 - ins) * d.crossings[idx].sign)
+    states = _det([{k: v for k, v in row.items() if v} for row in signs])
+    bits = abs(states).bit_length() + 1
+    value = _det([{k: sum(1 << bits * p for p in ps) for k, ps in row.items()}
+                  for row in powers]) * (1 if states > 0 else -1)
+    # signed base-2^bits digits, the lowest for s^-n
+    laurent = {}
+    for power in range(-n, n + 1):
+        digit = value & ((1 << bits) - 1)
+        digit -= (digit >> (bits - 1)) << bits
+        laurent[power] = digit
+        value = (value - digit) >> bits
+    return _in_z(laurent)
 
-    bad = _violations(d)
-    if not bad:
-        result = ONE if d.m == 1 else ZERO
-    else:
-        cid = bad[0] + 1
-        sign = d.crossing(cid).sign
-        switched = _conway(switch_crossing(d, cid), memo)
-        smoothed = _conway(smooth_crossing(d, cid), memo)
-        if sign > 0:
-            result = switched.add(smoothed.shift())
-        else:
-            result = switched.sub(smoothed.shift())
-    memo[key] = result
-    return result
+
+def _det(rows: list[dict[int, int]]) -> int:
+    """Determinant of a square sparse integer matrix, given as rows
+    ``{column: nonzero entry}`` (consumed), by fraction-free Bareiss
+    elimination pivoting on the shortest row.  A row with no entry in
+    the pivot column is only rescaled by that step, so it is skipped,
+    and the next step that needs it folds the missed rescalings into
+    its one exact division."""
+    n = len(rows)
+    holders = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    # The true values of row i at step k are its stored values times
+    # pivots[k] / pivots[stage[i]]; pivots[0] = 1.
+    pivots, stage, order = [1], [0] * n, []
+    for k in range(n):
+        if not holders[k]:
+            return 0
+        r = min(holders[k], key=lambda i: (len(rows[i]), i))
+        for c in rows[r]:
+            holders[c].discard(r)
+        pivot_row = rows[r]
+        if stage[r] != k:
+            top, bottom = pivots[k], pivots[stage[r]]
+            pivot_row = {c: v * top // bottom for c, v in pivot_row.items()}
+        p = pivot_row.pop(k)
+        for i in holders[k]:
+            row, bottom = rows[i], pivots[stage[i]]
+            a = row.pop(k)
+            for c, v in row.items():
+                if c not in pivot_row:
+                    row[c] = v * p // bottom
+            for c, v in pivot_row.items():
+                entry = (row.get(c, 0) * p - a * v) // bottom
+                if entry:
+                    row[c] = entry
+                    holders[c].add(i)
+                else:
+                    row.pop(c, None)
+                    holders[c].discard(i)
+            stage[i] = k + 1
+        holders[k].clear()
+        pivots.append(p)
+        order.append(r)
+    # the sign of the row order: (-1)^(n - cycles)
+    sign, seen = pivots[-1], set()
+    for i in order:
+        if i not in seen:
+            sign = -sign
+            while i not in seen:
+                seen.add(i)
+                i = order[i]
+    return sign if n % 2 == 0 else -sign
 
 
-def conway_polynomial_naive(d: LinkDiagram) -> ConwayPolynomial:
-    """Reference implementation: bare skein recursion, nothing else.
-
-    No rewrites, no split detection, no caching.  Slow but
-    independent, for checking the engine above.
-    """
-    bad = _violations(d)
-    if not bad:
-        return ONE if d.m == 1 else ZERO
-    cid = bad[0] + 1
-    sign = d.crossing(cid).sign
-    switched = conway_polynomial_naive(switch_crossing(d, cid))
-    smoothed = conway_polynomial_naive(smooth_crossing(d, cid))
-    if sign > 0:
-        return switched.add(smoothed.shift())
-    return switched.sub(smoothed.shift())
+def _in_z(laurent: dict[int, int]) -> ConwayPolynomial:
+    """Rewrite a Laurent polynomial in s as a polynomial in z = s - 1/s,
+    peeling c * (s - 1/s)^k off the top degree.  Only the powers >= 0
+    are kept up to date; they fix the result."""
+    z = {}
+    for top in range(max(laurent), -1, -1):
+        c = z[top] = laurent[top]
+        if not c:
+            continue
+        for i in range(top // 2 + 1):
+            laurent[top - 2 * i] -= c
+            c = -c * (top - i) // (i + 1)
+    return ConwayPolynomial.from_dict(z)

@@ -9,12 +9,13 @@ slot" around the diagram partitions the arcs into disjoint cycles, one
 per component.  Components with no crossings at all cannot be expressed
 that way, so they are kept separately as *free loops*.
 
-Planarity of a code is deliberately not certified; all operations are
+Planarity of a code is not certified on parsing; all operations are
 combinatorial and their outputs are meaningful for codes that arise
-from actual planar diagrams.  The ``faces`` helper reconstructs the
-face structure of a realizable code from the crossing signs, which is
-what the move-generation utilities use to stay inside the realizable
-world.
+from actual planar diagrams.  ``face_walks`` reconstructs the face
+structure of a realizable code from the crossing signs, with the
+crossing corner at each step; move generation reads it to stay inside
+the realizable world, and the Conway engine builds its determinant
+from it.
 
 File format (UTF-8, one record per line, ``#`` starts a comment):
 
@@ -24,7 +25,7 @@ File format (UTF-8, one record per line, ``#`` starts a comment):
     o <component>
 
 ``x`` records are implicitly numbered 1, 2, ... in file order; that
-index is the crossing id used by moves and by the skein engine.
+index is the crossing id used by moves and by the skein primitives.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "disjoint_union",
     "mirror",
     "faces",
+    "face_walks",
 ]
 
 
@@ -92,12 +94,6 @@ class LinkDiagram:
 
     def arcs(self):
         return set(self.arc_components)
-
-    def component_of(self, arc: int) -> int:
-        return self.arc_components[arc]
-
-    def component_arcs(self, comp: int):
-        return sorted(a for a, c in self.arc_components.items() if c == comp)
 
     def crossing(self, cid: int) -> Crossing:
         """Crossing by 1-based id (= position in the record list)."""
@@ -220,14 +216,6 @@ def consumer_map(d: LinkDiagram) -> dict[int, tuple[int, str]]:
         cons[cr.under_in] = (idx, "under")
         cons[cr.over_in] = (idx, "over")
     return cons
-
-
-def producer_map(d: LinkDiagram) -> dict[int, tuple[int, str]]:
-    prod = {}
-    for idx, cr in enumerate(d.crossings):
-        prod[cr.under_out] = (idx, "under")
-        prod[cr.over_out] = (idx, "over")
-    return prod
 
 
 def component_cycles(d: LinkDiagram) -> list[list[int]]:
@@ -516,46 +504,44 @@ _CCW = {
 }
 
 
-def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
+def face_walks(d: LinkDiagram) -> list[list[tuple]]:
     """Face boundaries of the planar embedding determined by the signs.
 
-    Each face is a cyclic list of darts ``(arc, forward)``; ``forward``
-    means the boundary walks the arc along its orientation.  The
-    enclosed region lies to the left of every dart.  Free loops carry
-    no darts and are ignored.  For a genuinely planar code the counts
-    satisfy ``faces - arcs + crossings == 1 + connected parts``.
+    Each face is a cyclic list ``(dart, idx, slot, nslot)``: the dart
+    ``(arc, forward)`` walks its arc (along the orientation if
+    ``forward``) into crossing ``idx`` (0-based) at ``slot``, and the
+    face's corner there runs to ``nslot``, where the next dart leaves.
+    The face lies to the left of every dart.  Faces are listed by, and
+    start at, their lowest dart; free loops carry none.  For a planar
+    code ``faces - arcs + crossings == 1 + connected parts``.
     """
-    cons = consumer_map(d)
-    prod = producer_map(d)
+    ends = {}
+    for idx, cr in enumerate(d.crossings):
+        order = _CCW[cr.sign]
+        for k, slot in enumerate(order):
+            # the slot an arc enters at, and the slot the boundary turns to
+            ends[getattr(cr, slot), slot.endswith("_in")] = (
+                idx, slot, order[k - 1])
 
-    def next_dart(dart):
-        arc, fwd = dart
-        if fwd:
-            idx, strand = cons[arc]
-            slot = "under_in" if strand == "under" else "over_in"
-        else:
-            idx, strand = prod[arc]
-            slot = "under_out" if strand == "under" else "over_out"
-        order = _CCW[d.crossings[idx].sign]
-        nslot = order[(order.index(slot) - 1) % 4]
-        narc = getattr(d.crossings[idx], nslot)
-        return (narc, nslot.endswith("_out"))
-
-    todo = {(a, True) for a in d.arc_components} | \
-           {(a, False) for a in d.arc_components}
     result = []
-    while todo:
-        start = min(todo)
-        cyc = []
+    seen = set()
+    for start in sorted(ends):
+        if start in seen:
+            continue
+        walk = []
         dart = start
-        while True:
-            cyc.append(dart)
-            todo.discard(dart)
-            dart = next_dart(dart)
-            if dart == start:
-                break
-        result.append(cyc)
+        while dart not in seen:
+            seen.add(dart)
+            idx, slot, nslot = ends[dart]
+            walk.append((dart, idx, slot, nslot))
+            dart = (getattr(d.crossings[idx], nslot), nslot.endswith("_out"))
+        result.append(walk)
     return result
+
+
+def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
+    """The darts of each face of :func:`face_walks`, in the same order."""
+    return [[corner[0] for corner in walk] for walk in face_walks(d)]
 
 
 def crossing_graph_parts(d: LinkDiagram) -> int:

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .diagram import (Crossing, LinkDiagram, check_valid, consumer_map,
-                      delete_crossings, faces, producer_map)
+                      delete_crossings, face_walks, faces)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
@@ -369,17 +369,6 @@ def enumerate_sites(d: LinkDiagram, kind: str) -> list[MoveSite]:
     raise MovePatternError(f"unknown move kind {kind!r}")
 
 
-def _face_corners(d: LinkDiagram, face):
-    """Crossing id entered by each dart of the face, in face order."""
-    cons = consumer_map(d)
-    prod = producer_map(d)
-    corners = []
-    for arc, fwd in face:
-        idx, _ = cons[arc] if fwd else prod[arc]
-        corners.append(idx + 1)
-    return corners
-
-
 def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
     # Two darts bounding a common face with the region on their left
     # can be pushed together.  Walking the face, a dart traverses each
@@ -389,8 +378,8 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
     # local picture; both choices below were fixed against the face
     # tracer conventions once and are exercised by the invariance
     # suite.
+    # Each dart lies on one face, so no (arcs, variant, sign) repeats.
     sites = []
-    seen = set()
     for face in faces(d):
         for (ax, fx), (ay, fy) in itertools.permutations(face, 2):
             if ax == ay:
@@ -403,19 +392,15 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
                 variant, s = "par", 1
             else:
                 variant, s = "par", -1
-            key = (ax, ay, variant, s)
-            if key in seen:
-                continue
-            seen.add(key)
             sites.append(MoveSite("R2+", arcs=(ax, ay), sign=s, variant=variant))
     return sites
 
 
 def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
     bigons = set()
-    for face in faces(d):
-        if len(face) == 2:
-            corners = _face_corners(d, face)
+    for walk in face_walks(d):
+        if len(walk) == 2:
+            corners = [idx + 1 for _, idx, _, _ in walk]
             if len(set(corners)) == 2:
                 bigons.add(frozenset(corners))
     sites = []
@@ -433,9 +418,9 @@ def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
 
 def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
     triangles = set()
-    for face in faces(d):
-        if len(face) == 3:
-            corners = _face_corners(d, face)
+    for walk in face_walks(d):
+        if len(walk) == 3:
+            corners = [idx + 1 for _, idx, _, _ in walk]
             if len(set(corners)) == 3:
                 triangles.add(tuple(sorted(corners)))
     sites = []

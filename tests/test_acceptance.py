@@ -14,14 +14,15 @@ from lzero.classify import (ZeroSolveClass, class_add, class_gadgets,
                             classify, equivalent, identity_class,
                             representative)
 from lzero.construct import braid_closure, build_from_gadgets
-from lzero.conway import conway_polynomial, conway_polynomial_naive
+from lzero.conway import conway_polynomial
 from lzero.diagram import sublink
 from lzero.invariants import (arf, component_pairs, component_triples,
                               sato_levine)
 from lzero.milnor import (linking_number, longitude_series, magnus_expand,
                           triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites
-from util import corpus, project_class, random_class, random_move
+from util import (conway_polynomial_naive, corpus, project_class, random_class,
+                  random_move)
 
 
 def _finish(n: int, desc: str, t0: float, budget: float) -> None:
@@ -105,7 +106,7 @@ def test_criterion_3_round_trip():
 
 
 def test_criterion_4_memo_matches_naive():
-    desc = "memoized and naive skein evaluations agree on the corpus"
+    desc = "determinant engine and skein oracle agree on the corpus"
     t0 = time.perf_counter()
     try:
         for name, d in corpus():

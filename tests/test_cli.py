@@ -145,6 +145,20 @@ def test_malformed_diagram_reports_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_conway_refuses_a_non_planar_code(tmp_path, capsys):
+    # one component, four crossings, two faces instead of six
+    bad = tmp_path / "nonplanar.lz"
+    bad.write_text("components 1\n"
+                   "x - 8 1 5 2\nx - 2 3 7 4\nx - 4 5 3 6\nx - 1 7 6 8\n"
+                   + "".join(f"a {arc} 1\n" for arc in range(1, 9)),
+                   encoding="utf-8")
+    code, out, err = run(capsys, "conway", str(bad))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "not a planar diagram" in lines[0]
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,22 +1,25 @@
-"""The one-variable polynomial: arithmetic, skein recursion, memo vs naive."""
+"""The one-variable polynomial: its text form, the skein primitives, the
+reductions, and the determinant engine against the skein oracle."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lzero import conway, fixtures
-from lzero.classify import representative
+from lzero.classify import parse_class, representative
 from lzero.construct import braid_closure
 from lzero.conway import (ONE, ZERO, ConwayPolynomial, _reduce, canonical_key,
-                          conway_polynomial, conway_polynomial_naive,
-                          smooth_crossing, switch_crossing)
+                          conway_polynomial, smooth_crossing, switch_crossing)
 from lzero.diagram import (disjoint_union, mirror, parse_diagram, sublink,
                            validate)
 from lzero.moves import apply_move, enumerate_sites
-from util import assert_sound, corpus, random_class
+from util import (assert_sound, conway_polynomial_naive, corpus, random_class,
+                  random_walk)
 
 
 # ---------------------------------------------------------------------------
@@ -28,15 +31,6 @@ def test_polynomial_round_trip_and_normalization():
     assert p.coeffs == ((0, 1), (2, 1))
     assert p.as_dict() == {0: 1, 2: 1}
     assert p.coefficient(2) == 1 and p.coefficient(4) == 0
-
-
-def test_polynomial_add_sub_shift():
-    p = ConwayPolynomial.from_dict({0: 1, 2: 1})
-    q = ConwayPolynomial.from_dict({0: 1, 2: -1})
-    assert p.add(q).as_dict() == {0: 2}
-    assert p.sub(p) == ZERO
-    assert ONE.shift(3).as_dict() == {3: 1}
-    assert p.sub(q).shift().as_dict() == {3: 2}
 
 
 @pytest.mark.parametrize("coeffs,text", [
@@ -59,8 +53,6 @@ def test_polynomial_text(coeffs, text):
 def test_polynomial_dict_round_trip(d):
     p = ConwayPolynomial.from_dict(d)
     assert p.as_dict() == {k: v for k, v in d.items() if v != 0}
-    assert p.add(ZERO) == p
-    assert p.sub(p) == ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def test_degree_parity_matches_component_count():
 
 
 # ---------------------------------------------------------------------------
-# memoized engine vs direct recursion
+# determinant engine vs the skein oracle
 
 
 def test_memo_agrees_with_naive_on_corpus():
@@ -147,6 +139,70 @@ def test_memo_agrees_with_naive_on_random_braids():
         assert conway_polynomial(d) == conway_polynomial_naive(d), word
 
 
+def test_engine_agrees_with_oracle_on_closures_and_their_neighbours():
+    # seeded 2-5-strand braid closures of up to 12 crossings, each with
+    # every switch and every smoothing of it; one oracle cache per
+    # closure, since the neighbours' skein trees overlap
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        strands = rng.randint(2, 5)
+        n = rng.randint(1, 12)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                     for _ in range(n))
+        d = braid_closure(word, strands)
+        cache: dict = {}
+        cases = [(word, d)]
+        for cid in range(1, n + 1):
+            cases += [((word, "switch", cid), switch_crossing(d, cid)),
+                      ((word, "smooth", cid), smooth_crossing(d, cid))]
+        for label, e in cases:
+            assert conway_polynomial(e) == conway_polynomial_naive(e, cache), \
+                label
+            checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 101, 401])
+def test_torus_links_t2n_closed_form(n):
+    # nabla(T(2, n)) = sum_j C(n - 1 - j, j) z^(n - 1 - 2j)
+    want = {n - 1 - 2 * j: math.comb(n - 1 - j, j)
+            for j in range((n - 1) // 2 + 1)}
+    assert conway_polynomial(braid_closure((1,) * n, 2)).as_dict() == want
+
+
+def test_m4_representative_is_fast_and_stable_under_moves():
+    g = parse_class("m=4; a=0,0,0,1; b=+2,-1,-1,-2; c=0,0,0,0,0,1")
+    d = representative(g)
+    t0 = time.perf_counter()
+    p = conway_polynomial(d)
+    assert time.perf_counter() - t0 < 10.0
+    # four components: odd degrees only, and the lowest is at least m - 1
+    assert p.coeffs and all(deg % 2 == 1 and deg >= 3 for deg, _ in p.coeffs)
+    walked = d
+    for _, walked in random_walk(d, random.Random(7), 10,
+                                 max_crossings=len(d.crossings) + 20):
+        pass
+    assert walked != d
+    assert conway_polynomial(walked) == p
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7)), min_size=n,
+             max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_sparse_determinant_matches_the_leibniz_sum(matrix):
+    n = len(matrix)
+    want = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(n), 2))
+        want += (-1) ** inversions * math.prod(
+            matrix[i][perm[i]] for i in range(n))
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    assert conway._det(rows) == want
+
+
 def test_canonical_key_is_stable_under_arc_renaming():
     t = fixtures.load("trefoil")
     # braid closures from the same word with shifted arc labels: build the
@@ -155,17 +211,6 @@ def test_canonical_key_is_stable_under_arc_renaming():
     shifted = sublink(disjoint_union(fixtures.load("unknot"), t), (2,))
     assert shifted.arcs() != t.arcs() or shifted == t
     assert canonical_key(shifted) == canonical_key(t)
-
-
-def test_memo_is_shared_across_calls():
-    memo: dict = {}
-    d = fixtures.load("borromean")
-    first = conway_polynomial(d, memo)
-    filled = len(memo)
-    assert filled > 0
-    again = conway_polynomial(d, memo)
-    assert again == first
-    assert len(memo) == filled
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +287,7 @@ def test_reduce_reaches_a_fixpoint():
 def test_memo_agrees_with_naive_after_stacked_moves():
     for name, d in _stacked_corpus():
         assert_sound(d)
-        assert conway_polynomial(d, {}) == conway_polynomial_naive(d), name
+        assert conway_polynomial(d) == conway_polynomial_naive(d), name
 
 
 def test_curl_chain_collapses_to_a_free_loop_in_one_round(monkeypatch):
@@ -262,7 +307,7 @@ def test_curl_chain_collapses_to_a_free_loop_in_one_round(monkeypatch):
     assert calls == [k]
     assert r.crossings == () and r.free_loops == (1,)
     assert validate(r) == []
-    assert conway_polynomial(d, {}) == ONE
+    assert conway_polynomial(d) == ONE
 
 
 def test_bigons_sharing_a_crossing_take_one_per_round(monkeypatch):
@@ -281,7 +326,7 @@ def test_bigons_sharing_a_crossing_take_one_per_round(monkeypatch):
     assert calls == [2]
     assert len(r.crossings) == 2 and _rewrites_left(r) == []
     assert validate(r) == []
-    assert conway_polynomial(d, {}) == conway_polynomial_naive(d) \
+    assert conway_polynomial(d) == conway_polynomial_naive(d) \
         == conway_polynomial(fixtures.load("hopf+"))
 
 

@@ -1,5 +1,6 @@
 """Shared test helpers: the small-diagram corpus, the planarity check,
-a seeded random-move walker, and class projection for sublink tests."""
+a seeded random-move walker, class projection for sublink tests, and
+the skein recursion that checks the Conway engine."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ from itertools import combinations
 from lzero import fixtures
 from lzero.classify import ZeroSolveClass
 from lzero.construct import braid_closure, build_from_gadgets
-from lzero.diagram import (LinkDiagram, crossing_graph_parts, disjoint_union,
-                           faces, mirror, validate)
+from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
+from lzero.diagram import (LinkDiagram, component_cycles, consumer_map,
+                           crossing_graph_parts, disjoint_union, faces,
+                           mirror, validate)
 from lzero.invariants import component_pairs, component_triples
 from lzero.moves import MoveSite, apply_move, enumerate_sites
 
@@ -99,3 +102,55 @@ def project_class(g: ZeroSolveClass, keep) -> ZeroSolveClass:
     b = tuple(b_old[t] for t in combinations(keep, 3))
     c = tuple(c_old[p] for p in combinations(keep, 2))
     return ZeroSolveClass(len(keep), a, b, c)
+
+
+def _violations(d: LinkDiagram) -> list[int]:
+    """0-based indices of crossings first met on their under strand,
+    walking components in numeric order, each from its lowest arc."""
+    cons = consumer_map(d)
+    cycles = sorted(component_cycles(d), key=lambda c: d.arc_components[c[0]])
+    seen = set()
+    bad = []
+    for cyc in cycles:
+        for arc in cyc:
+            idx, level = cons[arc]
+            if idx not in seen:
+                seen.add(idx)
+                if level == "under":
+                    bad.append(idx)
+    return bad
+
+
+def conway_polynomial_naive(d: LinkDiagram,
+                            cache: dict | None = None) -> ConwayPolynomial:
+    """The Conway polynomial by the bare skein recursion, as an oracle.
+
+    nabla(L+) - nabla(L-) = z * nabla(L0), anchored at nabla(unknot) = 1
+    and nabla(split link) = 0.  A diagram is *descending* if, walking
+    every component from its lowest arc in numeric order, each crossing
+    is first met on its over strand; descending diagrams are unlinks.
+    Switching the first violating crossing moves the walk strictly
+    forward and smoothing drops a crossing, so the recursion ends.  No
+    rewrites, no split detection and no relabelling: exponential, but
+    independent of the determinant engine.  ``cache``, if given, keeps
+    results keyed by the exact code, to share work between calls on
+    the switches and smoothings of one diagram.
+    """
+    key = (d.m, d.crossings, tuple(sorted(d.arc_components.items())),
+           d.free_loops)
+    if cache is not None and key in cache:
+        return cache[key]
+    bad = _violations(d)
+    if not bad:
+        result = ConwayPolynomial.from_dict({0: 1} if d.m == 1 else {})
+    else:
+        cid = bad[0] + 1
+        sign = d.crossing(cid).sign
+        out = conway_polynomial_naive(switch_crossing(d, cid), cache).as_dict()
+        for deg, c in conway_polynomial_naive(smooth_crossing(d, cid),
+                                              cache).coeffs:
+            out[deg + 1] = out.get(deg + 1, 0) + sign * c
+        result = ConwayPolynomial.from_dict(out)
+    if cache is not None:
+        cache[key] = result
+    return result
