@@ -32,7 +32,7 @@ from .classify import (class_json, classify, is_zero_solvable, parse_class,
                        render_class, representative)
 from .conway import conway_polynomial
 from .diagram import parse_diagram, render_diagram
-from .errors import DiagramParseError, DiagramStructureError, LZeroError
+from .errors import DiagramParseError, LZeroError
 from .invariants import invariant_tuple, invariants_json, render_invariants
 from .moves import apply_move, parse_site, render_site
 
@@ -157,12 +157,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, payload = args.handler(args)
-    except (DiagramParseError, DiagramStructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LZeroError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
     if args.json:
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -25,8 +25,8 @@ earlier participants, so each pairwise detour contributes one crossing
 of each sign and cancels — are spliced through the gadget pattern, and
 climb back the same way.  The detours retract, so the built link is
 exactly the serial stack of the gadget links, and every detour crossing
-has the lower-numbered component on top (which keeps the skein engine's
-preferred walk order violation-free outside the gadget cores).
+has the lower-numbered component on top (which keeps the skein oracle's
+walk order violation-free outside the gadget cores).
 """
 
 from __future__ import annotations
@@ -67,17 +67,9 @@ def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
 
     pos = list(range(1, n + 1))
     crossings: list[Crossing] = []
-    next_id = n + 1
-    for letter in word:
-        li = abs(letter) - 1
-        u_out, o_out = next_id, next_id + 1
-        next_id += 2
-        if letter > 0:
-            crossings.append(Crossing(1, pos[li + 1], u_out, pos[li], o_out))
-            pos[li], pos[li + 1] = u_out, o_out
-        else:
-            crossings.append(Crossing(-1, pos[li], u_out, pos[li + 1], o_out))
-            pos[li], pos[li + 1] = o_out, u_out
+    for k, letter in enumerate(word):
+        u_out = n + 1 + 2 * k
+        crossings.append(_braid_crossing(letter, pos, u_out, u_out + 1))
 
     rename = {pos[p]: p + 1 for p in range(n) if pos[p] != p + 1}
     fixed = []
@@ -103,6 +95,19 @@ def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
                 arc_comp[a] = comp
     return check_valid(LinkDiagram(len(items), tuple(fixed), arc_comp,
                                    tuple(loops), name=name))
+
+
+def _braid_crossing(letter: int, pos: list, u_out: int,
+                    o_out: int) -> Crossing:
+    """The crossing of ``letter`` on the strands whose current arcs are
+    ``pos``: the under strand leaves on ``u_out``, the over strand on
+    ``o_out``, and the two trade places in ``pos``."""
+    li = abs(letter) - 1
+    under, over = (li + 1, li) if letter > 0 else (li, li + 1)
+    cr = Crossing(1 if letter > 0 else -1, pos[under], u_out, pos[over],
+                  o_out)
+    pos[under], pos[over] = o_out, u_out
+    return cr
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +217,12 @@ class _Builder:
 
         for letter in tangle.word:
             li = abs(letter) - 1
-            under_lab = labels[li + 1] if letter > 0 else labels[li]
-            over_lab = labels[li] if letter > 0 else labels[li + 1]
-            u_out = self.fresh(under_lab)
-            o_out = self.fresh(over_lab)
-            if letter > 0:
-                self.push(Crossing(1, pos_arcs[li + 1], u_out,
-                                   pos_arcs[li], o_out))
-                pos_arcs[li], pos_arcs[li + 1] = u_out, o_out
-            else:
-                self.push(Crossing(-1, pos_arcs[li], u_out,
-                                   pos_arcs[li + 1], o_out))
-                pos_arcs[li], pos_arcs[li + 1] = o_out, u_out
+            # as in _braid_crossing: a positive letter sends the strand
+            # at li + 1 under
+            under, over = (li + 1, li) if letter > 0 else (li, li + 1)
+            u_out = self.fresh(labels[under])
+            o_out = self.fresh(labels[over])
+            self.push(_braid_crossing(letter, pos_arcs, u_out, o_out))
             labels[li], labels[li + 1] = labels[li + 1], labels[li]
 
         for bp, tp in tangle.joins:

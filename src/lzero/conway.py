@@ -32,9 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import (Crossing, LinkDiagram, component_cycles, consumer_map,
-                      crossing_graph_parts, delete_crossings, face_walks,
-                      renumber_components)
+from .diagram import (LinkDiagram, bigon_fusions, component_cycles,
+                      consumer_map, crossing_graph_parts, delete_crossings,
+                      face_walks, kink_fusion, renumber_components)
 from .errors import DiagramStructureError
 
 __all__ = [
@@ -120,14 +120,6 @@ def smooth_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
 # exact reductions
 
 
-def _kink_fusion(cr: Crossing):
-    if cr.under_out == cr.over_in:
-        return (cr.under_in, cr.over_out)
-    if cr.over_out == cr.under_in:
-        return (cr.over_in, cr.under_out)
-    return None
-
-
 def _reduce(d: LinkDiagram) -> LinkDiagram:
     """Remove curls and opposite-sign bigons until none is left.
 
@@ -142,27 +134,19 @@ def _reduce(d: LinkDiagram) -> LinkDiagram:
         kill: set[int] = set()
         fusions = []
         for idx, cr in enumerate(d.crossings):
-            fusion = _kink_fusion(cr)
+            fusion = kink_fusion(cr)
             if fusion is not None:
                 kill.add(idx)
                 fusions.append(fusion)
         cons = consumer_map(d)
         for idx, a in enumerate(d.crossings):
-            nxt = cons.get(a.over_out)
-            if idx in kill or nxt is None or nxt[1] != "over":
+            jdx, level = cons[a.over_out]
+            if idx in kill or jdx in kill or level != "over":
                 continue
-            jdx = nxt[0]
-            b = d.crossings[jdx]
-            if jdx in kill or a.sign != -b.sign:
-                continue
-            if a.under_out == b.under_in:
-                under = (a.under_in, b.under_out)
-            elif b.under_out == a.under_in:
-                under = (b.under_in, a.under_out)
-            else:
-                continue
-            kill.update((idx, jdx))
-            fusions += [(a.over_in, b.over_out), under]
+            pair = bigon_fusions(a, d.crossings[jdx])
+            if pair is not None:
+                kill.update((idx, jdx))
+                fusions += pair
         if not kill:
             return d
         d = delete_crossings(d, kill, fusions)

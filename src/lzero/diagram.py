@@ -328,8 +328,9 @@ def check_valid(d: LinkDiagram) -> LinkDiagram:
 
 
 # ---------------------------------------------------------------------------
-# crossing-deletion surgery (shared by sublink, smoothing, and the
-# R1-/R2- rewrites)
+# crossing-deletion surgery (shared by sublink, smoothing, the R1-/R2-
+# rewrites and the Conway reduction), and the curl and bigon matchers
+# that feed it
 
 
 def delete_crossings(d: LinkDiagram, kill: set[int],
@@ -401,6 +402,39 @@ def delete_crossings(d: LinkDiagram, kill: set[int],
     arc_comp = {a: d.arc_components[a] for a in live}
     return LinkDiagram(d.m, tuple(new_crossings), arc_comp,
                        tuple(sorted(loops)), name=d.name)
+
+
+def kink_fusion(cr: Crossing):
+    """The fusion that deletes the curl ``cr``, or None if it is none.
+
+    A curl feeds one output straight back into its other input; the
+    strand entering on the remaining input leaves on the remaining
+    output.
+    """
+    if cr.under_out == cr.over_in:
+        return (cr.under_in, cr.over_out)
+    if cr.over_out == cr.under_in:
+        return (cr.over_in, cr.under_out)
+    return None
+
+
+def bigon_fusions(a: Crossing, b: Crossing):
+    """The two fusions that delete ``a`` and ``b`` as a bigon, or None.
+
+    Applies when a's over strand runs straight into b's
+    (``a.over_out == b.over_in``).  The pair is a bigon when the signs
+    are opposite and the under strands share an arc, in either
+    direction.
+    """
+    if a.sign != -b.sign:
+        return None
+    if a.under_out == b.under_in:
+        under = (a.under_in, b.under_out)
+    elif b.under_out == a.under_in:
+        under = (b.under_in, a.under_out)
+    else:
+        return None
+    return [(a.over_in, b.over_out), under]
 
 
 def renumber_components(d: LinkDiagram) -> LinkDiagram:

@@ -1,13 +1,16 @@
 """Exception hierarchy shared by the whole package.
 
-The CLI maps these onto exit codes: file/syntax/structure problems exit
-with 2, domain-level refusals (an invariant that is genuinely undefined
-for the input, an inapplicable move, ...) exit with 1.
+Each class carries the exit code the CLI returns for it as
+``exit_code``: file/syntax/structure problems exit with 2, domain-level
+refusals (an invariant that is genuinely undefined for the input, an
+inapplicable move, ...) exit with 1.
 """
 
 
 class LZeroError(Exception):
     """Base class for every error raised deliberately by this package."""
+
+    exit_code = 1
 
 
 class DiagramParseError(LZeroError):
@@ -15,6 +18,8 @@ class DiagramParseError(LZeroError):
 
     Carries the 1-based line and column of the offending token.
     """
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         self.line = line
@@ -30,6 +35,8 @@ class DiagramStructureError(LZeroError):
     ``violations`` holds one human-readable string per violated rule,
     each naming the offending record.
     """
+
+    exit_code = 2
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -31,14 +31,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import (Crossing, LinkDiagram, check_valid, consumer_map,
-                      delete_crossings, face_walks, faces)
+from .diagram import (Crossing, LinkDiagram, bigon_fusions, check_valid,
+                      consumer_map, delete_crossings, face_walks, faces,
+                      kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
            "enumerate_sites"]
-
-KINDS = ("R1+", "R1-", "R2+", "R2-", "R3", "BANDPASS")
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,14 @@ def parse_site(text: str) -> MoveSite:
 
 def apply_move(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     """Rewrite ``d`` at ``site``; the result is re-validated before return."""
-    handlers = {
-        "R1+": _r1_add, "R1-": _r1_remove,
-        "R2+": _r2_add, "R2-": _r2_remove,
-        "R3": _r3, "BANDPASS": _band_pass,
-    }
-    if site.kind not in handlers:
-        raise MovePatternError(f"unknown move kind {site.kind!r}")
-    return check_valid(handlers[site.kind](d, site))
+    rewrite, _ = _kind(site.kind)
+    return check_valid(rewrite(d, site))
+
+
+def _kind(kind: str):
+    """The (rewrite, site finder) pair of ``kind``."""
+    _need(kind in _KINDS, f"unknown move kind {kind!r}")
+    return _KINDS[kind]
 
 
 def _need(cond, msg):
@@ -166,29 +165,20 @@ def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     else:
         kink = Crossing(site.sign, n1, n2, a, n1)
     crossings, done = _with_consumer_rewired(d.crossings, a, n2)
+    _need(done, f"arc {a} has no consuming crossing")
     comp = d.arc_components[a]
     arc_comp = dict(d.arc_components)
     arc_comp[n1] = comp
     arc_comp[n2] = comp
-    loops = d.free_loops
-    if not done:
-        # a was a free-loop stand-in?  Arcs only exist on crossings, so
-        # a consumer always exists for a valid diagram.
-        raise MovePatternError(f"arc {a} has no consuming crossing")
-    return LinkDiagram(d.m, tuple(crossings) + (kink,), arc_comp, loops,
-                       name=d.name)
+    return LinkDiagram(d.m, tuple(crossings) + (kink,), arc_comp,
+                       d.free_loops, name=d.name)
 
 
 def _r1_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     _need(len(site.crossings) == 1, "R1- needs exactly one crossing")
     cid = site.crossings[0]
-    cr = _crossing_at(d, cid)
-    if cr.under_out == cr.over_in:
-        fusion = (cr.under_in, cr.over_out)
-    elif cr.over_out == cr.under_in:
-        fusion = (cr.over_in, cr.under_out)
-    else:
-        raise MovePatternError(f"crossing {cid} is not a kink")
+    fusion = kink_fusion(_crossing_at(d, cid))
+    _need(fusion is not None, f"crossing {cid} is not a kink")
     return delete_crossings(d, {cid - 1}, [fusion])
 
 
@@ -233,80 +223,54 @@ def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
           f"crossings {i} and {j} do not share an over arc")
     _need(a.sign == -b.sign,
           f"crossings {i} and {j} have equal signs; not a bigon pair")
-    if a.under_out == b.under_in:
-        under_fusion = (a.under_in, b.under_out)
-    elif b.under_out == a.under_in:
-        under_fusion = (b.under_in, a.under_out)
-    else:
-        raise MovePatternError(
-            f"crossings {i} and {j} do not share an under arc")
-    fusions = [(a.over_in, b.over_out), under_fusion]
+    fusions = bigon_fusions(a, b)
+    _need(fusions is not None,
+          f"crossings {i} and {j} do not share an under arc")
     return delete_crossings(d, {i - 1, j - 1}, fusions)
 
 
 def _r3(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     _need(len(site.crossings) == 3 and len(set(site.crossings)) == 3,
           "R3 needs three distinct crossings")
-    ids = site.crossings
-    crs = {cid: _crossing_at(d, cid) for cid in ids}
+    # (crossing, level) -> (in arc, out arc) of the strand passing there
+    ends = {}
+    for cid in site.crossings:
+        cr = _crossing_at(d, cid)
+        ends[cid, "under"] = (cr.under_in, cr.under_out)
+        ends[cid, "over"] = (cr.over_in, cr.over_out)
 
-    # Triangle sides: arcs produced by one of the trio and consumed by
-    # another.  Exactly one per unordered pair.
-    def slots(cr):
-        return {"under_in": cr.under_in, "under_out": cr.under_out,
-                "over_in": cr.over_in, "over_out": cr.over_out}
-
-    produced = {}
-    consumed = {}
-    for cid, cr in crs.items():
-        produced[cr.under_out] = (cid, "under")
-        produced[cr.over_out] = (cid, "over")
-        consumed[cr.under_in] = (cid, "under")
-        consumed[cr.over_in] = (cid, "over")
-    sides = {}
-    for arc in set(produced) & set(consumed):
-        if produced[arc][0] != consumed[arc][0]:
-            sides[arc] = (produced[arc], consumed[arc])
+    # Triangle sides: arcs leaving one of the trio into another, each
+    # with its passage (from, to).  Exactly one per unordered pair.
+    into = {ins: key for key, (ins, _) in ends.items()}
+    sides = {out: (key, into[out]) for key, (_, out) in ends.items()
+             if out in into and into[out][0] != key[0]}
     pairs = {frozenset((p[0], c[0])) for p, c in sides.values()}
     _need(len(sides) == 3 and len(pairs) == 3,
           "the three crossings do not bound a triangle")
 
     # Reject a single strand threading through a corner (same-level
     # in/out shared slots), which would make two sides collinear.
-    for cid, cr in crs.items():
-        for level in ("under", "over"):
-            ins = getattr(cr, level + "_in")
-            outs = getattr(cr, level + "_out")
-            _need(not (ins in sides and outs in sides),
-                  f"a strand runs straight through crossing {cid}; "
-                  "not a triangle")
+    for (cid, _), (ins, out) in ends.items():
+        _need(not (ins in sides and out in sides),
+              f"a strand runs straight through crossing {cid}; "
+              "not a triangle")
 
     # One strand passage per side; levels give the stacking order.
-    passages = []
-    for arc, ((cp, lp), (cc, lc)) in sorted(sides.items()):
-        passages.append(((cp, lp), (cc, lc)))
-    over_counts = sorted(
-        (lp == "over") + (lc == "over") for (_, lp), (_, lc) in passages)
+    over_counts = sorted((p[1] == "over") + (c[1] == "over")
+                         for p, c in sides.values())
     _need(over_counts == [0, 1, 2],
           "the three strands are cyclically stacked; the triangle cannot "
           "be slid")
 
     # Slide: each strand swaps its (in, out) slot pairs between its two
     # crossings, keeping its level at each crossing and every sign.
-    new_slots = {cid: slots(cr) for cid, cr in crs.items()}
-    for (cp, lp), (cc, lc) in passages:
-        first = (crs[cp].arcs()[0:2] if lp == "under"
-                 else crs[cp].arcs()[2:4])
-        second = (crs[cc].arcs()[0:2] if lc == "under"
-                  else crs[cc].arcs()[2:4])
-        new_slots[cp][lp + "_in"], new_slots[cp][lp + "_out"] = second
-        new_slots[cc][lc + "_in"], new_slots[cc][lc + "_out"] = first
-
+    slid = dict(ends)
+    for p, c in sides.values():
+        slid[p], slid[c] = ends[c], ends[p]
     crossings = list(d.crossings)
-    for cid, sl in new_slots.items():
-        crossings[cid - 1] = Crossing(crs[cid].sign, sl["under_in"],
-                                      sl["under_out"], sl["over_in"],
-                                      sl["over_out"])
+    for cid in site.crossings:
+        crossings[cid - 1] = Crossing(crossings[cid - 1].sign,
+                                      *slid[cid, "under"], *slid[cid, "over"])
     return LinkDiagram(d.m, tuple(crossings), d.arc_components,
                        d.free_loops, name=d.name)
 
@@ -343,30 +307,26 @@ def enumerate_sites(d: LinkDiagram, kind: str) -> list[MoveSite]:
     R1+ sites are offered on every arc in all four (sign, variant)
     shapes; those are always realizable.  R2+ sites are read off faces:
     two darts on a common face can be slid across each other, with the
-    variant and leading sign fixed by the darts' directions.  R1-, R2-
-    and R3 sites are pattern matches additionally required to bound an
-    actual 1-, 2- or 3-gon face.  BANDPASS sites are pure pattern
-    matches (the pass pattern already pins the local picture).
+    variant and leading sign fixed by the darts' directions.  R1- sites
+    are the curls, each of which bounds a 1-gon face; R2- and R3 sites
+    are 2- and 3-gon faces that match the pattern.  BANDPASS sites are
+    pure pattern matches (the pass pattern already pins the local
+    picture).
     """
-    if kind == "R1+":
-        return [MoveSite("R1+", arcs=(a,), sign=s, variant=v)
-                for a in sorted(d.arc_components)
-                for s in (1, -1) for v in ("under", "over")]
-    if kind == "R2+":
-        return _r2_add_sites(d)
-    if kind == "R1-":
-        out = []
-        for cid, cr in enumerate(d.crossings, start=1):
-            if cr.under_out == cr.over_in or cr.over_out == cr.under_in:
-                out.append(MoveSite("R1-", crossings=(cid,)))
-        return out
-    if kind == "R2-":
-        return _r2_remove_sites(d)
-    if kind == "R3":
-        return _r3_sites(d)
-    if kind == "BANDPASS":
-        return _band_pass_sites(d)
-    raise MovePatternError(f"unknown move kind {kind!r}")
+    _, finder = _kind(kind)
+    return finder(d)
+
+
+def _r1_add_sites(d: LinkDiagram) -> list[MoveSite]:
+    return [MoveSite("R1+", arcs=(a,), sign=s, variant=v)
+            for a in sorted(d.arc_components)
+            for s in (1, -1) for v in ("under", "over")]
+
+
+def _r1_remove_sites(d: LinkDiagram) -> list[MoveSite]:
+    return [MoveSite("R1-", crossings=(cid,))
+            for cid, cr in enumerate(d.crossings, start=1)
+            if kink_fusion(cr) is not None]
 
 
 def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
@@ -396,71 +356,74 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
     return sites
 
 
-def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
-    bigons = set()
+def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:
+    """The faces with k sides at k distinct crossings, each as its
+    sorted crossing ids; sorted."""
+    found = set()
     for walk in face_walks(d):
-        if len(walk) == 2:
-            corners = [idx + 1 for _, idx, _, _ in walk]
-            if len(set(corners)) == 2:
-                bigons.add(frozenset(corners))
+        if len(walk) == k:
+            corners = {idx + 1 for _, idx, _, _ in walk}
+            if len(corners) == k:
+                found.add(tuple(sorted(corners)))
+    return sorted(found)
+
+
+def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
     sites = []
-    for pair in sorted(map(sorted, bigons)):
-        i, j = pair
+    for i, j in _polygons(d, 2):
         a, b = d.crossings[i - 1], d.crossings[j - 1]
-        if a.sign != -b.sign:
-            continue
-        shared_over = a.over_out == b.over_in or b.over_out == a.over_in
-        shared_under = (a.under_out == b.under_in or b.under_out == a.under_in)
-        if shared_over and shared_under:
+        if b.over_out == a.over_in:
+            a, b = b, a
+        if a.over_out == b.over_in and bigon_fusions(a, b) is not None:
             sites.append(MoveSite("R2-", crossings=(i, j)))
     return sites
 
 
-def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
-    triangles = set()
-    for walk in face_walks(d):
-        if len(walk) == 3:
-            corners = [idx + 1 for _, idx, _, _ in walk]
-            if len(set(corners)) == 3:
-                triangles.add(tuple(sorted(corners)))
-    sites = []
-    for tri in sorted(triangles):
-        site = MoveSite("R3", crossings=tri)
+def _accepted(d: LinkDiagram, rewrite, sites) -> list[MoveSite]:
+    """The sites whose pattern ``rewrite`` accepts on ``d``."""
+    kept = []
+    for site in sites:
         try:
-            apply_move(d, site)
+            rewrite(d, site)
         except MovePatternError:
             continue
-        sites.append(site)
-    return sites
+        kept.append(site)
+    return kept
+
+
+def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
+    return _accepted(d, _r3, [MoveSite("R3", crossings=tri)
+                              for tri in _polygons(d, 3)])
 
 
 def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:
+    # Follow the over, under and over strands out of each crossing;
+    # _band_pass checks the closing under step and distinctness.
     cons = consumer_map(d)
-    sites = []
+    chains = []
     for i, c1 in enumerate(d.crossings, start=1):
-        nxt_over = cons.get(c1.over_out)
-        if nxt_over is None or nxt_over[1] != "over":
-            continue
-        j = nxt_over[0] + 1
-        c2 = d.crossings[j - 1]
-        nxt_under = cons.get(c2.under_out)
-        if nxt_under is None or nxt_under[1] != "under":
-            continue
-        k = nxt_under[0] + 1
-        c3 = d.crossings[k - 1]
-        nxt_over2 = cons.get(c3.over_out)
-        if nxt_over2 is None or nxt_over2[1] != "over":
-            continue
-        l = nxt_over2[0] + 1
-        c4 = d.crossings[l - 1]
-        if cons.get(c4.under_out) != (i - 1, "under"):
-            continue
-        site = MoveSite("BANDPASS", crossings=(i, j, k, l))
-        if len({i, j, k, l}) != 4:
-            continue
-        try:
-            apply_move(d, site)
-        except MovePatternError:
-            continue
-        sites.append(site)
-    return sites
+        chain, arc = [i], c1.over_out
+        for level in ("over", "under", "over"):
+            idx, at = cons[arc]
+            if at != level:
+                break
+            chain.append(idx + 1)
+            cr = d.crossings[idx]
+            arc = cr.under_out if level == "over" else cr.over_out
+        else:
+            chains.append(MoveSite("BANDPASS", crossings=tuple(chain)))
+    return _accepted(d, _band_pass, chains)
+
+
+# ---------------------------------------------------------------------------
+# the kind table: each kind's rewrite and site finder, in the public order
+
+_KINDS = {
+    "R1+": (_r1_add, _r1_add_sites),
+    "R1-": (_r1_remove, _r1_remove_sites),
+    "R2+": (_r2_add, _r2_add_sites),
+    "R2-": (_r2_remove, _r2_remove_sites),
+    "R3": (_r3, _r3_sites),
+    "BANDPASS": (_band_pass, _band_pass_sites),
+}
+KINDS = tuple(_KINDS)

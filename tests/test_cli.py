@@ -12,7 +12,8 @@ import lzero
 from lzero import fixtures
 from lzero.cli import main
 from lzero.classify import parse_class
-from lzero.diagram import parse_diagram
+from lzero.construct import band_clasp_diagram, braid_closure
+from lzero.diagram import parse_diagram, render_diagram
 
 
 @pytest.fixture
@@ -123,6 +124,53 @@ def test_move_pattern_mismatch_is_a_domain_refusal(fx, capsys):
     code, out, err = run(capsys, "move", fx("trefoil"), "R1- crossings=1")
     assert code == 1
     assert err == "error: crossing 1 is not a kink\n"
+
+
+# One case per refusal text of the removing and switching moves (the
+# curl refusal is the test above); a source is a fixture name, "clasp",
+# or a (braid word, strands) closure.
+@pytest.mark.parametrize("source, site, message", [
+    ("trefoil", "R1- crossings=1,2", "R1- needs exactly one crossing"),
+    ("trefoil", "R1- crossings=9", "no crossing 9; diagram has 3"),
+    ("trefoil", "R2- crossings=1,1", "R2- needs two distinct crossings"),
+    ("trefoil", "R2- crossings=1,2",
+     "crossings 1 and 2 do not share an over arc"),
+    (((1, 2), 3), "R2- crossings=1,2",
+     "crossings 1 and 2 have equal signs; not a bigon pair"),
+    ("clasp", "R2- crossings=1,3",
+     "crossings 1 and 3 do not share an under arc"),
+    ("trefoil", "R3 crossings=1,1,2", "R3 needs three distinct crossings"),
+    ("fig8", "R3 crossings=1,2,3",
+     "the three crossings do not bound a triangle"),
+    (((-2, -1, -2, -3, -2, 3), 4), "R3 crossings=1,3,5",
+     "a strand runs straight through crossing 1; not a triangle"),
+    ("borromean", "R3 crossings=1,2,3",
+     "the three strands are cyclically stacked; the triangle cannot be "
+     "slid"),
+    ("borromean", "BANDPASS crossings=1,2,3",
+     "BANDPASS needs four distinct crossings"),
+    ("borromean", "BANDPASS crossings=1,2,3,4",
+     "over strands must run first->second and third->fourth"),
+    (((-3, 2, 3, 1), 4), "BANDPASS crossings=3,1,4,2",
+     "under strands must run second->third and fourth->first"),
+    (((2, 3, 3, 1, 2, -3, -3, -2), 4), "BANDPASS crossings=4,5,8,1",
+     "signs must alternate around the pass (anti-parallel bands)"),
+    (((1, -2, -1, 1, -2, -1), 3), "BANDPASS crossings=3,4,6,1",
+     "the over band must lie on one component"),
+    (((2, 1, -1, 2, 1, -2, -1), 3), "BANDPASS crossings=3,5,7,2",
+     "the under band must lie on one component"),
+])
+def test_move_refusal_texts(source, site, message, tmp_path, capsys):
+    if source == "clasp":
+        d, _ = band_clasp_diagram()
+    elif isinstance(source, str):
+        d = fixtures.load(source)
+    else:
+        d = braid_closure(*source)
+    path = tmp_path / "host.lz"
+    path.write_text(render_diagram(d), encoding="utf-8")
+    code, out, err = run(capsys, "move", str(path), site)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_move_site_syntax_error(fx, capsys):

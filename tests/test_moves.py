@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lzero import fixtures
+from lzero.classify import representative
 from lzero.construct import band_clasp_diagram, braid_closure
 from lzero.conway import conway_polynomial
+from lzero.diagram import face_walks
 from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
-from util import assert_sound, corpus, random_walk
+from util import assert_sound, corpus, random_class, random_walk
 
 
 # ---------------------------------------------------------------------------
@@ -169,3 +171,36 @@ def test_enumerated_sites_all_apply():
             sites = enumerate_sites(d, kind)
             for site in rng.sample(sites, min(len(sites), 5)):
                 assert_sound(apply_move(d, site))
+
+
+def _accepted_faces(d, kind, k):
+    """The k-gon faces at k distinct crossings that apply_move accepts."""
+    polygons = set()
+    for walk in face_walks(d):
+        corners = {idx + 1 for _, idx, _, _ in walk}
+        if len(walk) == k and len(corners) == k:
+            polygons.add(tuple(sorted(corners)))
+    accepted = []
+    for corners in sorted(polygons):
+        site = MoveSite(kind, crossings=corners)
+        try:
+            apply_move(d, site)
+        except MovePatternError:
+            continue
+        accepted.append(site)
+    return accepted
+
+
+def test_enumerated_sites_are_all_accepted_faces():
+    """R1-, R2- and R3 sites are exactly the monogons, bigons and
+    triangles whose pattern apply_move accepts."""
+    rng = random.Random(13)
+    hosts = [d for _, d in corpus() if d.crossings]
+    hosts += [representative(random_class(rng, m, b_bound=1))
+              for m in (2, 3, 3, 4)]
+    for d in list(hosts):
+        hosts += [walked for _, walked in random_walk(
+            d, rng, steps=6, max_crossings=len(d.crossings) + 4)]
+    for d in hosts:
+        for kind, k in (("R1-", 1), ("R2-", 2), ("R3", 3)):
+            assert enumerate_sites(d, kind) == _accepted_faces(d, kind, k)
