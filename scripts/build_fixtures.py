@@ -40,15 +40,23 @@ WORDS = {
 }
 
 
-def main() -> None:
+def fixture_diagrams() -> dict[str, LinkDiagram]:
     diagrams = {"unknot": LinkDiagram(1, (), {}, (1,), name="unknot")}
     for name, (word, strands) in WORDS.items():
         diagrams[name] = braid_closure(word, strands, name=name)
+    return diagrams
+
+
+def fixture_text(name: str, d: LinkDiagram) -> str:
+    """The file text of one fixture: a header comment, then the code."""
+    return f"# {name}: {HEADERS[name]}\n" + render_diagram(d)
+
+
+def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
-    for name, d in diagrams.items():
-        text = f"# {name}: {HEADERS[name]}\n" + render_diagram(d)
+    for name, d in fixture_diagrams().items():
         path = OUT / f"{name}.lz"
-        path.write_text(text, encoding="utf-8")
+        path.write_text(fixture_text(name, d), encoding="utf-8")
         print(f"wrote {path} ({len(d.crossings)} crossings, {d.m} components)")
 
 

@@ -29,6 +29,7 @@ clasped pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .construct import build_from_gadgets
 from .diagram import LinkDiagram
@@ -73,10 +74,10 @@ class ZeroSolveClass:
             raise ValueError("component count must be positive")
         if len(self.a) != self.m:
             raise ValueError(f"a needs {self.m} entries, got {len(self.a)}")
-        n3 = len(component_triples(self.m))
+        n3 = comb(self.m, 3)
         if len(self.b) != n3:
             raise ValueError(f"b needs {n3} entries, got {len(self.b)}")
-        n2 = len(component_pairs(self.m))
+        n2 = comb(self.m, 2)
         if len(self.c) != n2:
             raise ValueError(f"c needs {n2} entries, got {len(self.c)}")
         if any(x not in (0, 1) for x in self.a):
@@ -88,8 +89,7 @@ class ZeroSolveClass:
 
 
 def identity_class(m: int) -> ZeroSolveClass:
-    return ZeroSolveClass(m, (0,) * m, (0,) * len(component_triples(m)),
-                          (0,) * len(component_pairs(m)))
+    return ZeroSolveClass(m, (0,) * m, (0,) * comb(m, 3), (0,) * comb(m, 2))
 
 
 def class_add(g: ZeroSolveClass, h: ZeroSolveClass) -> ZeroSolveClass:

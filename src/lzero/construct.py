@@ -1,9 +1,17 @@
 """Deterministic diagram builders.
 
-``braid_closure`` turns a braid word into a diagram code.  Letters are
-nonzero integers: letter ``+i`` crosses the strand at position ``i``
-over the strand at position ``i+1`` with sign +1 (the strands trade
-places); ``-i`` sends it under with sign -1.
+One builder, ``_Builder``, makes every diagram.  It runs components as
+horizontal strands, row 1 at the top, and splices braid-word tangles
+into them.  Letters are nonzero integers: letter ``+i`` crosses the
+strand at position ``i`` over the strand at position ``i+1`` with sign
++1 (the strands trade places); ``-i`` sends it under with sign -1.  A
+``Tangle`` holds its strand count, its word and, for each strand past
+the participants, the participant that owns it; such a strand is
+capped, entering and leaving the tangle at its own position.
+
+``braid_closure`` splices its whole word through a builder with one
+row per strand, closes every row, and numbers the resulting circles
+with ``diagram.renumber_components``.
 
 ``build_from_gadgets`` composes a link out of local *gadgets* spliced
 serially into an m-component unlink, one slice after another:
@@ -18,22 +26,21 @@ serially into an m-component unlink, one slice after another:
                                  crossings form a band-pass site,
                                  returned in the site registry
 
-Components run as horizontal strands, row 1 at the top.  For each
-slice the participating components dive into a workspace below row m —
-passing over every row they meet and under the workspace strands of
-earlier participants, so each pairwise detour contributes one crossing
-of each sign and cancels — are spliced through the gadget pattern, and
-climb back the same way.  The detours retract, so the built link is
-exactly the serial stack of the gadget links, and every detour crossing
-has the lower-numbered component on top (which keeps the skein oracle's
-walk order violation-free outside the gadget cores).
+For each slice the participating components dive into a workspace below
+row m — passing over every row they meet and under the workspace strands
+of earlier participants, so each pairwise detour contributes one
+crossing of each sign and cancels — are spliced through the gadget
+pattern, and climb back the same way.  The detours retract, so the built
+link is exactly the serial stack of the gadget links, and every detour
+crossing has the lower-numbered component on top (which keeps the skein
+oracle's walk order violation-free outside the gadget cores).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, LinkDiagram, check_valid, component_cycles
+from .diagram import Crossing, LinkDiagram, check_valid, renumber_components
 from .moves import MoveSite
 
 __all__ = [
@@ -48,10 +55,6 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# braid closures
-
-
 def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
     """Close the braid given by ``word`` on ``strands`` strands.
 
@@ -64,50 +67,9 @@ def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
     for letter in word:
         if letter == 0 or abs(letter) >= n:
             raise ValueError(f"letter {letter} out of range for {n} strands")
-
-    pos = list(range(1, n + 1))
-    crossings: list[Crossing] = []
-    for k, letter in enumerate(word):
-        u_out = n + 1 + 2 * k
-        crossings.append(_braid_crossing(letter, pos, u_out, u_out + 1))
-
-    rename = {pos[p]: p + 1 for p in range(n) if pos[p] != p + 1}
-    fixed = []
-    for cr in crossings:
-        fixed.append(Crossing(cr.sign,
-                              cr.under_in, rename.get(cr.under_out, cr.under_out),
-                              cr.over_in, rename.get(cr.over_out, cr.over_out)))
-
-    # Each cycle starts at its lowest arc id, which names it.
-    provisional = LinkDiagram(1, tuple(fixed),
-                              {a: 1 for cr in fixed for a in cr.arcs()})
-    items = [(cyc[0], cyc) for cyc in component_cycles(provisional)]
-    items += [(p + 1, None) for p in range(n) if pos[p] == p + 1]
-    items.sort(key=lambda t: t[0])
-
-    arc_comp = {}
-    loops = []
-    for comp, (_, cyc) in enumerate(items, start=1):
-        if cyc is None:
-            loops.append(comp)
-        else:
-            for a in cyc:
-                arc_comp[a] = comp
-    return check_valid(LinkDiagram(len(items), tuple(fixed), arc_comp,
-                                   tuple(loops), name=name))
-
-
-def _braid_crossing(letter: int, pos: list, u_out: int,
-                    o_out: int) -> Crossing:
-    """The crossing of ``letter`` on the strands whose current arcs are
-    ``pos``: the under strand leaves on ``u_out``, the over strand on
-    ``o_out``, and the two trade places in ``pos``."""
-    li = abs(letter) - 1
-    under, over = (li + 1, li) if letter > 0 else (li, li + 1)
-    cr = Crossing(1 if letter > 0 else -1, pos[under], u_out, pos[over],
-                  o_out)
-    pos[under], pos[over] = o_out, u_out
-    return cr
+    b = _Builder(n)
+    b.splice(Tangle(n, tuple(word)), tuple(range(1, n + 1)))
+    return check_valid(renumber_components(b.finish(name)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,30 +80,35 @@ def _braid_crossing(letter: int, pos: list, u_out: int,
 class Tangle:
     """A braid-word pattern spliced into passing strands.
 
-    ``entry[i]``/``exit[i]`` give the bottom/top braid position wired
-    to the i-th participating component; ``joins`` are (bottom, top)
-    position pairs closed off inside the gadget; ``comp_slots[p]`` says
-    which participant owns the strand starting at bottom position p+1.
+    The participants enter and leave at positions 1, 2, ...  The strands
+    after them are capped: each starts and ends inside the tangle at its
+    own position, and ``caps`` names the participant slot owning each
+    one, in position order.
     """
 
     strands: int
     word: tuple[int, ...]
-    entry: tuple[int, ...]
-    exit: tuple[int, ...]
-    joins: tuple[tuple[int, int], ...]
-    comp_slots: tuple[int, ...]
+    caps: tuple[int, ...] = ()
 
 
-TREFOIL_T = Tangle(2, (1, 1, 1), (1,), (1,), ((2, 2),), (0, 0))
-WHITEHEAD_T = Tangle(3, (-1, 2, -1, 2, -1), (1, 2), (1, 2), ((3, 3),), (0, 1, 1))
-BORROMEAN_POS = Tangle(3, (1, -2, 1, -2, 1, -2), (1, 2, 3), (1, 2, 3), (), (0, 1, 2))
+TREFOIL_T = Tangle(2, (1, 1, 1), (0,))
+WHITEHEAD_T = Tangle(3, (-1, 2, -1, 2, -1), (1,))
+BORROMEAN_POS = Tangle(3, (1, -2, 1, -2, 1, -2))
 # The triple linking number of the rings is invariant under mirroring
 # (the meridian inversion contributes a sign per index, and two indices
 # beyond the longitude's own cancel), so the negative-handedness insert
 # conjugates the positive pattern by a transposition of the first two
 # strands instead: the triple linking number is antisymmetric in any
 # two indices, and the swap/unswap pair cancels in every pairwise count.
-BORROMEAN_NEG = Tangle(3, (1, 1, -2, 1, -2, 1, -2, -1), (1, 2, 3), (1, 2, 3), (), (0, 1, 2))
+BORROMEAN_NEG = Tangle(3, (1, 1, -2, 1, -2, 1, -2, -1))
+
+_TANGLES = {"TREFOIL": TREFOIL_T, "WHITEHEAD": WHITEHEAD_T,
+            ("BORROMEAN", 1): BORROMEAN_POS, ("BORROMEAN", -1): BORROMEAN_NEG}
+
+
+def _need_arity(movers: tuple[int, ...], arity: int):
+    if len(movers) != arity:
+        raise ValueError("gadget arity does not match the tangle")
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +132,19 @@ class _Builder:
         self.arc_comp[arc] = comp
         return arc
 
-    def push(self, cr: Crossing):
-        self.crossings.append(cr)
-
     def cross_over(self, mover: int, other: int, sign: int):
         """Mover's strand passes over the strand of ``other``."""
         no = self.fresh(mover)
         nu = self.fresh(other)
-        self.push(Crossing(sign, self.cur[other], nu, self.cur[mover], no))
+        self.crossings.append(
+            Crossing(sign, self.cur[other], nu, self.cur[mover], no))
         self.cur[mover], self.cur[other] = no, nu
 
     def cross_under(self, mover: int, other: int, sign: int):
         nu = self.fresh(mover)
         no = self.fresh(other)
-        self.push(Crossing(sign, self.cur[mover], nu, self.cur[other], no))
+        self.crossings.append(
+            Crossing(sign, self.cur[mover], nu, self.cur[other], no))
         self.cur[mover], self.cur[other] = nu, no
 
     def dive(self, movers: tuple[int, ...]):
@@ -197,41 +163,29 @@ class _Builder:
                 self.cross_over(s, row, -1)
 
     def splice(self, tangle: Tangle, movers: tuple[int, ...]):
-        if len(movers) != len(tangle.entry):
-            raise ValueError("gadget arity does not match the tangle")
-        n = tangle.strands
-        pos_arcs: list[int | None] = [None] * n
-        labels: list[int | None] = [None] * n
-        for slot, p in enumerate(tangle.entry):
-            pos_arcs[p - 1] = self.cur[movers[slot]]
-            labels[p - 1] = movers[slot]
-        seeds: dict[int, int] = {}
-        for bp, _ in tangle.joins:
-            comp = movers[tangle.comp_slots[bp - 1]]
-            seeds[bp] = self.fresh(comp)
-            pos_arcs[bp - 1] = seeds[bp]
-            labels[bp - 1] = comp
-        if any(a is None for a in pos_arcs):
-            raise ValueError("tangle entry/join positions must cover "
-                             "every strand")
-
+        """Run the strands of ``movers`` through ``tangle``, one
+        crossing per letter, and join each capped strand to itself."""
+        _need_arity(movers, tangle.strands - len(tangle.caps))
+        seeds = [self.fresh(movers[slot]) for slot in tangle.caps]
+        arcs = [self.cur[c] for c in movers] + seeds
+        labels = list(movers) + [movers[slot] for slot in tangle.caps]
         for letter in tangle.word:
             li = abs(letter) - 1
-            # as in _braid_crossing: a positive letter sends the strand
-            # at li + 1 under
+            # a positive letter sends the strand at li + 1 under
             under, over = (li + 1, li) if letter > 0 else (li, li + 1)
             u_out = self.fresh(labels[under])
             o_out = self.fresh(labels[over])
-            self.push(_braid_crossing(letter, pos_arcs, u_out, o_out))
+            self.crossings.append(Crossing(1 if letter > 0 else -1,
+                                           arcs[under], u_out, arcs[over],
+                                           o_out))
+            arcs[under], arcs[over] = o_out, u_out
             labels[li], labels[li + 1] = labels[li + 1], labels[li]
-
-        for bp, tp in tangle.joins:
-            top_arc = pos_arcs[tp - 1]
-            if top_arc == seeds[bp]:
-                raise ValueError("joined tangle strand untouched by the word")
-            self._rename_output(top_arc, seeds[bp])
-        for slot, p in enumerate(tangle.exit):
-            self.cur[movers[slot]] = pos_arcs[p - 1]
+        for seed, top_arc in zip(seeds, arcs[len(movers):]):
+            if top_arc == seed:
+                raise ValueError("capped tangle strand untouched by the word")
+            self._rename_output(top_arc, seed)
+        for c, arc in zip(movers, arcs):
+            self.cur[c] = arc
 
     def _rename_output(self, old: int, new: int):
         for i in range(len(self.crossings) - 1, -1, -1):
@@ -248,7 +202,7 @@ class _Builder:
             raise AssertionError(f"arc {old} has no producing crossing")
         del self.arc_comp[old]
 
-    def clasp(self, i: int, j: int):
+    def clasp(self, movers: tuple[int, ...]):
         """Finger of i passing over a finger of j: four crossings that
         form a registered band-pass site but an isotopically trivial
         insertion.
@@ -256,44 +210,42 @@ class _Builder:
         The two fingers interleave in a way that cannot sit inside the
         parallel two-strand corridor that ``dive``/``climb`` provide
         (the under strand must meet the cluster's last crossing first),
-        so this gadget routes its own detours: i drops to the workspace
-        left of the cluster and returns just right of it, and j drops
-        and returns entirely to the right of i's path.  Every detour
-        crossing keeps the mover on top, as in ``dive``."""
-        for r in range(i + 1, self.m + 1):
-            self.cross_over(i, r, 1)
+        so each finger takes its own one-mover detour: i drops to the
+        workspace left of the cluster and returns just right of it, and
+        j drops and returns entirely to the right of i's path."""
+        _need_arity(movers, 2)
+        i, j = movers
+        self.dive((i,))
         e_i = self.cur[i]
         a1, a2, a3, a4 = (self.fresh(i) for _ in range(4))
         self.cur[i] = a4
-        for r in range(self.m, i, -1):
-            self.cross_over(i, r, -1)
-        for r in range(j + 1, self.m + 1):
-            self.cross_over(j, r, 1)
+        self.climb((i,))
+        self.dive((j,))
         e_j = self.cur[j]
         b1, b2, b3, b4 = (self.fresh(j) for _ in range(4))
         base = len(self.crossings)
-        self.push(Crossing(-1, b1, b2, e_i, a1))
-        self.push(Crossing(1, b2, b3, a1, a2))
-        self.push(Crossing(-1, b3, b4, a2, a3))
-        self.push(Crossing(1, e_j, b1, a3, a4))
+        self.crossings += [Crossing(-1, b1, b2, e_i, a1),
+                           Crossing(1, b2, b3, a1, a2),
+                           Crossing(-1, b3, b4, a2, a3),
+                           Crossing(1, e_j, b1, a3, a4)]
         self.cur[j] = b4
-        for r in range(self.m, j, -1):
-            self.cross_over(j, r, -1)
+        self.climb((j,))
         self.bp_sites.append(MoveSite(
             "BANDPASS", crossings=(base + 1, base + 2, base + 3, base + 4)))
 
     def finish(self, name: str) -> LinkDiagram:
+        """Close every row; the result is not yet validated."""
         loops = []
         for c in range(1, self.m + 1):
             if self.cur[c] == c:
                 loops.append(c)
                 del self.arc_comp[c]
             else:
-                # Close the component: its dangling arc is the one that
-                # flows back into the seed arc's consumer.
+                # Close the row: its dangling arc is the one that flows
+                # back into the seed arc's consumer.
                 self._rename_output(self.cur[c], c)
-        return check_valid(LinkDiagram(self.m, tuple(self.crossings),
-                                       self.arc_comp, tuple(loops), name=name))
+        return LinkDiagram(self.m, tuple(self.crossings), self.arc_comp,
+                           tuple(loops), name=name)
 
 
 def build_from_gadgets(m: int, gadgets, name: str = ""):
@@ -309,26 +261,19 @@ def build_from_gadgets(m: int, gadgets, name: str = ""):
             raise ValueError(f"gadget components must be distinct: {gadget}")
         if any(not 1 <= c <= m for c in comps):
             raise ValueError(f"gadget components out of range 1..{m}: {gadget}")
-        if kind == "TREFOIL":
-            b.dive(comps)
-            b.splice(TREFOIL_T, comps)
-            b.climb(comps)
-        elif kind == "WHITEHEAD":
-            b.dive(comps)
-            b.splice(WHITEHEAD_T, comps)
-            b.climb(comps)
-        elif kind == "BORROMEAN":
-            sign = gadget[2]
-            if sign not in (1, -1):
+        if kind == "CLASP":
+            b.clasp(comps)
+            continue
+        if kind == "BORROMEAN":
+            if gadget[2] not in (1, -1):
                 raise ValueError(f"borromean handedness must be +-1: {gadget}")
-            b.dive(comps)
-            b.splice(BORROMEAN_POS if sign > 0 else BORROMEAN_NEG, comps)
-            b.climb(comps)
-        elif kind == "CLASP":
-            b.clasp(*comps)
-        else:
-            raise ValueError(f"unknown gadget kind {kind!r}")
-    return b.finish(name), tuple(b.bp_sites)
+            kind = (kind, gadget[2])
+        if kind not in _TANGLES:
+            raise ValueError(f"unknown gadget kind {gadget[0]!r}")
+        b.dive(comps)
+        b.splice(_TANGLES[kind], comps)
+        b.climb(comps)
+    return check_valid(b.finish(name)), tuple(b.bp_sites)
 
 
 def band_clasp_diagram() -> tuple[LinkDiagram, MoveSite]:

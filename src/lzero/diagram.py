@@ -242,12 +242,32 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
     return cycles
 
 
+_MAX_VIOLATIONS = 20
+
+
 def validate(d: LinkDiagram) -> list[str]:
-    """All structural violations, as strings; empty list means valid."""
+    """Structural violations, as strings; empty list means valid.
+
+    Lists the first 20, then one entry counting the rest.
+    """
+    problems = _violations(d)
+    if len(problems) > _MAX_VIOLATIONS:
+        rest = len(problems) - _MAX_VIOLATIONS
+        problems = problems[:_MAX_VIOLATIONS] + [f"... and {rest} more"]
+    return problems
+
+
+def _violations(d: LinkDiagram) -> list[str]:
     problems: list[str] = []
     if not isinstance(d.m, int) or d.m < 1:
         problems.append(f"component count must be a positive integer, got {d.m!r}")
         return problems
+    # Each crossing adds two arcs, so no code holds more circles than this;
+    # refusing here keeps the per-component checks below bounded.
+    most = 2 * len(d.crossings) + len(d.free_loops)
+    if d.m > most:
+        return [f"component count {d.m} exceeds {most}, the most circles "
+                "this code can hold (2 per crossing, 1 per free loop)"]
 
     in_seen: dict[int, int] = {}
     out_seen: dict[int, int] = {}
@@ -443,7 +463,9 @@ def renumber_components(d: LinkDiagram) -> LinkDiagram:
     Each circle is keyed by (smallest old component id on it, smallest
     arc id); circles sorted by key receive ids 1, 2, ...  This keeps
     untouched components in their relative order and resolves merges
-    and splits deterministically.
+    and splits deterministically.  It also numbers braid closures: there
+    every arc carries the strand position its row started at, so circles
+    come in order of their lowest position, free loops in place.
     """
     keyed: list[tuple[tuple[int, int], list[int] | None, int | None]] = []
     for cyc in component_cycles(d):

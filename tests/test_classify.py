@@ -1,6 +1,7 @@
 """The classification group, diagram -> class, class -> diagram."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,16 @@ def test_parse_accepts_loose_spacing_and_field_order():
 def test_parse_rejects_malformed_classes(text):
     with pytest.raises(DiagramParseError):
         parse_class(text)
+
+
+def test_parse_refuses_a_short_many_component_class_quickly():
+    # the entry counts come from binomials, not from listing the triples
+    text = "m=400; a=" + ",".join(["0"] * 400) + "; b=; c="
+    start = time.perf_counter()
+    with pytest.raises(DiagramParseError) as exc:
+        parse_class(text)
+    assert time.perf_counter() - start < 0.2
+    assert str(exc.value) == "b needs 10586800 entries, got 0"
 
 
 def test_positive_triples_render_with_their_sign():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,33 @@ def test_conway_refuses_a_non_planar_code(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "not a planar diagram" in lines[0]
+
+
+def test_an_unrealizable_component_count_is_refused_at_once(tmp_path,
+                                                           capsys):
+    big = tmp_path / "big.lz"
+    big.write_text("components 1000000000000\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invariants", str(big))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) < 200
+
+
+def test_structure_errors_list_at_most_21_violations(tmp_path, capsys):
+    # 100 crossings whose 400 arcs dangle: 800 violations in all
+    bad = tmp_path / "dangling.lz"
+    bad.write_text("components 1\n" + "".join(
+        f"x + {4 * k + 1} {4 * k + 2} {4 * k + 3} {4 * k + 4}\n"
+        for k in range(100)), encoding="utf-8")
+    code, out, err = run(capsys, "invariants", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    violations = err[len("error: "):-1].split("; ")
+    assert len(violations) == 21
+    assert violations[-1] == "... and 780 more"
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

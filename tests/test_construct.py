@@ -1,11 +1,15 @@
 """Diagram builders: braid closures and the gadget splicing machinery."""
 
+import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from lzero import fixtures
-from lzero.classify import ZeroSolveClass, classify, identity_class
+from lzero.classify import (ZeroSolveClass, classify, identity_class,
+                            representative)
 from lzero.construct import (band_clasp_diagram, braid_closure,
                              build_from_gadgets)
 from lzero.diagram import render_diagram
@@ -110,6 +114,59 @@ def test_gadgets_on_far_components_are_sound():
         assert sum(g.c) == 1
 
 
+# sha256 of every output of ``_construction_outputs``.  A change that
+# alters the construction bytes on purpose records the new digest here
+# and says so in CHANGES.md.
+CONSTRUCTION_SHA256 = (
+    "efb0a627d97c627fa398a8736dcf59819786c6c9140c5a709547938b8542860d")
+
+BUILD_FIXTURES = (Path(__file__).resolve().parents[1] / "scripts"
+                  / "build_fixtures.py")
+
+
+def _construction_outputs():
+    """Rendered closures of 1-6 strands (empty words and untouched
+    strands included), seeded representatives for m = 1..8 and one
+    mixed gadget stack with its band-pass sites."""
+    rng = random.Random(1103)
+    for _ in range(1000):
+        strands = rng.randint(1, 6)
+        word = ()
+        if strands > 1:
+            top = rng.randint(1, strands - 1)
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, top)
+                         for _ in range(rng.randint(0, 10)))
+        yield render_diagram(braid_closure(word, strands))
+    for m in range(1, 9):
+        d = representative(random_class(rng, m, b_bound=1))
+        yield d.name
+        yield render_diagram(d)
+    d, sites = build_from_gadgets(4, [
+        ("CLASP", (2, 4)), ("TREFOIL", (3,)), ("BORROMEAN", (4, 1, 2), -1),
+        ("WHITEHEAD", (1, 3)), ("CLASP", (1, 2)), ("BORROMEAN", (1, 3, 4), 1),
+        ("TREFOIL", (1,))])
+    yield render_diagram(d)
+    yield repr(sites)
+
+
+def test_construction_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for text in _construction_outputs():
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == CONSTRUCTION_SHA256
+
+    spec = importlib.util.spec_from_file_location("build_fixtures",
+                                                  BUILD_FIXTURES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = script.fixture_diagrams()
+    on_disk = sorted(p.stem for p in script.OUT.glob("*.lz"))
+    assert on_disk == sorted(built)
+    for name, d in built.items():
+        want = script.fixture_text(name, d).encode("utf-8")
+        assert (script.OUT / f"{name}.lz").read_bytes() == want, name
+
+
 def test_gadget_argument_validation():
     with pytest.raises(ValueError):
         build_from_gadgets(2, [("TREFOIL", (1, 1))])      # repeated comp
@@ -119,6 +176,11 @@ def test_gadget_argument_validation():
         build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 0)])
     with pytest.raises(ValueError):
         build_from_gadgets(2, [("WAT", (1,))])
+    for gadget in [("TREFOIL", (1, 2)), ("WHITEHEAD", (1,)),
+                   ("WHITEHEAD", (1, 2, 3)), ("BORROMEAN", (1, 2), 1),
+                   ("BORROMEAN", (1, 2, 3, 4), 1), ("CLASP", (1, 2, 3))]:
+        with pytest.raises(ValueError, match="arity"):
+            build_from_gadgets(4, [gadget])
 
 
 def test_gadget_components_may_come_unsorted():
