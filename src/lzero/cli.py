@@ -24,6 +24,7 @@ unusable input (unreadable file, syntax error, structural violations).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,6 +112,8 @@ def _cmd_move(args):
     return text, {"site": render_site(site), "diagram": text}
 
 
+# Built once per process; the handlers look their engines up at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lzero",

@@ -571,6 +571,13 @@ def face_walks(d: LinkDiagram) -> list[list[tuple]]:
     start at, their lowest dart; free loops carry none.  For a planar
     code ``faces - arcs + crossings == 1 + connected parts``.
     """
+    ends, seen = _face_turns(d), set()
+    return [_walk_face(d, ends, start, seen)
+            for start in sorted(ends) if start not in seen]
+
+
+def _face_turns(d: LinkDiagram) -> dict:
+    """dart -> (idx, slot, nslot) as in :func:`face_walks`."""
     ends = {}
     for idx, cr in enumerate(d.crossings):
         order = _CCW[cr.sign]
@@ -578,21 +585,26 @@ def face_walks(d: LinkDiagram) -> list[list[tuple]]:
             # the slot an arc enters at, and the slot the boundary turns to
             ends[getattr(cr, slot), slot.endswith("_in")] = (
                 idx, slot, order[k - 1])
+    return ends
 
-    result = []
-    seen = set()
-    for start in sorted(ends):
-        if start in seen:
-            continue
-        walk = []
-        dart = start
-        while dart not in seen:
-            seen.add(dart)
-            idx, slot, nslot = ends[dart]
-            walk.append((dart, idx, slot, nslot))
-            dart = (getattr(d.crossings[idx], nslot), nslot.endswith("_out"))
-        result.append(walk)
-    return result
+
+def _walk_face(d: LinkDiagram, ends: dict, dart, seen: set) -> list[tuple]:
+    """The walk of the face left of ``dart``, from it; adds its darts
+    to ``seen``."""
+    walk = []
+    while dart not in seen:
+        seen.add(dart)
+        idx, slot, nslot = ends[dart]
+        walk.append((dart, idx, slot, nslot))
+        dart = (getattr(d.crossings[idx], nslot), nslot.endswith("_out"))
+    return walk
+
+
+def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:
+    """The darts of the face left of ``dart``, from it; empty when no
+    crossing meets the dart's arc."""
+    ends = _face_turns(d)
+    return [c[0] for c in _walk_face(d, ends, dart, set())] if dart in ends else []
 
 
 def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:

@@ -5,10 +5,14 @@ Every rewrite is specified by a :class:`MoveSite` naming the crossings
 and/or arcs it consumes.  ``apply_move`` checks that the named pattern
 is actually present (raising :class:`MovePatternError` otherwise) and
 returns a new diagram; inputs are never mutated.  Pattern checks are
-purely combinatorial — whether a site is compatible with some planar
-embedding is the caller's business, and ``enumerate_sites`` only offers
-sites certified against the face structure of the embedding encoded by
-the crossing signs.
+combinatorial, except that an R2+ slide is refused unless its two
+darts lie on one face of the embedding encoded by the crossing signs
+(see ``_R2_SHAPE``); any other choice would leave a non-planar code.
+``enumerate_sites`` only offers sites certified against that face
+structure.
+
+A :class:`MoveSite` is a :class:`typing.NamedTuple`: immutable,
+hashable, and equal to the plain tuple of its fields.
 
 Site kinds and their parameters:
 
@@ -29,19 +33,18 @@ BANDPASS crossings=(c1, c2, c3, c4): two anti-parallel bands, the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (Crossing, LinkDiagram, bigon_fusions, check_valid,
-                      consumer_map, delete_crossings, face_walks, faces,
-                      kink_fusion)
+                      consumer_map, delete_crossings, face_through,
+                      face_walks, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
            "enumerate_sites"]
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     """Where and how to rewrite; field relevance depends on ``kind``."""
 
     kind: str
@@ -52,16 +55,13 @@ class MoveSite:
 
 
 def render_site(site: MoveSite) -> str:
-    parts = [site.kind]
-    if site.crossings:
-        parts.append("crossings=" + ",".join(str(c) for c in site.crossings))
-    if site.arcs:
-        parts.append("arcs=" + ",".join(str(a) for a in site.arcs))
-    if site.sign:
-        parts.append("sign=" + ("+" if site.sign > 0 else "-"))
-    if site.variant:
-        parts.append("variant=" + site.variant)
-    return " ".join(parts)
+    kind, crossings, arcs, sign, variant = site
+    return "".join((
+        kind,
+        " crossings=" + ",".join(map(str, crossings)) if crossings else "",
+        " arcs=" + ",".join(map(str, arcs)) if arcs else "",
+        (" sign=+" if sign > 0 else " sign=-") if sign else "",
+        " variant=" + variant if variant else ""))
 
 
 def parse_site(text: str) -> MoveSite:
@@ -190,6 +190,10 @@ def _r2_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     x, y = site.arcs
     for a in (x, y):
         _need(a in d.arc_components, f"no arc {a} in the diagram")
+    fx, fy = _R2_DARTS[site.sign, site.variant]
+    _need((y, fy) in face_through(d, (x, fx)),
+          f"arcs {x} and {y} do not bound one face in the directions this "
+          "sign and variant need; the slide would not be planar")
     n1, n2, n3, n4 = _fresh_arcs(d, 4)
     s = site.sign
     if site.variant == "par":
@@ -307,18 +311,19 @@ def enumerate_sites(d: LinkDiagram, kind: str) -> list[MoveSite]:
     R1+ sites are offered on every arc in all four (sign, variant)
     shapes; those are always realizable.  R2+ sites are read off faces:
     two darts on a common face can be slid across each other, with the
-    variant and leading sign fixed by the darts' directions.  R1- sites
-    are the curls, each of which bounds a 1-gon face; R2- and R3 sites
-    are 2- and 3-gon faces that match the pattern.  BANDPASS sites are
-    pure pattern matches (the pass pattern already pins the local
-    picture).
+    variant and leading sign fixed by the darts' directions.
+    ``apply_move`` refuses every other R2+ choice, so the R2+ sites it
+    accepts are exactly these.  R1- sites are the curls, each of which
+    bounds a 1-gon face; R2- and R3 sites are 2- and 3-gon faces that
+    match the pattern.  BANDPASS sites are pure pattern matches (the
+    pass pattern already pins the local picture).
     """
     _, finder = _kind(kind)
     return finder(d)
 
 
 def _r1_add_sites(d: LinkDiagram) -> list[MoveSite]:
-    return [MoveSite("R1+", arcs=(a,), sign=s, variant=v)
+    return [MoveSite("R1+", (), (a,), s, v)
             for a in sorted(d.arc_components)
             for s in (1, -1) for v in ("under", "over")]
 
@@ -329,31 +334,28 @@ def _r1_remove_sites(d: LinkDiagram) -> list[MoveSite]:
             if kink_fusion(cr) is not None]
 
 
+# Two darts bounding a common face with the region on their left can be
+# pushed together: x slides over y for any ordered pair of darts on
+# distinct arcs of one face.  The darts' directions (x forward, y
+# forward) decide par/anti and the sign of the crossing the over strand
+# meets first; the table was fixed against the face tracer conventions
+# once and is exercised by the invariance suite.  ``_r2_add`` reads it
+# backwards to refuse any other choice.
+_R2_SHAPE = {
+    (True, True): (-1, "anti"),
+    (False, False): (1, "anti"),
+    (True, False): (1, "par"),
+    (False, True): (-1, "par"),
+}
+_R2_DARTS = {shape: darts for darts, shape in _R2_SHAPE.items()}
+
+
 def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
-    # Two darts bounding a common face with the region on their left
-    # can be pushed together.  Walking the face, a dart traverses each
-    # boundary arc; the slide is x over y for any ordered pair of darts
-    # on distinct arcs.  Direction agreement decides par/anti, and the
-    # sign of the crossing the over strand meets first is forced by the
-    # local picture; both choices below were fixed against the face
-    # tracer conventions once and are exercised by the invariance
-    # suite.
     # Each dart lies on one face, so no (arcs, variant, sign) repeats.
-    sites = []
-    for face in faces(d):
-        for (ax, fx), (ay, fy) in itertools.permutations(face, 2):
-            if ax == ay:
-                continue
-            if fx and fy:
-                variant, s = "anti", -1
-            elif not fx and not fy:
-                variant, s = "anti", 1
-            elif fx and not fy:
-                variant, s = "par", 1
-            else:
-                variant, s = "par", -1
-            sites.append(MoveSite("R2+", arcs=(ax, ay), sign=s, variant=variant))
-    return sites
+    return [MoveSite("R2+", (), (ax, ay), *_R2_SHAPE[fx, fy])
+            for face in faces(d)
+            for (ax, fx), (ay, fy) in itertools.permutations(face, 2)
+            if ax != ay]
 
 
 def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:

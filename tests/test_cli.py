@@ -127,8 +127,8 @@ def test_move_pattern_mismatch_is_a_domain_refusal(fx, capsys):
     assert err == "error: crossing 1 is not a kink\n"
 
 
-# One case per refusal text of the removing and switching moves (the
-# curl refusal is the test above); a source is a fixture name, "clasp",
+# One case per refusal text of the removing and switching moves and
+# the R2+ face check (the curl refusal is the test above); a source is a fixture name, "clasp",
 # or a (braid word, strands) closure.
 @pytest.mark.parametrize("source, site, message", [
     ("trefoil", "R1- crossings=1,2", "R1- needs exactly one crossing"),
@@ -160,6 +160,9 @@ def test_move_pattern_mismatch_is_a_domain_refusal(fx, capsys):
      "the over band must lie on one component"),
     (((2, 1, -1, 2, 1, -2, -1), 3), "BANDPASS crossings=3,5,7,2",
      "the under band must lie on one component"),
+    ("trefoil", "R2+ arcs=1,4 sign=+ variant=par",
+     "arcs 1 and 4 do not bound one face in the directions this sign and "
+     "variant need; the slide would not be planar"),
 ])
 def test_move_refusal_texts(source, site, message, tmp_path, capsys):
     if source == "clasp":
@@ -342,3 +345,39 @@ def test_classify_demo_runs_from_a_source_tree(tmp_path):
                           capture_output=True, text=True, env=env,
                           cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_calls_in_one_process_match_fresh_runs(fx, capsys, tmp_path):
+    """The parser is built once per process, so each call must give the
+    bytes and exit code it gives in a fresh interpreter, whatever ran
+    before it, and no earlier ``--out`` may catch later output."""
+    borromean = fx("borromean")
+    target = tmp_path / "class.txt"
+    calls = [["classify", "--out", str(target), borromean],
+             ["classify", borromean],
+             ["classify", "--bogus", borromean],
+             ["classify", "--json", borromean]]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "lzero", *argv],
+                              capture_output=True, text=True,
+                              env=_source_env())
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    written = target.read_text(encoding="utf-8")
+    assert written == "m=3; a=0,0,0; b=+1; c=0,0,0\n"
+
+    target.write_text("stale\n", encoding="utf-8")
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+        if argv is calls[0]:
+            assert target.read_text(encoding="utf-8") == written
+            target.write_text("stale\n", encoding="utf-8")
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert target.read_text(encoding="utf-8") == "stale\n"

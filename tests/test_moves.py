@@ -1,5 +1,7 @@
 """Local rewrites: site grammar, pattern checking, invariance smoke tests."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,7 +17,7 @@ from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
-from util import assert_sound, corpus, random_class, random_walk
+from util import assert_sound, corpus, euler_ok, random_class, random_walk
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,19 @@ def test_site_text_round_trip(text):
 def test_site_round_trip_random(kind, crossings, arcs, sign, variant):
     site = MoveSite(kind, tuple(crossings), tuple(arcs), sign, variant)
     assert parse_site(render_site(site)) == site
+
+
+def test_move_site_is_an_immutable_hashable_tuple():
+    site = MoveSite("R2+", arcs=(1, 4), sign=-1, variant="anti")
+    assert site == MoveSite("R2+", (), (1, 4), -1, "anti")
+    assert site == ("R2+", (), (1, 4), -1, "anti")
+    assert MoveSite("R1-") == MoveSite("R1-", crossings=(), arcs=(),
+                                       sign=0, variant="")
+    assert {site: 1}[MoveSite("R2+", (), (1, 4), -1, "anti")] == 1
+    with pytest.raises(AttributeError):
+        site.sign = 1
+    with pytest.raises(AttributeError):
+        site.extra = 1
 
 
 @pytest.mark.parametrize("text", [
@@ -204,3 +219,66 @@ def test_enumerated_sites_are_all_accepted_faces():
     for d in hosts:
         for kind, k in (("R1-", 1), ("R2-", 2), ("R3", 3)):
             assert enumerate_sites(d, kind) == _accepted_faces(d, kind, k)
+
+
+# ---------------------------------------------------------------------------
+# pinned site lists
+
+
+def _pin_hosts():
+    """The fixtures, seeded representatives at m = 2, 3, 4, each of
+    those with one added curl, and the band-pass demo diagram."""
+    rng = random.Random(41)
+    hosts = [fixtures.load(name) for name in fixtures.NAMES]
+    hosts += [representative(random_class(rng, m, b_bound=1))
+              for m in (2, 3, 4)]
+    hosts += [apply_move(d, enumerate_sites(d, "R1+")[0])
+              for d in list(hosts) if d.crossings]
+    hosts.append(band_clasp_diagram()[0])
+    return hosts
+
+
+# kind -> (site count, sha256 of one ``render_site`` line per site) over
+# the hosts of ``_pin_hosts``, in order.
+_SITE_PINS = {
+    "R1+": (3120, "60a080b2c24605b8d25d6fc014448761862dee83de75adf11f6a26bb704e8dd4"),
+    "R1-": (8, "c0c089b511bec511034de15e0e8acb2b7210fd41370b8279c57c80c582d8f285"),
+    "R2+": (12582, "058ea89fe2a726f40c8cec5c94fad7bbe774a8687b5770413626340223d25206"),
+    "R2-": (39, "19cf908beeed9e018f7c0021dfe336ea12bf1953106805586760e13fc1dbd67e"),
+    "R3": (113, "ca88532c42fb09c1fef02b07605480f02d4a2f29758d31a2ad4b07a91597f5d6"),
+    "BANDPASS": (4, "d06b5d98bbf29e193e7aa1288d022fc32a0c5d3995df7f17657f045558386937"),
+}
+
+
+def test_site_lists_are_pinned():
+    """The set and the order of every kind's sites stay fixed."""
+    hosts = _pin_hosts()
+    for kind in KINDS:
+        sites = [s for d in hosts for s in enumerate_sites(d, kind)]
+        text = "".join(render_site(s) + "\n" for s in sites)
+        got = (len(sites), hashlib.sha256(text.encode()).hexdigest())
+        assert got == _SITE_PINS[kind], kind
+        for site in sites:
+            assert parse_site(render_site(site)) == site
+
+
+# ---------------------------------------------------------------------------
+# R2+ keeps planarity
+
+
+@pytest.mark.parametrize("name", ["trefoil", "fig8", "borromean"])
+def test_r2_add_accepts_exactly_the_enumerated_sites(name):
+    """Of every (arc pair, sign, variant) choice, apply_move accepts
+    just the face-certified ones, and each result stays planar."""
+    d = fixtures.load(name)
+    accepted = set()
+    for arcs in itertools.permutations(sorted(d.arc_components), 2):
+        for sign, variant in itertools.product((1, -1), ("par", "anti")):
+            site = MoveSite("R2+", arcs=arcs, sign=sign, variant=variant)
+            try:
+                moved = apply_move(d, site)
+            except MovePatternError:
+                continue
+            assert euler_ok(moved), site
+            accepted.add(site)
+    assert accepted == set(enumerate_sites(d, "R2+"))
