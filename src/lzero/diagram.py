@@ -62,9 +62,6 @@ class Crossing:
     over_in: int
     over_out: int
 
-    def inputs(self):
-        return (self.under_in, self.over_in)
-
     def outputs(self):
         return (self.under_out, self.over_out)
 
@@ -269,69 +266,90 @@ def _violations(d: LinkDiagram) -> list[str]:
         return [f"component count {d.m} exceeds {most}, the most circles "
                 "this code can hold (2 per crossing, 1 per free loop)"]
 
+    # The usual case is checked with plain comparisons; a message is
+    # built only where a check fails, in the order of the full checks.
     in_seen: dict[int, int] = {}
     out_seen: dict[int, int] = {}
     for idx, cr in enumerate(d.crossings, start=1):
-        if cr.sign not in (1, -1):
-            problems.append(f"crossing {idx}: sign must be +1 or -1, got {cr.sign!r}")
-        for arc in cr.arcs():
-            if not isinstance(arc, int) or arc < 1:
-                problems.append(f"crossing {idx}: arc ids must be positive, got {arc!r}")
-                return problems
-        for arc in cr.inputs():
-            if arc in in_seen:
-                problems.append(
-                    f"arc {arc} consumed by both crossing {in_seen[arc]} and crossing {idx}")
-            else:
-                in_seen[arc] = idx
-        for arc in cr.outputs():
-            if arc in out_seen:
-                problems.append(
-                    f"arc {arc} produced by both crossing {out_seen[arc]} and crossing {idx}")
-            else:
-                out_seen[arc] = idx
+        sign, ui, uo, oi, oo = (cr.sign, cr.under_in, cr.under_out,
+                                cr.over_in, cr.over_out)
+        if sign not in (1, -1):
+            problems.append(f"crossing {idx}: sign must be +1 or -1, got {sign!r}")
+        if not (type(ui) is type(uo) is type(oi) is type(oo) is int
+                and ui > 0 and uo > 0 and oi > 0 and oo > 0):
+            for arc in (ui, uo, oi, oo):
+                if not isinstance(arc, int) or arc < 1:
+                    problems.append(f"crossing {idx}: arc ids must be positive, got {arc!r}")
+                    return problems
+        if (ui in in_seen or oi in in_seen or ui == oi
+                or uo in out_seen or oo in out_seen or uo == oo):
+            for arc in (ui, oi):
+                if arc in in_seen:
+                    problems.append(
+                        f"arc {arc} consumed by both crossing {in_seen[arc]} and crossing {idx}")
+                else:
+                    in_seen[arc] = idx
+            for arc in (uo, oo):
+                if arc in out_seen:
+                    problems.append(
+                        f"arc {arc} produced by both crossing {out_seen[arc]} and crossing {idx}")
+                else:
+                    out_seen[arc] = idx
+        else:
+            in_seen[ui] = in_seen[oi] = out_seen[uo] = out_seen[oo] = idx
 
-    for arc in in_seen:
-        if arc not in out_seen:
-            problems.append(f"arc {arc} is consumed but never produced")
-    for arc in out_seen:
-        if arc not in in_seen:
-            problems.append(f"arc {arc} is produced but never consumed")
+    used = in_seen.keys() | out_seen.keys()
+    if len(used) != len(in_seen) or len(used) != len(out_seen):
+        for arc in in_seen:
+            if arc not in out_seen:
+                problems.append(f"arc {arc} is consumed but never produced")
+        for arc in out_seen:
+            if arc not in in_seen:
+                problems.append(f"arc {arc} is produced but never consumed")
 
-    used = set(in_seen) | set(out_seen)
-    for arc in sorted(used):
-        if arc not in d.arc_components:
-            problems.append(f"arc {arc} has no 'a' component assignment")
-    for arc in sorted(d.arc_components):
-        if arc not in used:
-            problems.append(
-                f"arc {arc} is assigned to component {d.arc_components[arc]} "
-                "but appears in no crossing")
-        comp = d.arc_components[arc]
-        if not isinstance(comp, int) or not 1 <= comp <= d.m:
-            problems.append(f"arc {arc}: component {comp!r} out of range 1..{d.m}")
+    arc_comp, m = d.arc_components, d.m
+    comps = arc_comp.values()
+    if (used != arc_comp.keys() or set(map(type, comps)) != {int}
+            or min(comps) < 1 or max(comps) > m):
+        for arc in sorted(used):
+            if arc not in arc_comp:
+                problems.append(f"arc {arc} has no 'a' component assignment")
+        for arc in sorted(arc_comp):
+            if arc not in used:
+                problems.append(
+                    f"arc {arc} is assigned to component {arc_comp[arc]} "
+                    "but appears in no crossing")
+            comp = arc_comp[arc]
+            if not isinstance(comp, int) or not 1 <= comp <= m:
+                problems.append(f"arc {arc}: component {comp!r} out of range 1..{m}")
     for comp in d.free_loops:
-        if not isinstance(comp, int) or not 1 <= comp <= d.m:
-            problems.append(f"free loop component {comp!r} out of range 1..{d.m}")
+        if not isinstance(comp, int) or not 1 <= comp <= m:
+            problems.append(f"free loop component {comp!r} out of range 1..{m}")
 
     if problems:
         return problems
 
-    # The slot structure is sound, so cycles are well defined.
+    # The slot structure is sound, so cycles are well defined.  A cycle
+    # mixes components exactly when a strand changes component at some
+    # crossing; otherwise its first arc names its component.
+    mixed = any(arc_comp[cr.under_in] != arc_comp[cr.under_out]
+                or arc_comp[cr.over_in] != arc_comp[cr.over_out]
+                for cr in d.crossings)
     circles = Counter(d.free_loops)
     for cyc in component_cycles(d):
-        comps = {d.arc_components[a] for a in cyc}
+        comps = {arc_comp[a] for a in cyc} if mixed else {arc_comp[cyc[0]]}
         if len(comps) > 1:
             problems.append(
                 f"arc cycle starting at arc {cyc[0]} mixes components "
                 f"{sorted(comps)}")
         circles[min(comps)] += 1
-    for idx, cr in enumerate(d.crossings, start=1):
-        if d.arc_components[cr.under_in] != d.arc_components[cr.under_out]:
-            problems.append(f"crossing {idx}: under strand changes component")
-        if d.arc_components[cr.over_in] != d.arc_components[cr.over_out]:
-            problems.append(f"crossing {idx}: over strand changes component")
-    for comp in range(1, d.m + 1):
+    if mixed:
+        for idx, cr in enumerate(d.crossings, start=1):
+            if arc_comp[cr.under_in] != arc_comp[cr.under_out]:
+                problems.append(f"crossing {idx}: under strand changes component")
+            if arc_comp[cr.over_in] != arc_comp[cr.over_out]:
+                problems.append(f"crossing {idx}: over strand changes component")
+    for comp in range(1, m + 1):
         n = circles.get(comp, 0)
         if n == 0:
             problems.append(f"component {comp} has no circle (cycle or free loop)")
@@ -558,6 +576,15 @@ _CCW = {
     1: ("under_in", "over_in", "under_out", "over_out"),
     -1: ("under_in", "over_out", "under_out", "over_in"),
 }
+# sign -> one (slot, nslot, their positions in Crossing.arcs()) per
+# corner: a face boundary entering at ``slot`` turns to the slot before
+# it in the counterclockwise order.
+_SLOTS = ("under_in", "under_out", "over_in", "over_out")
+_CORNERS = {
+    sign: tuple((slot, nslot, _SLOTS.index(slot), _SLOTS.index(nslot))
+                for slot, nslot in zip(order, order[-1:] + order[:-1]))
+    for sign, order in _CCW.items()
+}
 
 
 def face_walks(d: LinkDiagram) -> list[list[tuple]]:
@@ -569,47 +596,56 @@ def face_walks(d: LinkDiagram) -> list[list[tuple]]:
     face's corner there runs to ``nslot``, where the next dart leaves.
     The face lies to the left of every dart.  Faces are listed by, and
     start at, their lowest dart; free loops carry none.  For a planar
-    code ``faces - arcs + crossings == 1 + connected parts``.
+    code ``faces - arcs + crossings == 1 + connected parts``.  Each
+    corner is read from the turn table of :func:`_face_turns`.
     """
-    ends, seen = _face_turns(d), set()
-    return [_walk_face(d, ends, start, seen)
-            for start in sorted(ends) if start not in seen]
+    turns = _face_turns(d)
+    return [[(dart, *turns[dart][:3]) for dart in face]
+            for face in _face_orbits(turns)]
 
 
 def _face_turns(d: LinkDiagram) -> dict:
-    """dart -> (idx, slot, nslot) as in :func:`face_walks`."""
-    ends = {}
+    """dart -> (idx, slot, nslot, next dart): the corner of
+    :func:`face_walks` the dart enters, and the dart leaving it at
+    ``nslot``, so a walk takes one lookup per step."""
+    turns = {}
     for idx, cr in enumerate(d.crossings):
-        order = _CCW[cr.sign]
-        for k, slot in enumerate(order):
-            # the slot an arc enters at, and the slot the boundary turns to
-            ends[getattr(cr, slot), slot.endswith("_in")] = (
-                idx, slot, order[k - 1])
-    return ends
+        arcs = cr.arcs()
+        for slot, nslot, k, n in _CORNERS[cr.sign]:
+            # in-slots sit at even positions of ``arcs``: a dart enters
+            # forward at an in-slot, and leaves forward at an out-slot
+            turns[arcs[k], k % 2 == 0] = (idx, slot, nslot, (arcs[n], n % 2 == 1))
+    return turns
 
 
-def _walk_face(d: LinkDiagram, ends: dict, dart, seen: set) -> list[tuple]:
-    """The walk of the face left of ``dart``, from it; adds its darts
-    to ``seen``."""
-    walk = []
+def _face_orbits(turns: dict) -> list[list[tuple[int, bool]]]:
+    """The darts of each face, listed by and starting at its lowest dart."""
+    seen: set = set()
+    return [_walk_face(turns, start, seen)
+            for start in sorted(turns) if start not in seen]
+
+
+def _walk_face(turns: dict, dart, seen: set) -> list[tuple[int, bool]]:
+    """The darts of the face left of ``dart``, from it; adds them to
+    ``seen``."""
+    face = []
     while dart not in seen:
         seen.add(dart)
-        idx, slot, nslot = ends[dart]
-        walk.append((dart, idx, slot, nslot))
-        dart = (getattr(d.crossings[idx], nslot), nslot.endswith("_out"))
-    return walk
+        face.append(dart)
+        dart = turns[dart][3]
+    return face
 
 
 def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:
     """The darts of the face left of ``dart``, from it; empty when no
     crossing meets the dart's arc."""
-    ends = _face_turns(d)
-    return [c[0] for c in _walk_face(d, ends, dart, set())] if dart in ends else []
+    turns = _face_turns(d)
+    return _walk_face(turns, dart, set()) if dart in turns else []
 
 
 def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     """The darts of each face of :func:`face_walks`, in the same order."""
-    return [[corner[0] for corner in walk] for walk in face_walks(d)]
+    return _face_orbits(_face_turns(d))
 
 
 def crossing_graph_parts(d: LinkDiagram) -> int:

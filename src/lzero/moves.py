@@ -35,9 +35,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, bigon_fusions, check_valid,
-                      consumer_map, delete_crossings, face_through,
-                      face_walks, faces, kink_fusion)
+from .diagram import (Crossing, LinkDiagram, _face_orbits, _face_turns,
+                      bigon_fusions, check_valid, consumer_map,
+                      delete_crossings, face_through, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
@@ -56,6 +56,10 @@ class MoveSite(NamedTuple):
 
 def render_site(site: MoveSite) -> str:
     kind, crossings, arcs, sign, variant = site
+    if not crossings and sign and variant and 0 < len(arcs) < 3:
+        # the shape of every R1+ and R2+ site, formatted in one go
+        pair = f"{arcs[0]},{arcs[1]}" if len(arcs) == 2 else arcs[0]
+        return f"{kind} arcs={pair} sign={'+' if sign > 0 else '-'} variant={variant}"
     return "".join((
         kind,
         " crossings=" + ",".join(map(str, crossings)) if crossings else "",
@@ -322,8 +326,14 @@ def enumerate_sites(d: LinkDiagram, kind: str) -> list[MoveSite]:
     return finder(d)
 
 
+# The R1+ and R2+ finders list thousands of sites per diagram, so they
+# build each one with tuple.__new__, skipping the NamedTuple's Python
+# __new__ and its defaults.
+_new = tuple.__new__
+
+
 def _r1_add_sites(d: LinkDiagram) -> list[MoveSite]:
-    return [MoveSite("R1+", (), (a,), s, v)
+    return [_new(MoveSite, ("R1+", (), (a,), s, v))
             for a in sorted(d.arc_components)
             for s in (1, -1) for v in ("under", "over")]
 
@@ -352,7 +362,7 @@ _R2_DARTS = {shape: darts for darts, shape in _R2_SHAPE.items()}
 
 def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
     # Each dart lies on one face, so no (arcs, variant, sign) repeats.
-    return [MoveSite("R2+", (), (ax, ay), *_R2_SHAPE[fx, fy])
+    return [_new(MoveSite, ("R2+", (), (ax, ay)) + _R2_SHAPE[fx, fy])
             for face in faces(d)
             for (ax, fx), (ay, fy) in itertools.permutations(face, 2)
             if ax != ay]
@@ -361,10 +371,10 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
 def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:
     """The faces with k sides at k distinct crossings, each as its
     sorted crossing ids; sorted."""
-    found = set()
-    for walk in face_walks(d):
-        if len(walk) == k:
-            corners = {idx + 1 for _, idx, _, _ in walk}
+    turns, found = _face_turns(d), set()
+    for face in _face_orbits(turns):
+        if len(face) == k:
+            corners = {turns[dart][0] + 1 for dart in face}
             if len(corners) == k:
                 found.add(tuple(sorted(corners)))
     return sorted(found)

@@ -1,5 +1,7 @@
 """Diagram records: text format, structural validation, planarity."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,12 @@ from hypothesis import strategies as st
 from lzero import fixtures
 from lzero.construct import braid_closure
 from lzero.diagram import (Crossing, check_valid, component_cycles,
-                           crossing_graph_parts, disjoint_union, faces,
-                           mirror, parse_diagram, render_diagram, sublink,
-                           validate)
+                           crossing_graph_parts, disjoint_union, face_through,
+                           face_walks, faces, mirror, parse_diagram,
+                           render_diagram, sublink, validate)
 from lzero.errors import DiagramParseError, DiagramStructureError
 from lzero.milnor import linking_number
-from util import assert_sound, corpus, euler_ok
+from util import assert_sound, corpus, euler_ok, walked_hosts
 
 
 def test_parse_render_round_trip_on_fixtures():
@@ -57,6 +59,74 @@ def test_structure_check_catches_dangling_arc():
     text = "components 1\nx + 1 2 5 1\na 1 1\na 2 1\na 5 1\n"
     with pytest.raises(DiagramStructureError):
         parse_diagram(text)
+
+
+def _edited(name, crossings=None, **changes):
+    """A fixture with some crossings' fields and some record fields
+    replaced, left unvalidated."""
+    d = fixtures.load(name)
+    if crossings:
+        edited = list(d.crossings)
+        for cid, fields in crossings.items():
+            edited[cid - 1] = replace(edited[cid - 1], **fields)
+        changes["crossings"] = tuple(edited)
+    return replace(d, **changes)
+
+
+# One crafted diagram per check of ``validate``, with the full list it
+# gives: the fast path of ``_violations`` must keep these texts and
+# their order.
+_VALIDATE_TEXTS = [
+    (_edited("trefoil", {1: {"over_in": 2}}),
+     ["arc 2 consumed by both crossing 1 and crossing 1",
+      "arc 1 is produced but never consumed"]),
+    (_edited("trefoil", {2: {"under_in": 2}}),
+     ["arc 2 consumed by both crossing 1 and crossing 2",
+      "arc 4 is produced but never consumed"]),
+    (_edited("trefoil", {2: {"under_out": 3}}),
+     ["arc 3 produced by both crossing 1 and crossing 2",
+      "arc 5 is consumed but never produced"]),
+    (_edited("trefoil", {2: {"over_in": 0}}),
+     ["crossing 2: arc ids must be positive, got 0"]),
+    (_edited("trefoil", {3: {"under_out": -1}}),
+     ["crossing 3: arc ids must be positive, got -1"]),
+    (_edited("trefoil", {2: {"under_in": "4"}}),
+     ["crossing 2: arc ids must be positive, got '4'"]),
+    (_edited("trefoil", {2: {"sign": 2}}),
+     ["crossing 2: sign must be +1 or -1, got 2"]),
+    (_edited("trefoil", {1: {"sign": 2}, 2: {"under_in": 2},
+                         3: {"over_in": 0}}),
+     ["crossing 1: sign must be +1 or -1, got 2",
+      "arc 2 consumed by both crossing 1 and crossing 2",
+      "crossing 3: arc ids must be positive, got 0"]),
+    (_edited("trefoil", arc_components={a: 1 for a in range(1, 6)}),
+     ["arc 6 has no 'a' component assignment"]),
+    (_edited("trefoil", arc_components={a: 1 for a in range(1, 8)}),
+     ["arc 7 is assigned to component 1 but appears in no crossing"]),
+    (_edited("hopf+", arc_components={1: 1, 2: 2, 3: 2, 4: 2}),
+     ["arc cycle starting at arc 1 mixes components [1, 2]",
+      "crossing 1: over strand changes component",
+      "crossing 2: under strand changes component"]),
+    (_edited("trefoil", m=2, free_loops=(2,),
+             arc_components={1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}),
+     ["arc cycle starting at arc 1 mixes components [1, 2]",
+      "crossing 1: under strand changes component",
+      "crossing 2: over strand changes component"]),
+    (_edited("hopf+", arc_components={1: 1, 2: 3, 3: 3, 4: 1}),
+     ["arc 2: component 3 out of range 1..2",
+      "arc 3: component 3 out of range 1..2"]),
+    (_edited("hopf+", free_loops=(0,)),
+     ["free loop component 0 out of range 1..2"]),
+    (_edited("hopf+", m=1, arc_components={a: 1 for a in range(1, 5)}),
+     ["component 1 is realized by 2 circles"]),
+    (_edited("trefoil", m=2),
+     ["component 2 has no circle (cycle or free loop)"]),
+]
+
+
+@pytest.mark.parametrize("d, texts", _VALIDATE_TEXTS)
+def test_validate_texts_are_pinned(d, texts):
+    assert validate(d) == texts
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -144,6 +214,20 @@ def test_faces_satisfy_euler_count_on_corpus():
         if not d.crossings:
             continue
         assert len(faces(d)) == len(d.crossings) + 2 * crossing_graph_parts(d), name
+
+
+def test_faces_agree_with_face_walks_and_face_through():
+    """On the corpus and seeded walks: ``faces`` lists the darts of
+    ``face_walks``; ``face_through`` gives, for every dart, its face
+    rotated to start there; and the Euler count holds."""
+    for d in walked_hosts(23):
+        found = faces(d)
+        assert found == [[corner[0] for corner in walk]
+                         for walk in face_walks(d)]
+        for face in found:
+            for k, dart in enumerate(face):
+                assert face_through(d, dart) == face[k:] + face[:k]
+        assert euler_ok(d)
 
 
 def _braid_permutation_cycles(word, strands):

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lzero import fixtures
@@ -17,7 +17,8 @@ from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
-from util import assert_sound, corpus, euler_ok, random_class, random_walk
+from util import (assert_sound, corpus, euler_ok, random_class, random_walk,
+                  render_site_reference, walked_hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,22 @@ def test_site_text_round_trip(text):
 def test_site_round_trip_random(kind, crossings, arcs, sign, variant):
     site = MoveSite(kind, tuple(crossings), tuple(arcs), sign, variant)
     assert parse_site(render_site(site)) == site
+
+
+@given(kind=st.sampled_from(KINDS),
+       crossings=st.lists(st.integers(1, 999), max_size=3),
+       arcs=st.lists(st.integers(1, 999), max_size=3),
+       sign=st.sampled_from([-1, 0, 1]),
+       variant=st.sampled_from(["", "under", "over", "par", "anti"]))
+@example(kind="R1+", crossings=[], arcs=[3], sign=0, variant="under")
+@example(kind="R2+", crossings=[2], arcs=[1, 4], sign=-1, variant="anti")
+@example(kind="R2+", crossings=[], arcs=[1, 4], sign=1, variant="")
+@example(kind="R1+", crossings=[], arcs=[7], sign=1, variant="over")
+@settings(max_examples=150, deadline=None)
+def test_render_site_matches_the_plain_formatter(kind, crossings, arcs,
+                                                 sign, variant):
+    site = MoveSite(kind, tuple(crossings), tuple(arcs), sign, variant)
+    assert render_site(site) == render_site_reference(site)
 
 
 def test_move_site_is_an_immutable_hashable_tuple():
@@ -177,14 +194,14 @@ def test_moves_never_change_component_count():
 
 
 def test_enumerated_sites_all_apply():
-    """Every offered site must actually pass its own pattern check."""
+    """Every offered site must pass its own pattern check, and give a
+    sound diagram that keeps the Euler count: a sample of every kind's
+    sites, on the corpus and along seeded walks."""
     rng = random.Random(11)
-    for name, d in corpus():
-        if not d.crossings:
-            continue
+    for d in walked_hosts(19, steps=8):
         for kind in KINDS:
             sites = enumerate_sites(d, kind)
-            for site in rng.sample(sites, min(len(sites), 5)):
+            for site in rng.sample(sites, min(len(sites), 10)):
                 assert_sound(apply_move(d, site))
 
 
@@ -209,14 +226,7 @@ def _accepted_faces(d, kind, k):
 def test_enumerated_sites_are_all_accepted_faces():
     """R1-, R2- and R3 sites are exactly the monogons, bigons and
     triangles whose pattern apply_move accepts."""
-    rng = random.Random(13)
-    hosts = [d for _, d in corpus() if d.crossings]
-    hosts += [representative(random_class(rng, m, b_bound=1))
-              for m in (2, 3, 3, 4)]
-    for d in list(hosts):
-        hosts += [walked for _, walked in random_walk(
-            d, rng, steps=6, max_crossings=len(d.crossings) + 4)]
-    for d in hosts:
+    for d in walked_hosts(13):
         for kind, k in (("R1-", 1), ("R2-", 2), ("R3", 3)):
             assert enumerate_sites(d, kind) == _accepted_faces(d, kind, k)
 

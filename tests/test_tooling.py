@@ -1,18 +1,45 @@
-"""The benchmark's layer tracer names only functions that exist."""
+"""The benchmark's layer tracer names only functions that exist, and
+still sees the face and site layers."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from lzero import fixtures
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_tracer_layer_names_resolve():
     """``--trace 1`` wraps every ``LAYERS`` name; a missing one breaks it."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     for mod, names in tracer.LAYERS.items():
         module = importlib.import_module("lzero." + mod)
         for name in names:
             assert callable(getattr(module, name, None)), f"lzero.{mod}.{name}"
+
+
+def test_tracer_counts_faces_and_site_listing():
+    """Site listing reaches ``diagram.faces`` through a binding the
+    tracer wraps, so the per-layer trace still counts both."""
+    moves = importlib.import_module("lzero.moves")
+    d = fixtures.load("borromean")
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        for kind in ("R2+", "R2-"):
+            moves.enumerate_sites(d, kind)
+    finally:
+        tracer.uninstall()
+    counts = tracer.summary()
+    assert counts["moves.enumerate_sites_calls"] == 2
+    assert counts["diagram.faces_calls"] > 0
+    assert counts["moves.sites_found"] == sum(
+        len(moves.enumerate_sites(d, kind)) for kind in ("R2+", "R2-"))

@@ -1,6 +1,7 @@
 """Shared test helpers: the small-diagram corpus, the planarity check,
-a seeded random-move walker, class projection for sublink tests, and
-the skein recursion that checks the Conway engine."""
+a seeded random-move walker, class projection for sublink tests, the
+plain move-site formatter, and the skein recursion that checks the
+Conway engine."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 from itertools import combinations
 
 from lzero import fixtures
-from lzero.classify import ZeroSolveClass
+from lzero.classify import ZeroSolveClass, representative
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
 from lzero.diagram import (LinkDiagram, component_cycles, consumer_map,
@@ -79,6 +80,20 @@ def random_walk(d: LinkDiagram, rng: random.Random, steps: int,
         yield site, d
 
 
+def walked_hosts(seed: int, steps: int = 6) -> list[LinkDiagram]:
+    """The corpus diagrams with crossings, seeded representatives at
+    m = 2, 3, 3, 4, and every diagram along a seeded Reidemeister walk
+    (R3 included) from each of them."""
+    rng = random.Random(seed)
+    hosts = [d for _, d in corpus() if d.crossings]
+    hosts += [representative(random_class(rng, m, b_bound=1))
+              for m in (2, 3, 3, 4)]
+    for d in list(hosts):
+        hosts += [walked for _, walked in random_walk(
+            d, rng, steps=steps, max_crossings=len(d.crossings) + 4)]
+    return hosts
+
+
 def random_class(rng: random.Random, m: int,
                  b_bound: int = 3) -> ZeroSolveClass:
     a = tuple(rng.randint(0, 1) for _ in range(m))
@@ -102,6 +117,18 @@ def project_class(g: ZeroSolveClass, keep) -> ZeroSolveClass:
     b = tuple(b_old[t] for t in combinations(keep, 3))
     c = tuple(c_old[p] for p in combinations(keep, 2))
     return ZeroSolveClass(len(keep), a, b, c)
+
+
+def render_site_reference(site: MoveSite) -> str:
+    """``moves.render_site`` without its fast path: every field that is
+    set, in order, joined once."""
+    kind, crossings, arcs, sign, variant = site
+    return "".join((
+        kind,
+        " crossings=" + ",".join(map(str, crossings)) if crossings else "",
+        " arcs=" + ",".join(map(str, arcs)) if arcs else "",
+        (" sign=+" if sign > 0 else " sign=-") if sign else "",
+        " variant=" + variant if variant else ""))
 
 
 def _violations(d: LinkDiagram) -> list[int]:
