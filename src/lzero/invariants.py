@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, component_cycles, consumer_map
+from .diagram import LinkDiagram, consumer_map, gauss_word
 from .errors import InvariantUndefinedError
 from .milnor import (linking_number, linking_numbers, longitude_series,
                      magnus_expand, wirtinger)
@@ -49,6 +49,20 @@ def component_triples(m: int):
     return list(itertools.combinations(range(1, m + 1), 3))
 
 
+def _gauss_arf(d: LinkDiagram, word) -> int:
+    """Arf invariant of a component from its Gauss word (see ``arf``)."""
+    crs = d.crossings
+    pos = {passage: p for p, passage in enumerate(word)}
+    a2 = 0
+    for (a, level), ua in pos.items():
+        if level == "under":
+            oa = pos[a, "over"]
+            for b, lv in word[ua + 1:oa]:
+                if lv == "over" and pos[b, "under"] > oa:
+                    a2 += crs[a].sign * crs[b].sign
+    return a2 % 2
+
+
 def arf(d: LinkDiagram, comp: int) -> int:
     """Arf invariant (0 or 1) of the knot formed by one component.
 
@@ -60,19 +74,11 @@ def arf(d: LinkDiagram, comp: int) -> int:
     """
     if not 1 <= comp <= d.m:
         raise ValueError(f"component {comp} out of range 1..{d.m}")
-    comp_of, crs, cons = d.arc_components, d.crossings, consumer_map(d)
-    cyc = next((c for c in component_cycles(d) if comp_of[c[0]] == comp), ())
-    walk = [(x, level) for x, level in map(cons.get, cyc)
-            if comp_of[crs[x].under_in] == comp_of[crs[x].over_in]]
-    pos = {passage: p for p, passage in enumerate(walk)}
-    a2 = 0
-    for (a, level), ua in pos.items():
-        if level == "under":
-            oa = pos[a, "over"]
-            for b, lv in walk[ua + 1:oa]:
-                if lv == "over" and pos[b, "under"] > oa:
-                    a2 += crs[a].sign * crs[b].sign
-    return a2 % 2
+    start = min((a for a, c in d.arc_components.items() if c == comp),
+                default=None)
+    if start is None:
+        return 0
+    return _gauss_arf(d, gauss_word(d, consumer_map(d), start))
 
 
 def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
@@ -110,10 +116,10 @@ def invariant_tuple(d: LinkDiagram) -> InvariantTuple:
 
 def battery(d: LinkDiagram, linking) -> InvariantTuple:
     """The battery, given every pairwise linking number of ``d``."""
-    arfs = tuple(arf(d, c) for c in range(1, d.m + 1))
+    pres = wirtinger(d)
+    arfs = tuple(_gauss_arf(d, pres.gauss[c]) for c in range(1, d.m + 1))
     if any(v != 0 for v in linking.values()):
         return InvariantTuple(d.m, linking, arfs, None, None)
-    pres = wirtinger(d)
     triple, sato = {}, {}
     for i, j in component_pairs(d.m):
         series = magnus_expand(pres, i, j)

@@ -11,9 +11,10 @@ from lzero.construct import braid_closure, build_from_gadgets
 from lzero.diagram import disjoint_union, mirror
 from lzero.errors import (DiagramStructureError, ExpansionError,
                           InvariantUndefinedError)
-from lzero.milnor import (WirtingerPresentation, _inv2, _mul2,
-                          linking_number, longitude_series, magnus_expand,
-                          triple_linking, wirtinger)
+from lzero.milnor import (WirtingerPresentation, linking_number,
+                          longitude_series, magnus_expand, triple_linking,
+                          wirtinger)
+from util import _inv2, _mul2
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,8 @@ def test_power_matches_repeated_multiplication(w):
     # the framing factor alone, the meridian to the power -w
     pres = WirtingerPresentation(2, {}, {10: 1, 20: 2}, {1: 10, 2: 20}, (),
                                  {1: (), 2: ()}, {1: w, 2: w})
-    series = {10: H_I, 20: H_J}
+    series = magnus_expand(pres, 1, 2)
+    assert dict(series) == {10: H_I, 20: H_J}
     for comp, mer in ((1, H_I), (2, H_J)):
         slow, step = ONE, (mer if w < 0 else _inv2(mer))
         for _ in range(abs(w)):

@@ -1,7 +1,8 @@
 """Shared test helpers: the small-diagram corpus, the planarity check,
-a seeded random-move walker, class projection for sublink tests, the
-plain move-site formatter, and the skein recursion that checks the
-Conway engine."""
+a seeded random-move walker, random valid codes, class projection for
+sublink tests, the plain move-site formatter, the skein recursion that
+checks the Conway engine, and the general two-letter Magnus algebra
+that checks the battery's (u, v) kernel."""
 
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ from lzero import fixtures
 from lzero.classify import ZeroSolveClass, representative
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
-from lzero.diagram import (LinkDiagram, component_cycles, consumer_map,
-                           crossing_graph_parts, disjoint_union, faces,
-                           mirror, validate)
+from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
+                           consumer_map, crossing_graph_parts,
+                           disjoint_union, faces, mirror, validate)
+from lzero.errors import ExpansionError
 from lzero.invariants import component_pairs, component_triples
+from lzero.milnor import WirtingerPresentation
 from lzero.moves import MoveSite, apply_move, enumerate_sites
 
 
@@ -181,3 +184,89 @@ def conway_polynomial_naive(d: LinkDiagram,
     if cache is not None:
         cache[key] = result
     return result
+
+
+def random_code(rng: random.Random, crossings: int) -> LinkDiagram:
+    """A valid code with the given number of crossings: its slots are
+    wired at random and each arc cycle is one component, numbered by
+    its lowest arc.  Most such codes describe no planar diagram."""
+    arcs = range(1, 2 * crossings + 1)
+    ins, outs = rng.sample(arcs, len(arcs)), rng.sample(arcs, len(arcs))
+    crs = tuple(Crossing(rng.choice((1, -1)), ins[2 * k], outs[2 * k],
+                         ins[2 * k + 1], outs[2 * k + 1])
+                for k in range(crossings))
+    d = LinkDiagram(1, crs, dict.fromkeys(arcs, 1))
+    comp = {}
+    for n, cyc in enumerate(component_cycles(d), start=1):
+        comp.update(dict.fromkeys(cyc, n))
+    d = LinkDiagram(max(comp.values()), crs, comp)
+    assert validate(d) == [], d
+    return d
+
+
+# ---------------------------------------------------------------------------
+# The general two-letter algebra: 6-tuples of coefficients on the words
+# (), i, j, ii, ij, iij, every series with constant 1.  The battery
+# keeps two integers per generator; this is the full product it must
+# agree with.
+
+
+def _mul2(x, y):
+    e, i, j, ii, ij, iij = x
+    f, k, l, kk, kl, kkl = y
+    return (e * f, e * k + i * f, e * l + j * f, e * kk + i * k + ii * f,
+            e * kl + i * l + ij * f, e * kkl + i * kl + ii * l + iij * f)
+
+
+def _inv2(x):
+    _, i, j, ii, ij, iij = x
+    return (1, -i, -j, i * i - ii, i * j - ij,
+            i * ij + ii * j - i * i * j - iij)
+
+
+def _conj2(x, o, sign):
+    """o^sign x o^-sign; ``o`` None stands for 1."""
+    if o is None:
+        return x
+    a, b = (o, _inv2(o)) if sign > 0 else (_inv2(o), o)
+    return _mul2(_mul2(a, x), b)
+
+
+def magnus_expand_reference(pres: WirtingerPresentation, i: int, j: int,
+                            require_exact: bool = True) -> dict[int, tuple]:
+    """``milnor.magnus_expand`` as a dict of full series: both passes go
+    through every relation whose target lies on i or j."""
+    unit = {i: (1, 1, 0, 0, 0, 0), j: (1, 0, 1, 0, 0, 0)}
+    meridians = {g: unit[c] for g, c in pres.class_comp.items() if c in unit}
+    rels = [r for r in pres.relations if r[0] in meridians]
+    pinned = set(pres.base_class.values())
+    series = meridians
+    for final in (False, True):
+        prev, series = series, dict(meridians)
+        for tgt, src, over, sign in rels:
+            value = _conj2(series[src], prev.get(over), sign)
+            if tgt not in pinned:
+                series[tgt] = value
+            elif final and require_exact and value != series[tgt]:
+                raise ExpansionError(
+                    f"components {i} and {j}: relations are not exactly "
+                    "satisfiable at degree three; not a planar diagram")
+    return series
+
+
+def longitude_reference(pres: WirtingerPresentation, series: dict,
+                        comp: int) -> tuple:
+    """``milnor.longitude_series`` as a product over every letter of
+    ``comp``, the framing factor as a power of the meridian."""
+    out = (1, 0, 0, 0, 0, 0)
+    base = series.get(pres.base_class.get(comp))
+    if base is not None:
+        w = pres.writhe.get(comp, 0)
+        step = base if w < 0 else _inv2(base)
+        for _ in range(abs(w)):
+            out = _mul2(out, step)
+    for over, sign in pres.letters.get(comp, ()):
+        o = series.get(over)
+        if o is not None:
+            out = _mul2(o if sign > 0 else _inv2(o), out)
+    return out
