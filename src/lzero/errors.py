@@ -4,6 +4,10 @@ Each class carries the exit code the CLI returns for it as
 ``exit_code``: file/syntax/structure problems exit with 2, domain-level
 refusals (an invariant that is genuinely undefined for the input, an
 inapplicable move, ...) exit with 1.
+
+Any other exception (a ``MemoryError``, a ``RecursionError``, a bug) is
+not caught: it escapes the CLI as a Python traceback on stderr, and the
+process exits with 1, the same code as a domain refusal.
 """
 
 

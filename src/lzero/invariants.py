@@ -4,8 +4,8 @@ Four layers, in order of the information they carry:
 
 * pairwise linking numbers, all from one scan over the crossings;
 * the Arf invariant of each component knot: its degree-two Conway
-  coefficient mod 2, read as a Gauss-diagram count on one walk of the
-  component;
+  coefficient mod 2, read as a Gauss-diagram count on the component's
+  Gauss word, which the walk that builds the presentation also gives;
 * triple linking numbers for every component triple, defined only when
   all pairwise linking numbers vanish: mubar(ijk) for every k > j is
   read from the two-letter, degree-three expansion of the pair (i, j)
@@ -15,8 +15,9 @@ Four layers, in order of the information they carry:
   -mubar(iijj) from the same expansion of the whole link's presentation.
 
 No layer cuts out a sublink or runs the skein engine.
-``invariant_tuple`` computes the whole battery once; ``classify`` and
-``is_zero_solvable`` read from the same computation.  The last two
+``invariant_tuple`` computes the whole battery once, from one walk of
+the diagram; ``classify`` and ``is_zero_solvable`` read from the same
+computation.  The last two
 layers are ``None`` whenever some pairwise linking number is nonzero,
 since they are undefined there.
 """

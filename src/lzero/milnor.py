@@ -278,27 +278,22 @@ def longitude_series(pres: WirtingerPresentation, series: _PairSeries,
         at, us, vs = runs[other]
         t = bisect_left(at, s)
         u, v = us[t], vs[t]
-        # Multiply by o^sign on the left; o = (1, 1, 0, 0, u, v) on i,
-        # (1, 0, 1, 0, u, v) on j, and o^-1 as in the module docstring.
+        # multiply by o^sign on the left: o = (1, 1, 0, 0, u, v) on i,
+        # (1, 0, 1, 0, u, v) on j, and o^-1 as in the module docstring
         if other == i:
             if sign > 0:
                 aab += v + ab
                 ab += u + b
                 aa += a
-                a += 1
             else:
-                aab += u - v - ab + b
+                aab += u - ab + b - v
                 ab -= u + b
                 aa += 1 - a
-                a -= 1
-        elif sign > 0:
-            aab += v
-            ab += u
-            b += 1
+            a += sign
         else:
-            aab -= v
-            ab -= u
-            b -= 1
+            aab += sign * v
+            ab += sign * u
+            b += sign
     return (1, a, b, aa, ab, aab)
 
 

@@ -2,8 +2,9 @@
 
 Each coordinate has one production route; these checks compare it with
 readings it does not share: the class a diagram was built in, the other
-two longitudes of a triple, the per-sublink expansion, and the skein
-engine's Conway coefficients of cut-out sublinks.
+two longitudes of a triple, the per-sublink expansion, the general
+two-letter algebra in ``tests/util.py``, and the skein engine's Conway
+coefficients of cut-out sublinks.
 """
 
 import itertools
@@ -18,14 +19,19 @@ from lzero.classify import (ZeroSolveClass, classify, parse_class,
 from lzero.cli import main
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
-from lzero.diagram import (disjoint_union, mirror, parse_diagram,
-                           render_diagram, sublink, validate)
-from lzero.invariants import (arf, component_pairs, component_triples,
-                              invariant_tuple, sato_levine)
+from lzero.diagram import (component_cycles, consumer_map, disjoint_union,
+                           mirror, parse_diagram, render_diagram, sublink,
+                           validate)
+from lzero.errors import DiagramStructureError, ExpansionError
+from lzero.invariants import (InvariantTuple, arf, component_pairs,
+                              component_triples, invariant_tuple,
+                              sato_levine)
 from lzero.milnor import (linking_number, linking_numbers, longitude_series,
                           magnus_expand, triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import corpus, euler_ok, random_class, random_walk
+from util import (corpus, euler_ok, longitude_reference,
+                  magnus_expand_reference, random_class, random_code,
+                  random_walk, walked_hosts)
 
 
 def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):
@@ -107,16 +113,91 @@ def test_battery_expands_each_pair_once(monkeypatch):
     rng = random.Random(37)
     built = [representative(random_class(rng, m, b_bound=1))
              for m in range(2, 7)]
-    counts = _count_calls(monkeypatch, wirtinger, magnus_expand, sublink)
+    counts = _count_calls(monkeypatch, wirtinger, magnus_expand, sublink,
+                          component_cycles, consumer_map)
     for d in built:
         counts.update(dict.fromkeys(counts, 0))
         invariant_tuple(d)
+        # one walk of the diagram serves Arf and the presentation
         assert counts == {"wirtinger": 1,
                           "magnus_expand": d.m * (d.m - 1) // 2,
-                          "sublink": 0}, d.m
+                          "sublink": 0, "component_cycles": 1,
+                          "consumer_map": 1}, d.m
         for t in itertools.permutations(range(1, d.m + 1), 3):
             triple_linking(d, *t)
         assert counts["sublink"] == 0, d.m
+
+
+def _expansion_verdict(expand, pres, i, j):
+    try:
+        return expand(pres, i, j), None
+    except ExpansionError as exc:
+        return None, str(exc)
+
+
+def _kernel_hosts():
+    """Walked hosts, representatives with m 2-6 and their R1-R3 walks,
+    one with a free loop, and random valid codes of 1-7 crossings."""
+    yield from walked_hosts(3)
+    rng = random.Random(38)
+    for m in range(2, 7):
+        d = representative(random_class(rng, m, b_bound=1))
+        yield d
+        yield from (w for _, w in random_walk(
+            d, rng, 6, max_crossings=len(d.crossings) + 4))
+    yield disjoint_union(d, fixtures.load("unknot"))
+    for _ in range(600):
+        yield random_code(rng, rng.randint(1, 7))
+
+
+def test_kernel_matches_the_general_algebra():
+    # every series, longitude and closing verdict of the (u, v) kernel,
+    # and the battery read from them, against the full 6-tuple products
+    verdicts = {"values": 0, "refused": 0, "odd": 0, "pair refused": 0}
+    for d in _kernel_hosts():
+        pres = wirtinger(d)
+        for i, j in itertools.permutations(range(1, d.m + 1), 2):
+            got, err = _expansion_verdict(magnus_expand, pres, i, j)
+            want, want_err = _expansion_verdict(magnus_expand_reference,
+                                                pres, i, j)
+            assert err == want_err, (render_diagram(d), i, j)
+            if err:
+                verdicts["pair refused"] += 1
+                got = magnus_expand(pres, i, j, require_exact=False)
+                want = magnus_expand_reference(pres, i, j, False)
+            assert dict(got) == want, (render_diagram(d), i, j)
+            for k in range(1, d.m + 1):
+                assert longitude_series(pres, got, k) == \
+                    longitude_reference(pres, want, k), (i, j, k)
+        try:
+            t = invariant_tuple(d)
+        except DiagramStructureError:
+            verdicts["odd"] += 1
+            continue
+        except ExpansionError as exc:
+            t = str(exc)
+        assert t == _reference_battery(d, pres), render_diagram(d)
+        verdicts["refused" if isinstance(t, str) else "values"] += 1
+    assert verdicts["refused"] >= 10, verdicts
+    assert min(verdicts["values"], verdicts["pair refused"]) >= 100, verdicts
+
+
+def _reference_battery(d, pres):
+    """``invariant_tuple`` read from the general algebra, or the text
+    of the first closing defect in lex order."""
+    linking = dict(linking_numbers(d))
+    arfs = tuple(arf(d, c) for c in range(1, d.m + 1))
+    if any(linking.values()):
+        return InvariantTuple(d.m, linking, arfs, None, None)
+    triple, sato = {}, {}
+    for i, j in component_pairs(d.m):
+        series, err = _expansion_verdict(magnus_expand_reference, pres, i, j)
+        if err:
+            return err
+        sato[i, j] = -longitude_reference(pres, series, j)[5]
+        for k in range(j + 1, d.m + 1):
+            triple[i, j, k] = longitude_reference(pres, series, k)[4]
+    return InvariantTuple(d.m, linking, arfs, triple, sato)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
