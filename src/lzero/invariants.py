@@ -17,9 +17,8 @@ Four layers, in order of the information they carry:
 No layer cuts out a sublink or runs the skein engine.
 ``invariant_tuple`` computes the whole battery once, from one walk of
 the diagram; ``classify`` and ``is_zero_solvable`` read from the same
-computation.  The last two
-layers are ``None`` whenever some pairwise linking number is nonzero,
-since they are undefined there.
+computation.  The last two layers are ``None`` whenever some pairwise
+linking number is nonzero, since they are undefined there.
 """
 
 from __future__ import annotations

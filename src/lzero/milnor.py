@@ -198,9 +198,6 @@ class _PairSeries(Mapping):
             return (1, 1, 0, 0, us[t], vs[t])
         return (1, 0, 1, 0, us[t], vs[t])
 
-    def __contains__(self, g):
-        return self._comp.get(g) in self.runs
-
     def __iter__(self):
         return (g for g, c in self._comp.items() if c in self.runs)
 
