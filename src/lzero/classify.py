@@ -36,7 +36,7 @@ from .diagram import LinkDiagram
 from .errors import DiagramParseError, NotClassifiableError
 from .invariants import (InvariantTuple, battery, component_pairs,
                          component_triples)
-from .milnor import linking_numbers
+from .milnor import wirtinger
 
 __all__ = [
     "ZeroSolveClass",
@@ -122,14 +122,15 @@ def class_order(g: ZeroSolveClass):
 def _classifiable_battery(d: LinkDiagram) -> InvariantTuple:
     """The battery; refuses at the first nonzero linking number in lex
     order, before any expansion."""
+    pres = wirtinger(d)
     linking = {}
-    for (i, j), v in linking_numbers(d):
+    for (i, j), v in pres.linking():
         if v != 0:
             raise NotClassifiableError(
                 f"not classifiable: lk(K_{i},K_{j})={v}",
                 pair=(i, j), linking=v)
         linking[i, j] = v
-    return battery(d, linking)
+    return battery(pres, linking)
 
 
 def classify(d: LinkDiagram) -> ZeroSolveClass:

@@ -2,10 +2,11 @@
 
 Four layers, in order of the information they carry:
 
-* pairwise linking numbers, all from one scan over the crossings;
+* pairwise linking numbers, all from the signed pair totals that the
+  walk building the presentation also gives;
 * the Arf invariant of each component knot: its degree-two Conway
   coefficient mod 2, read as a Gauss-diagram count on the component's
-  Gauss word, which the walk that builds the presentation also gives;
+  Gauss word, which the same walk gives;
 * triple linking numbers for every component triple, defined only when
   all pairwise linking numbers vanish: mubar(ijk) for every k > j is
   read from the two-letter, degree-three expansion of the pair (i, j)
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram, consumer_map, gauss_word
 from .errors import InvariantUndefinedError
-from .milnor import (linking_number, linking_numbers, longitude_series,
-                     magnus_expand, wirtinger)
+from .milnor import (WirtingerPresentation, linking_number,
+                     longitude_series, magnus_expand, wirtinger)
 
 __all__ = [
     "arf",
@@ -49,9 +50,8 @@ def component_triples(m: int):
     return list(itertools.combinations(range(1, m + 1), 3))
 
 
-def _gauss_arf(d: LinkDiagram, word) -> int:
+def _gauss_arf(crs, word) -> int:
     """Arf invariant of a component from its Gauss word (see ``arf``)."""
-    crs = d.crossings
     pos = {passage: p for p, passage in enumerate(word)}
     a2 = 0
     for (a, level), ua in pos.items():
@@ -78,7 +78,7 @@ def arf(d: LinkDiagram, comp: int) -> int:
                 default=None)
     if start is None:
         return 0
-    return _gauss_arf(d, gauss_word(d, consumer_map(d), start))
+    return _gauss_arf(d.crossings, gauss_word(d, consumer_map(d), start))
 
 
 def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
@@ -111,22 +111,25 @@ class InvariantTuple:
 
 
 def invariant_tuple(d: LinkDiagram) -> InvariantTuple:
-    return battery(d, dict(linking_numbers(d)))
-
-
-def battery(d: LinkDiagram, linking) -> InvariantTuple:
-    """The battery, given every pairwise linking number of ``d``."""
     pres = wirtinger(d)
-    arfs = tuple(_gauss_arf(d, pres.gauss[c]) for c in range(1, d.m + 1))
+    return battery(pres, dict(pres.linking()))
+
+
+def battery(pres: WirtingerPresentation, linking) -> InvariantTuple:
+    """The battery of a diagram's presentation, given every pairwise
+    linking number."""
+    m = pres.m
+    arfs = tuple(_gauss_arf(pres.crossings, pres.gauss[c])
+                 for c in range(1, m + 1))
     if any(v != 0 for v in linking.values()):
-        return InvariantTuple(d.m, linking, arfs, None, None)
+        return InvariantTuple(m, linking, arfs, None, None)
     triple, sato = {}, {}
-    for i, j in component_pairs(d.m):
+    for i, j in component_pairs(m):
         series = magnus_expand(pres, i, j)
         sato[i, j] = -longitude_series(pres, series, j)[5]
-        for k in range(j + 1, d.m + 1):
+        for k in range(j + 1, m + 1):
             triple[i, j, k] = longitude_series(pres, series, k)[4]
-    return InvariantTuple(d.m, linking, arfs, triple, sato)
+    return InvariantTuple(m, linking, arfs, triple, sato)
 
 
 def render_invariants(t: InvariantTuple) -> str:

@@ -6,6 +6,18 @@ underpass generator leaving a crossing is the one entering it
 conjugated by the overpass generator, with exponent given by the
 crossing sign.
 
+``wirtinger`` walks each component once, from its lowest arc, counting
+underpasses as it goes: every over passage notes its component and
+raw segment (the underpasses met since the base), and the tail after
+the last underpass folds back into the base overpass.  One pass over
+the underpass letters, one per crossing, then gives everything the
+battery reads: each letter's step (position, overpass component,
+overpass segment, sign), the self-writhes, every pair's signed
+crossing total (twice the linking number) and each component's Gauss
+word.  The generator-level views that only checks and listings need
+(``relations``, ``letters``, ``arc_class``, ``class_comp``,
+``segment``) are built on demand from the same data.
+
 Every invariant here is a coefficient of a longitude in one algebra:
 power series in two non-commuting variables ``h_i, h_j`` (for a chosen
 pair of components i, j), truncated to the words ``()``, ``i``, ``j``,
@@ -65,8 +77,9 @@ import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .diagram import LinkDiagram, component_cycles, consumer_map, gauss_word
+from .diagram import LinkDiagram, consumer_map
 from .errors import (DiagramStructureError, ExpansionError,
                      InvariantUndefinedError)
 
@@ -86,95 +99,193 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WirtingerPresentation:
-    """Overpass generators, crossing relations and longitude data.
+    """Overpass generators and the letters met along each component.
 
-    Generators are named by the first arc of their overpass in walk
+    A generator is named by the first arc of its overpass in walk
     order; a component's base overpass, which holds its lowest arc, is
-    named by that arc.  ``relations`` lists, in walk order, tuples
-    ``(target, source, over, sign)``: target = over^sign source
-    over^-sign.  ``letters[comp]`` is the sequence of (overpass, sign)
-    met at the component's underpasses, again in walk order, and
-    ``gauss[comp]`` its self-crossing passages (crossing index,
-    'under'|'over').
+    named by that arc.  ``gens[comp]`` lists the component's generators
+    in walk order from the base, so a generator's place in that list is
+    its *segment*, the number of underpasses from the base to it.
 
-    Derived on construction: ``segment[g]``, the number of underpasses
-    from the base of g's component to g (0 for the base), and
-    ``steps[comp, other]``, the letters of ``comp`` whose overpass lies
-    on ``other``, as (position, other, overpass segment, sign).
+    ``steps[comp, other]`` lists the letters of ``comp`` whose overpass
+    lies on ``other``, in walk order, as (position among the
+    component's letters, other, overpass segment, sign).  ``writhe``
+    holds each component's self-writhe, ``gauss[comp]`` its
+    self-crossing passages (crossing index, 'under'|'over') in walk
+    order from its base, and ``totals[i, j]`` the signed count of
+    crossings between components i < j, in lex order.  ``under[comp]``
+    lists the crossings (0-based) met at the component's underpasses,
+    in walk order, and ``crossings`` is the diagram's.
+
+    Derived on demand: ``class_comp`` (generator -> component),
+    ``base_class``, ``segment`` (generator -> segment), ``letters[comp]``
+    (the (overpass generator, sign) met at the component's underpasses),
+    ``relations`` (in walk order, ``(target, source, over, sign)``:
+    target = over^sign source over^-sign) and ``arc_class``
+    (arc -> generator).
     """
 
     m: int
-    arc_class: dict[int, int]
-    class_comp: dict[int, int]
-    base_class: dict[int, int]
-    relations: tuple[tuple[int, int, int, int], ...]
-    letters: dict[int, tuple[tuple[int, int], ...]]
+    gens: dict[int, list[int]]
+    steps: dict[tuple[int, int], list]
     writhe: dict[int, int]
-    gauss: dict[int, tuple[tuple[int, str], ...]] = field(default_factory=dict)
-    segment: dict[int, int] = field(init=False, repr=False, compare=False)
-    steps: dict[tuple[int, int], list] = field(init=False, repr=False,
-                                               compare=False)
+    gauss: dict[int, tuple[tuple[int, str], ...]]
+    totals: dict[tuple[int, int], int]
+    under: dict[int, list[int]] = field(default_factory=dict, repr=False,
+                                        compare=False)
+    crossings: tuple = field(default=(), repr=False, compare=False)
 
-    def __post_init__(self):
-        segment = dict.fromkeys(self.base_class.values(), 0)
-        for tgt, src, _, _ in self.relations:
-            segment.setdefault(tgt, segment[src] + 1)
-        steps: dict[tuple[int, int], list] = {}
-        for comp, word in self.letters.items():
-            for k, (over, sign) in enumerate(word):
-                other = self.class_comp[over]
-                steps.setdefault((comp, other), []).append(
-                    (k, other, segment[over], sign))
-        object.__setattr__(self, "segment", segment)
-        object.__setattr__(self, "steps", steps)
+    @cached_property
+    def class_comp(self) -> dict[int, int]:
+        return {g: c for c, gens in self.gens.items() for g in gens}
+
+    @cached_property
+    def base_class(self) -> dict[int, int]:
+        return {c: gens[0] for c, gens in self.gens.items()}
+
+    @cached_property
+    def segment(self) -> dict[int, int]:
+        return {g: s for gens in self.gens.values()
+                for s, g in enumerate(gens)}
+
+    @cached_property
+    def letters(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        word = {c: [] for c in range(1, self.m + 1)}
+        for (c, other), steps in self.steps.items():
+            gens = self.gens[other]
+            word[c] += ((k, gens[s], sign) for k, _, s, sign in steps)
+        return {c: tuple((g, sign) for _, g, sign in sorted(w))
+                for c, w in word.items()}
+
+    @cached_property
+    def relations(self) -> tuple[tuple[int, int, int, int], ...]:
+        relations = []
+        for c, gens in self.gens.items():
+            letters = self.letters[c]
+            relations += ((gens[(k + 1) % len(gens)], gens[k], over, sign)
+                          for k, (over, sign) in enumerate(letters))
+        return tuple(relations)
+
+    @cached_property
+    def arc_class(self) -> dict[int, int]:
+        crs, arc_class = self.crossings, {}
+        for c, under in self.under.items():
+            gens = self.gens[c]
+            for k, idx in enumerate(under):
+                arc_class[crs[idx].under_in] = gens[k]
+        for (c, other), steps in self.steps.items():
+            gens = self.gens[other]
+            for k, _, s, _ in steps:
+                arc_class[crs[self.under[c][k]].over_in] = gens[s]
+        return arc_class
 
     def generators(self) -> list[int]:
-        return sorted(set(self.arc_class.values()))
+        return sorted(self.class_comp)
+
+    def linking(self):
+        """Yield ``((i, j), lk)`` for every pair i < j in lex order.  An
+        odd signed total raises :class:`DiagramStructureError` only once
+        its pair is reached."""
+        for (i, j), total in self.totals.items():
+            yield (i, j), _half(i, j, total)
 
 
 def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
-    comp_of, crs, cons = d.arc_components, d.crossings, consumer_map(d)
-    comps = range(1, d.m + 1)
-    arc_class: dict[int, int] = {}
-    class_comp: dict[int, int] = {}
-    base_class: dict[int, int] = {}
-    relations: list[tuple[int, int, int, int]] = []
-    letters = {c: () for c in comps}
-    gauss = {c: () for c in comps}
-    writhe = dict.fromkeys(comps, 0)
+    """The presentation of a valid diagram, from one walk per component.
 
+    Each component (a valid diagram has one circle per component, free
+    loops aside) is walked once from its lowest arc, counting
+    underpasses as it goes; every over passage records its component
+    and raw segment, and the tail after the last underpass belongs to
+    the base overpass (segment 0).  One pass over the underpass letters,
+    one per crossing, then gives the steps, self-writhes, pair totals
+    and Gauss words.
+    """
+    comp_of, crs, m = d.arc_components, d.crossings, d.m
+    cons = consumer_map(d)
+    bases: dict[int, int] = {}
+    walked = m - len(set(d.free_loops))
+    for arc in sorted(comp_of):
+        if comp_of[arc] not in bases:
+            bases[comp_of[arc]] = arc
+            if len(bases) == walked:
+                break
+
+    # starts[r] is the first arc of raw segment r: the base, then the
+    # arc leaving each underpass
+    over_seg = [0] * len(crs)
+    over_comp = [0] * len(crs)
+    count = [0] * (m + 1)
     walks = []
-    for cyc in component_cycles(d):
-        # Walk from the head of the base overpass, just past the last
-        # underpass; each underpass starts the next overpass.
-        p = len(cyc)
-        while p and cons[cyc[p - 1]][1] != "under":
-            p -= 1
-        g, under = cyc[0], []
-        for arc in cyc[p:] + cyc[:p]:
-            arc_class[arc] = g
+    for c, base in bases.items():
+        under, starts = [], [base]
+        s, arc = 0, base
+        while True:
             idx, level = cons[arc]
             if level == "under":
-                under.append(crs[idx])
-                g = crs[idx].under_out
-        walks.append((cyc[0], under))
-        gauss[comp_of[cyc[0]]] = gauss_word(d, cons, cyc[0])
+                under.append(idx)
+                arc = crs[idx].under_out
+                starts.append(arc)
+                s += 1
+            else:
+                over_seg[idx] = s
+                over_comp[idx] = c
+                arc = crs[idx].over_out
+            if arc == base:
+                break
+        count[c] = s
+        walks.append((c, starts, under))
 
-    for base, under in walks:
-        comp = comp_of[base]
-        base_class[comp] = base
-        gens = [base] + [cr.under_out for cr in under[:-1]]
-        class_comp.update(dict.fromkeys(gens, comp))
-        overs = [arc_class[cr.over_in] for cr in under]
-        signs = [cr.sign for cr in under]
-        relations += zip(gens[1:] + gens[:1], gens, overs, signs)
-        letters[comp] = tuple(zip(overs, signs))
-        writhe[comp] = sum(cr.sign for cr in under
-                           if comp_of[cr.over_in] == comp)
+    gens, steps, under_of = {}, {}, {}
+    rows = {c: [0] * (m + 1) for c in range(1, m + 1)}
+    gauss = {c: () for c in range(1, m + 1)}
+    for c, starts, under in walks:
+        # the last raw segment, the tail, belongs to the base overpass
+        gens[c], under_of[c], row = starts[:-1] or starts, under, rows[c]
+        runs = [[] for _ in range(m + 1)]
+        for k, idx in enumerate(under):
+            other, s = over_comp[idx], over_seg[idx]
+            if s == count[other]:
+                s = 0
+            sign = crs[idx].sign
+            row[other] += sign
+            runs[other].append((k, other, s, sign))
+        for other, run in enumerate(runs):
+            if run:
+                steps[c, other] = run
+        if runs[c]:
+            gauss[c] = _gauss_word(cons, crs, starts, under, over_seg,
+                                   runs[c])
 
-    return WirtingerPresentation(
-        d.m, arc_class, class_comp, base_class, tuple(relations), letters,
-        writhe, gauss)
+    totals = {(i, j): rows[i][j] + rows[j][i]
+              for i, j in itertools.combinations(range(1, m + 1), 2)}
+    writhe = {c: rows[c][c] for c in range(1, m + 1)}
+    return WirtingerPresentation(m, gens, steps, writhe, gauss, totals,
+                                 under_of, crs)
+
+
+def _gauss_word(cons, crs, starts, under, over_seg, own):
+    """A component's self-crossing passages in walk order from its base,
+    given its self letters ``own``: underpass k comes after the over
+    passages of raw segment k, and over passages that share a raw
+    segment are put in order by walking that overpass."""
+    overs: dict[int, list[int]] = {}
+    for k, *_ in own:
+        overs.setdefault(over_seg[under[k]], []).append(under[k])
+    for r, group in overs.items():
+        if len(group) > 1:
+            members, order, arc = set(group), [], starts[r]
+            while len(order) < len(group):
+                idx = cons[arc][0]
+                if idx in members:
+                    order.append(idx)
+                arc = crs[idx].over_out
+            overs[r] = order
+    events = [((k, 1), (under[k], "under")) for k, *_ in own]
+    for r, group in overs.items():
+        events += (((r, 0), (idx, "over")) for idx in group)
+    events.sort(key=lambda e: e[0])
+    return tuple(passage for _, passage in events)
 
 
 class _PairSeries(Mapping):
@@ -185,21 +296,21 @@ class _PairSeries(Mapping):
     steps before s."""
 
     def __init__(self, pres: WirtingerPresentation, pair, runs):
-        self._comp, self._segment = pres.class_comp, pres.segment
-        self.pair, self.runs = pair, runs
+        self._pres, self.pair, self.runs = pres, pair, runs
 
     def __getitem__(self, g):
-        c = self._comp.get(g)
+        c = self._pres.class_comp.get(g)
         if c not in self.runs:
             raise KeyError(g)
         at, us, vs = self.runs[c]
-        t = bisect_left(at, self._segment[g])
+        t = bisect_left(at, self._pres.segment[g])
         if c == self.pair[0]:
             return (1, 1, 0, 0, us[t], vs[t])
         return (1, 0, 1, 0, us[t], vs[t])
 
     def __iter__(self):
-        return (g for g, c in self._comp.items() if c in self.runs)
+        return (g for c, gens in self._pres.gens.items() if c in self.runs
+                for g in gens)
 
     def __len__(self):
         return sum(1 for _ in self)
@@ -269,15 +380,15 @@ def longitude_series(pres: WirtingerPresentation, series: _PairSeries,
         a, aa = -w, w * (w + 1) // 2
     elif comp == j:  # (1 + h_j)^-w, truncated
         b = -w
+    (at_i, us_i, vs_i), (at_j, us_j, vs_j) = runs[i], runs[j]
     steps = pres.steps
     for k, other, s, sign in sorted(steps.get((comp, i), []) +
                                     steps.get((comp, j), [])):
-        at, us, vs = runs[other]
-        t = bisect_left(at, s)
-        u, v = us[t], vs[t]
         # multiply by o^sign on the left: o = (1, 1, 0, 0, u, v) on i,
         # (1, 0, 1, 0, u, v) on j, and o^-1 as in the module docstring
         if other == i:
+            t = bisect_left(at_i, s)
+            u, v = us_i[t], vs_i[t]
             if sign > 0:
                 aab += v + ab
                 ab += u + b
@@ -288,26 +399,15 @@ def longitude_series(pres: WirtingerPresentation, series: _PairSeries,
                 aa += 1 - a
             a += sign
         else:
-            aab += sign * v
-            ab += sign * u
+            t = bisect_left(at_j, s)
+            aab += sign * vs_j[t]
+            ab += sign * us_j[t]
             b += sign
     return (1, a, b, aa, ab, aab)
 
 
 # ---------------------------------------------------------------------------
 # the invariants
-
-
-def _pair_totals(d: LinkDiagram) -> dict[tuple[int, int], int]:
-    """Signed crossing count of every component pair i < j, in lex
-    order, from one scan over the crossings."""
-    totals = {p: 0 for p in itertools.combinations(range(1, d.m + 1), 2)}
-    comp = d.arc_components
-    for cr in d.crossings:
-        a, b = comp[cr.under_in], comp[cr.over_in]
-        if a != b:
-            totals[min(a, b), max(a, b)] += cr.sign
-    return totals
 
 
 def _half(i: int, j: int, total: int) -> int:
@@ -318,22 +418,18 @@ def _half(i: int, j: int, total: int) -> int:
     return total // 2
 
 
-def linking_numbers(d: LinkDiagram):
-    """Yield ``((i, j), lk)`` for every pair i < j in lex order, from
-    one scan over the crossings.  An odd signed total raises
-    :class:`DiagramStructureError` only once its pair is reached."""
-    for (i, j), total in _pair_totals(d).items():
-        yield (i, j), _half(i, j, total)
-
-
 def linking_number(d: LinkDiagram, i: int, j: int) -> int:
-    """Half the signed count of crossings between components i and j."""
+    """Half the signed count of crossings between components i and j,
+    from one scan over the crossings."""
     if i == j:
         raise ValueError("linking number needs two distinct components")
     for c in (i, j):
         if not 1 <= c <= d.m:
             raise ValueError(f"component {c} out of range 1..{d.m}")
-    return _half(i, j, _pair_totals(d)[min(i, j), max(i, j)])
+    comp, pairs = d.arc_components, ((i, j), (j, i))
+    total = sum(cr.sign for cr in d.crossings
+                if (comp[cr.under_in], comp[cr.over_in]) in pairs)
+    return _half(min(i, j), max(i, j), total)
 
 
 def _permutation_sign(seq) -> int:
@@ -359,15 +455,14 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
     bad = [x for x in ordered if not 1 <= x <= d.m]
     if bad:
         raise ValueError(f"components out of range 1..{d.m}: {bad}")
-    totals = _pair_totals(d)
+    pres = wirtinger(d)
     pairs = ((a, b), (a, c), (b, c))
     for p, q in pairs:
-        lk = _half(p, q, totals[p, q])
+        lk = _half(p, q, pres.totals[p, q])
         if lk != 0:
             raise InvariantUndefinedError(
                 f"triple linking undefined: lk(K_{p},K_{q})={lk}",
                 pair=(p, q), linking=lk)
-    pres = wirtinger(d)
     # The value needs only (a, b), but each pair's closing check covers
     # relations the others do not, and a non-planar code must not get a
     # value.

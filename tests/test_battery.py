@@ -26,12 +26,12 @@ from lzero.errors import DiagramStructureError, ExpansionError
 from lzero.invariants import (InvariantTuple, arf, component_pairs,
                               component_triples, invariant_tuple,
                               sato_levine)
-from lzero.milnor import (linking_number, linking_numbers, longitude_series,
-                          magnus_expand, triple_linking, wirtinger)
+from lzero.milnor import (linking_number, longitude_series, magnus_expand,
+                          triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import (corpus, euler_ok, longitude_reference,
-                  magnus_expand_reference, random_class, random_code,
-                  random_walk, walked_hosts)
+from util import (_pair_totals, corpus, euler_ok, linking_numbers,
+                  longitude_reference, magnus_expand_reference,
+                  random_class, random_code, random_walk, walked_hosts)
 
 
 def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):
@@ -114,15 +114,19 @@ def test_battery_expands_each_pair_once(monkeypatch):
     built = [representative(random_class(rng, m, b_bound=1))
              for m in range(2, 7)]
     counts = _count_calls(monkeypatch, wirtinger, magnus_expand, sublink,
-                          component_cycles, consumer_map)
+                          component_cycles, consumer_map, _pair_totals,
+                          linking_number)
     for d in built:
-        counts.update(dict.fromkeys(counts, 0))
-        invariant_tuple(d)
-        # one walk of the diagram serves Arf and the presentation
-        assert counts == {"wirtinger": 1,
-                          "magnus_expand": d.m * (d.m - 1) // 2,
-                          "sublink": 0, "component_cycles": 1,
-                          "consumer_map": 1}, d.m
+        for run in (invariant_tuple, classify):
+            counts.update(dict.fromkeys(counts, 0))
+            run(d)
+            # one walk of the diagram serves Arf, the presentation and
+            # every linking number; no cycle listing, no crossing scan
+            assert counts == {"wirtinger": 1,
+                              "magnus_expand": d.m * (d.m - 1) // 2,
+                              "sublink": 0, "component_cycles": 0,
+                              "consumer_map": 1, "_pair_totals": 0,
+                              "linking_number": 0}, (run.__name__, d.m)
         for t in itertools.permutations(range(1, d.m + 1), 3):
             triple_linking(d, *t)
         assert counts["sublink"] == 0, d.m

@@ -1,13 +1,19 @@
 """End-to-end command line behavior: text, JSON, exit codes, color."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lzero
 from lzero import fixtures
@@ -15,6 +21,7 @@ from lzero.cli import main
 from lzero.classify import parse_class
 from lzero.construct import band_clasp_diagram, braid_closure
 from lzero.diagram import parse_diagram, render_diagram
+from util import presentation_reference, random_code
 
 
 @pytest.fixture
@@ -381,3 +388,52 @@ def test_calls_in_one_process_match_fresh_runs(fx, capsys, tmp_path):
     assert in_process == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
     assert target.read_text(encoding="utf-8") == "stale\n"
+
+
+# ---------------------------------------------------------------------------
+# The battery's subcommands on random valid codes, against the same
+# commands with the presentation and its pair totals built by the
+# multi-pass reference and the crossing scan.  Most such codes are not
+# planar, so the odd-total and linking refusals are exercised often.
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # anything but an LZeroError propagates here
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def _reference_presentation():
+    modules = [sys.modules["lzero.invariants"], sys.modules["lzero.classify"]]
+    saved = [module.wirtinger for module in modules]
+    for module in modules:
+        module.wirtinger = presentation_reference
+    try:
+        yield
+    finally:
+        for module, walk in zip(modules, saved):
+            module.wirtinger = walk
+
+
+@given(seed=st.integers(0, 2**32 - 1), crossings=st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_battery_commands_on_random_codes(seed, crossings):
+    d = random_code(random.Random(seed), crossings)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.lz")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_diagram(d))
+        for command in ("invariants", "classify", "solvable"):
+            for flags in ([], ["--json"]):
+                argv = [command, *flags, path]
+                code, out, err = got = _outcome(argv)
+                assert code in (0, 1, 2), (argv, got)
+                if code:
+                    assert out == "" and err.startswith("error: ")
+                    assert err.count("\n") == 1, (argv, got)
+                else:
+                    assert err == "", (argv, got)
+                with _reference_presentation():
+                    assert _outcome(argv) == got, (argv, render_diagram(d))

@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+
 from lzero import fixtures
+from lzero.classify import representative
 from lzero.construct import braid_closure, build_from_gadgets
-from lzero.diagram import disjoint_union, mirror
+from lzero.diagram import disjoint_union, mirror, render_diagram
 from lzero.errors import (DiagramStructureError, ExpansionError,
                           InvariantUndefinedError)
 from lzero.milnor import (WirtingerPresentation, linking_number,
                           longitude_series, magnus_expand, triple_linking,
                           wirtinger)
-from util import _inv2, _mul2
+from util import (_inv2, _mul2, _pair_totals, random_class, random_code,
+                  random_walk, walked_hosts, wirtinger_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +75,8 @@ def test_product_is_associative(x, y, z):
 def test_power_matches_repeated_multiplication(w):
     # a component with self-writhe w and no letters: its longitude is
     # the framing factor alone, the meridian to the power -w
-    pres = WirtingerPresentation(2, {}, {10: 1, 20: 2}, {1: 10, 2: 20}, (),
-                                 {1: (), 2: ()}, {1: w, 2: w})
+    pres = WirtingerPresentation(2, {1: [10], 2: [20]}, {}, {1: w, 2: w},
+                                 {1: (), 2: ()}, {(1, 2): 0})
     series = magnus_expand(pres, 1, 2)
     assert dict(series) == {10: H_I, 20: H_J}
     for comp, mer in ((1, H_I), (2, H_J)):
@@ -94,6 +98,47 @@ def test_wirtinger_shape():
         pres = wirtinger(d)
         assert len(pres.generators()) == len(d.arcs()) - len(d.crossings), name
         assert len(pres.relations) == len(d.crossings), name
+
+
+def _presentation_hosts():
+    """Walked hosts, representatives with m 1-8 and their R1-R3 walks,
+    one with a free-loop component, and random valid codes of 1-8
+    crossings."""
+    yield from walked_hosts(3)
+    rng = random.Random(39)
+    for m in range(1, 9):
+        d = representative(random_class(rng, m, b_bound=1))
+        yield d
+        yield from (w for _, w in random_walk(
+            d, rng, 5, max_crossings=len(d.crossings) + 4))
+    yield disjoint_union(d, fixtures.load("unknot"))
+    for _ in range(600):
+        yield random_code(rng, rng.randint(1, 8))
+
+
+_ATTRIBUTES = ("arc_class", "class_comp", "base_class", "relations",
+               "letters", "writhe", "gauss", "segment", "steps")
+
+
+def test_one_walk_matches_the_multi_pass_presentation():
+    # every attribute of the one-walk presentation, the views built on
+    # demand included, against the cycle / consumer / Gauss-word passes,
+    # and every pair total against a plain scan of the crossings
+    seen = {"hosts": 0, "free loops": 0, "odd totals": 0, "m": set()}
+    for d in _presentation_hosts():
+        pres, want = wirtinger(d), wirtinger_reference(d)
+        for name in _ATTRIBUTES:
+            assert getattr(pres, name) == getattr(want, name), \
+                (name, render_diagram(d))
+        assert pres.generators() == want.generators(), render_diagram(d)
+        totals = _pair_totals(d)
+        assert pres.totals == totals and list(pres.totals) == list(totals)
+        seen["hosts"] += 1
+        seen["free loops"] += bool(d.free_loops)
+        seen["odd totals"] += any(t % 2 for t in totals.values())
+        seen["m"].add(d.m)
+    assert seen["hosts"] >= 700 and seen["free loops"] >= 1, seen
+    assert seen["odd totals"] >= 100 and set(range(1, 9)) <= seen["m"], seen
 
 
 def test_wirtinger_handles_free_loops():

@@ -43,3 +43,22 @@ def test_tracer_counts_faces_and_site_listing():
     assert counts["diagram.faces_calls"] > 0
     assert counts["moves.sites_found"] == sum(
         len(moves.enumerate_sites(d, kind)) for kind in ("R2+", "R2-"))
+
+
+def test_tracer_reaches_the_battery_walk_and_expansions():
+    """``classify`` reaches ``milnor.wirtinger`` once and
+    ``milnor.magnus_expand`` once per pair through bindings the tracer
+    wraps, so ``--trace 1`` attributes the walk and the expansions."""
+    classify = importlib.import_module("lzero.classify")
+    d = fixtures.load("borromean")
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        classify.classify(d)
+    finally:
+        tracer.uninstall()
+    counts = tracer.summary()
+    assert counts["classify.classify_calls"] == 1
+    assert counts["milnor.wirtinger_calls"] == 1
+    assert counts["milnor.magnus_expand_calls"] == d.m * (d.m - 1) // 2
+    assert counts["milnor.linking_number_calls"] == 0

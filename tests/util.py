@@ -1,12 +1,15 @@
 """Shared test helpers: the small-diagram corpus, the planarity check,
 a seeded random-move walker, random valid codes, class projection for
 sublink tests, the plain move-site formatter, the skein recursion that
-checks the Conway engine, and the general two-letter Magnus algebra
-that checks the battery's (u, v) kernel."""
+checks the Conway engine, the multi-pass Wirtinger builder and the
+crossing scan that check the presentation's one walk and its pair
+totals, and the general two-letter Magnus algebra that checks the
+battery's (u, v) kernel."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from lzero import fixtures
@@ -15,8 +18,9 @@ from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
 from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
                            consumer_map, crossing_graph_parts,
-                           disjoint_union, faces, mirror, validate)
-from lzero.errors import ExpansionError
+                           disjoint_union, faces, gauss_word, mirror,
+                           validate)
+from lzero.errors import DiagramStructureError, ExpansionError
 from lzero.invariants import component_pairs, component_triples
 from lzero.milnor import WirtingerPresentation
 from lzero.moves import MoveSite, apply_move, enumerate_sites
@@ -270,3 +274,122 @@ def longitude_reference(pres: WirtingerPresentation, series: dict,
         if o is not None:
             out = _mul2(o if sign > 0 else _inv2(o), out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The presentation by several passes over the arcs: the cycles, the
+# consumer of every arc, the overpass cut from just past each
+# component's last underpass, a separate Gauss-word walk, and segments
+# and steps re-derived from the relations and letters.  The production
+# route walks each component once; this is what it must agree with.
+
+
+@dataclass(frozen=True)
+class ReferencePresentation:
+    m: int
+    arc_class: dict[int, int]
+    class_comp: dict[int, int]
+    base_class: dict[int, int]
+    relations: tuple[tuple[int, int, int, int], ...]
+    letters: dict[int, tuple[tuple[int, int], ...]]
+    writhe: dict[int, int]
+    gauss: dict[int, tuple[tuple[int, str], ...]]
+    segment: dict[int, int] = field(init=False)
+    steps: dict[tuple[int, int], list] = field(init=False)
+
+    def __post_init__(self):
+        segment = dict.fromkeys(self.base_class.values(), 0)
+        for tgt, src, _, _ in self.relations:
+            segment.setdefault(tgt, segment[src] + 1)
+        steps: dict[tuple[int, int], list] = {}
+        for comp, word in self.letters.items():
+            for k, (over, sign) in enumerate(word):
+                other = self.class_comp[over]
+                steps.setdefault((comp, other), []).append(
+                    (k, other, segment[over], sign))
+        object.__setattr__(self, "segment", segment)
+        object.__setattr__(self, "steps", steps)
+
+    def generators(self) -> list[int]:
+        return sorted(set(self.arc_class.values()))
+
+
+def wirtinger_reference(d: LinkDiagram) -> ReferencePresentation:
+    comp_of, crs, cons = d.arc_components, d.crossings, consumer_map(d)
+    comps = range(1, d.m + 1)
+    arc_class: dict[int, int] = {}
+    class_comp: dict[int, int] = {}
+    base_class: dict[int, int] = {}
+    relations: list[tuple[int, int, int, int]] = []
+    letters = {c: () for c in comps}
+    gauss = {c: () for c in comps}
+    writhe = dict.fromkeys(comps, 0)
+
+    walks = []
+    for cyc in component_cycles(d):
+        # Walk from the head of the base overpass, just past the last
+        # underpass; each underpass starts the next overpass.
+        p = len(cyc)
+        while p and cons[cyc[p - 1]][1] != "under":
+            p -= 1
+        g, under = cyc[0], []
+        for arc in cyc[p:] + cyc[:p]:
+            arc_class[arc] = g
+            idx, level = cons[arc]
+            if level == "under":
+                under.append(crs[idx])
+                g = crs[idx].under_out
+        walks.append((cyc[0], under))
+        gauss[comp_of[cyc[0]]] = gauss_word(d, cons, cyc[0])
+
+    for base, under in walks:
+        comp = comp_of[base]
+        base_class[comp] = base
+        gens = [base] + [cr.under_out for cr in under[:-1]]
+        class_comp.update(dict.fromkeys(gens, comp))
+        overs = [arc_class[cr.over_in] for cr in under]
+        signs = [cr.sign for cr in under]
+        relations += zip(gens[1:] + gens[:1], gens, overs, signs)
+        letters[comp] = tuple(zip(overs, signs))
+        writhe[comp] = sum(cr.sign for cr in under
+                           if comp_of[cr.over_in] == comp)
+
+    return ReferencePresentation(
+        d.m, arc_class, class_comp, base_class, tuple(relations), letters,
+        writhe, gauss)
+
+
+def presentation_reference(d: LinkDiagram) -> WirtingerPresentation:
+    """The production presentation type, filled from
+    :func:`wirtinger_reference` and the crossing scan: the battery read
+    from it is the reference route for the command line."""
+    ref = wirtinger_reference(d)
+    gens = {c: [] for c in ref.base_class}
+    for g in sorted(ref.class_comp, key=ref.segment.get):
+        gens[ref.class_comp[g]].append(g)
+    return WirtingerPresentation(d.m, gens, ref.steps, ref.writhe, ref.gauss,
+                                 _pair_totals(d), crossings=d.crossings)
+
+
+def _pair_totals(d: LinkDiagram) -> dict[tuple[int, int], int]:
+    """Signed crossing count of every component pair i < j, in lex
+    order, from one scan over the crossings."""
+    totals = {p: 0 for p in combinations(range(1, d.m + 1), 2)}
+    comp = d.arc_components
+    for cr in d.crossings:
+        a, b = comp[cr.under_in], comp[cr.over_in]
+        if a != b:
+            totals[min(a, b), max(a, b)] += cr.sign
+    return totals
+
+
+def linking_numbers(d: LinkDiagram):
+    """Yield ``((i, j), lk)`` for every pair i < j in lex order, from
+    one scan over the crossings.  An odd signed total raises
+    :class:`DiagramStructureError` only once its pair is reached."""
+    for (i, j), total in _pair_totals(d).items():
+        if total % 2:
+            raise DiagramStructureError([
+                f"components {i} and {j} cross an odd signed total of "
+                f"{total}; the code does not describe a planar diagram"])
+        yield (i, j), total // 2
