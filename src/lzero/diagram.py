@@ -239,22 +239,6 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
     return cycles
 
 
-def gauss_word(d: LinkDiagram, cons: dict[int, tuple[int, str]],
-               start: int) -> tuple[tuple[int, str], ...]:
-    """The self-crossing passages ``consumer_map`` gives, in the order
-    met walking once around the cycle of arc ``start`` from it."""
-    comp_of, crs = d.arc_components, d.crossings
-    word, arc = [], start
-    while True:
-        idx, level = passage = cons[arc]
-        cr = crs[idx]
-        if comp_of[cr.under_in] == comp_of[cr.over_in]:
-            word.append(passage)
-        arc = cr.under_out if level == "under" else cr.over_out
-        if arc == start:
-            return tuple(word)
-
-
 _MAX_VIOLATIONS = 20
 
 

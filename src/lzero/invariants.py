@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, consumer_map, gauss_word
+from .diagram import LinkDiagram
 from .errors import InvariantUndefinedError
 from .milnor import (WirtingerPresentation, linking_number,
                      longitude_series, magnus_expand, wirtinger)
@@ -66,19 +66,16 @@ def _gauss_arf(crs, word) -> int:
 def arf(d: LinkDiagram, comp: int) -> int:
     """Arf invariant (0 or 1) of the knot formed by one component.
 
-    Walking the component from its lowest arc, each self-crossing x is
-    passed once under (at position u_x) and once over (o_x); the
+    In the component's Gauss word, which the presentation's walk reads
+    from its lowest arc, each self-crossing x is passed once under (at
+    position u_x) and once over (o_x); the
     degree-two Conway coefficient is the sum of e_a e_b over ordered
     pairs with u_a < o_b < o_a < u_b (Polyak-Viro), and the Arf
     invariant is its parity.  A free loop gives 0.
     """
     if not 1 <= comp <= d.m:
         raise ValueError(f"component {comp} out of range 1..{d.m}")
-    start = min((a for a, c in d.arc_components.items() if c == comp),
-                default=None)
-    if start is None:
-        return 0
-    return _gauss_arf(d.crossings, gauss_word(d, consumer_map(d), start))
+    return _gauss_arf(d.crossings, wirtinger(d).gauss[comp])
 
 
 def sato_levine(d: LinkDiagram, i: int, j: int) -> int:

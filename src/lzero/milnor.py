@@ -7,14 +7,15 @@ conjugated by the overpass generator, with exponent given by the
 crossing sign.
 
 ``wirtinger`` walks each component once, from its lowest arc, counting
-underpasses as it goes: every over passage notes its component and
-raw segment (the underpasses met since the base), and the tail after
-the last underpass folds back into the base overpass.  One pass over
-the underpass letters, one per crossing, then gives everything the
-battery reads: each letter's step (position, overpass component,
-overpass segment, sign), the self-writhes, every pair's signed
-crossing total (twice the linking number) and each component's Gauss
-word.  The generator-level views that only checks and listings need
+underpasses as it goes: it records every passage in walk order, every
+over passage notes its component and raw segment (the underpasses met
+since the base), and the tail after the last underpass folds back into
+the base overpass.  One pass over the underpass letters, one per
+crossing, then gives everything the battery reads: each letter's step
+(position, overpass component, overpass segment, sign), the
+self-writhes and every pair's signed crossing total (twice the linking
+number); a component's Gauss word is its recorded passages at its self
+letters' crossings.  The generator-level views that only checks and listings need
 (``relations``, ``letters``, ``arc_class``, ``class_comp``,
 ``segment``) are built on demand from the same data.
 
@@ -195,11 +196,12 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
 
     Each component (a valid diagram has one circle per component, free
     loops aside) is walked once from its lowest arc, counting
-    underpasses as it goes; every over passage records its component
-    and raw segment, and the tail after the last underpass belongs to
-    the base overpass (segment 0).  One pass over the underpass letters,
-    one per crossing, then gives the steps, self-writhes, pair totals
-    and Gauss words.
+    underpasses and recording its passages as it goes; every over
+    passage records its component and raw segment, and the tail after
+    the last underpass belongs to the base overpass (segment 0).  One
+    pass over the underpass letters, one per crossing, then gives the
+    steps, self-writhes and pair totals, and each component's Gauss
+    word keeps the passages at its self letters' crossings.
     """
     comp_of, crs, m = d.arc_components, d.crossings, d.m
     cons = consumer_map(d)
@@ -218,10 +220,12 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     count = [0] * (m + 1)
     walks = []
     for c, base in bases.items():
-        under, starts = [], [base]
+        under, starts, passages = [], [base], []
         s, arc = 0, base
         while True:
-            idx, level = cons[arc]
+            passage = cons[arc]
+            passages.append(passage)
+            idx, level = passage
             if level == "under":
                 under.append(idx)
                 arc = crs[idx].under_out
@@ -234,12 +238,12 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
             if arc == base:
                 break
         count[c] = s
-        walks.append((c, starts, under))
+        walks.append((c, starts, under, passages))
 
     gens, steps, under_of = {}, {}, {}
     rows = {c: [0] * (m + 1) for c in range(1, m + 1)}
     gauss = {c: () for c in range(1, m + 1)}
-    for c, starts, under in walks:
+    for c, starts, under, passages in walks:
         # the last raw segment, the tail, belongs to the base overpass
         gens[c], under_of[c], row = starts[:-1] or starts, under, rows[c]
         runs = [[] for _ in range(m + 1)]
@@ -254,38 +258,14 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
             if run:
                 steps[c, other] = run
         if runs[c]:
-            gauss[c] = _gauss_word(cons, crs, starts, under, over_seg,
-                                   runs[c])
+            own = {under[k] for k, *_ in runs[c]}
+            gauss[c] = tuple(p for p in passages if p[0] in own)
 
     totals = {(i, j): rows[i][j] + rows[j][i]
               for i, j in itertools.combinations(range(1, m + 1), 2)}
     writhe = {c: rows[c][c] for c in range(1, m + 1)}
     return WirtingerPresentation(m, gens, steps, writhe, gauss, totals,
                                  under_of, crs)
-
-
-def _gauss_word(cons, crs, starts, under, over_seg, own):
-    """A component's self-crossing passages in walk order from its base,
-    given its self letters ``own``: underpass k comes after the over
-    passages of raw segment k, and over passages that share a raw
-    segment are put in order by walking that overpass."""
-    overs: dict[int, list[int]] = {}
-    for k, *_ in own:
-        overs.setdefault(over_seg[under[k]], []).append(under[k])
-    for r, group in overs.items():
-        if len(group) > 1:
-            members, order, arc = set(group), [], starts[r]
-            while len(order) < len(group):
-                idx = cons[arc][0]
-                if idx in members:
-                    order.append(idx)
-                arc = crs[idx].over_out
-            overs[r] = order
-    events = [((k, 1), (under[k], "under")) for k, *_ in own]
-    for r, group in overs.items():
-        events += (((r, 0), (idx, "over")) for idx in group)
-    events.sort(key=lambda e: e[0])
-    return tuple(passage for _, passage in events)
 
 
 class _PairSeries(Mapping):

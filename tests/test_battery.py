@@ -29,7 +29,7 @@ from lzero.invariants import (InvariantTuple, arf, component_pairs,
 from lzero.milnor import (linking_number, longitude_series, magnus_expand,
                           triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import (_pair_totals, corpus, euler_ok, linking_numbers,
+from util import (corpus, euler_ok, linking_numbers,
                   longitude_reference, magnus_expand_reference,
                   random_class, random_code, random_walk, walked_hosts)
 
@@ -114,8 +114,7 @@ def test_battery_expands_each_pair_once(monkeypatch):
     built = [representative(random_class(rng, m, b_bound=1))
              for m in range(2, 7)]
     counts = _count_calls(monkeypatch, wirtinger, magnus_expand, sublink,
-                          component_cycles, consumer_map, _pair_totals,
-                          linking_number)
+                          component_cycles, consumer_map, linking_number)
     for d in built:
         for run in (invariant_tuple, classify):
             counts.update(dict.fromkeys(counts, 0))
@@ -125,7 +124,7 @@ def test_battery_expands_each_pair_once(monkeypatch):
             assert counts == {"wirtinger": 1,
                               "magnus_expand": d.m * (d.m - 1) // 2,
                               "sublink": 0, "component_cycles": 0,
-                              "consumer_map": 1, "_pair_totals": 0,
+                              "consumer_map": 1,
                               "linking_number": 0}, (run.__name__, d.m)
         for t in itertools.permutations(range(1, d.m + 1), 3):
             triple_linking(d, *t)

@@ -18,8 +18,7 @@ from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
 from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
                            consumer_map, crossing_graph_parts,
-                           disjoint_union, faces, gauss_word, mirror,
-                           validate)
+                           disjoint_union, faces, mirror, validate)
 from lzero.errors import DiagramStructureError, ExpansionError
 from lzero.invariants import component_pairs, component_triples
 from lzero.milnor import WirtingerPresentation
@@ -312,6 +311,22 @@ class ReferencePresentation:
 
     def generators(self) -> list[int]:
         return sorted(set(self.arc_class.values()))
+
+
+def gauss_word(d: LinkDiagram, cons: dict[int, tuple[int, str]],
+               start: int) -> tuple[tuple[int, str], ...]:
+    """The self-crossing passages ``consumer_map`` gives, in the order
+    met walking once around the cycle of arc ``start`` from it."""
+    comp_of, crs = d.arc_components, d.crossings
+    word, arc = [], start
+    while True:
+        idx, level = passage = cons[arc]
+        cr = crs[idx]
+        if comp_of[cr.under_in] == comp_of[cr.over_in]:
+            word.append(passage)
+        arc = cr.under_out if level == "under" else cr.over_out
+        if arc == start:
+            return tuple(word)
 
 
 def wirtinger_reference(d: LinkDiagram) -> ReferencePresentation:
