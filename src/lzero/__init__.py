@@ -19,7 +19,8 @@ from .diagram import (Crossing, LinkDiagram, check_valid, disjoint_union,
                       validate)
 from .errors import (DiagramParseError, DiagramStructureError,
                      ExpansionError, InvariantUndefinedError, LZeroError,
-                     MovePatternError, NotClassifiableError)
+                     MovePatternError, NotClassifiableError,
+                     ResourceLimitError)
 from .invariants import (InvariantTuple, arf, invariant_tuple,
                          invariants_json, render_invariants, sato_levine)
 from .milnor import (WirtingerPresentation, linking_number,
@@ -35,7 +36,7 @@ __all__ = [
     "validate", "check_valid", "sublink", "disjoint_union", "mirror",
     "LZeroError", "DiagramParseError", "DiagramStructureError",
     "MovePatternError", "InvariantUndefinedError", "NotClassifiableError",
-    "ExpansionError",
+    "ExpansionError", "ResourceLimitError",
     "MoveSite", "KINDS", "apply_move", "enumerate_sites", "parse_site",
     "render_site",
     "ConwayPolynomial", "conway_polynomial",

@@ -23,7 +23,8 @@ refuses at the first nonzero linking number before any expansion.
 
 ``representative`` builds a canonical diagram in a given class from
 unknots decorated with trefoil summands, Borromean insertions and
-clasped pairs.
+clasped pairs.  It refuses, before building anything, a class whose
+representative would have more than ``MAX_REP_CROSSINGS`` crossings.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .construct import build_from_gadgets
+from .construct import build_from_gadgets, gadget_crossings
 from .diagram import LinkDiagram
-from .errors import DiagramParseError, NotClassifiableError
+from .errors import (DiagramParseError, NotClassifiableError,
+                     ResourceLimitError)
 from .invariants import (InvariantTuple, battery, component_pairs,
                          component_triples)
 from .milnor import wirtinger
@@ -49,6 +51,7 @@ __all__ = [
     "SolvableReport",
     "is_zero_solvable",
     "representative",
+    "MAX_REP_CROSSINGS",
     "class_gadgets",
     "render_class",
     "parse_class",
@@ -185,25 +188,42 @@ def is_zero_solvable(d: LinkDiagram) -> SolvableReport:
 # classes -> diagrams
 
 
-def class_gadgets(g: ZeroSolveClass) -> list:
-    """Gadget list whose serial composition realizes ``g``."""
-    gadgets = []
+# The most crossings ``representative`` builds: at the budget ``lzero
+# rep`` writes 2.4 MB in about half a second and 60 MB.  Every m = 8
+# class with |b| <= 3 fits.
+MAX_REP_CROSSINGS = 50_000
+
+
+def _gadget_runs(g: ZeroSolveClass):
+    """(gadget, repeats) in the order of :func:`class_gadgets`."""
     for comp, bit in enumerate(g.a, start=1):
         if bit:
-            gadgets.append(("TREFOIL", (comp,)))
-    for (i, j, k), v in zip(component_triples(g.m), g.b):
-        for _ in range(abs(v)):
-            gadgets.append(("BORROMEAN", (i, j, k), 1 if v > 0 else -1))
-    for (i, j), bit in zip(component_pairs(g.m), g.c):
+            yield ("TREFOIL", (comp,)), 1
+    for triple, v in zip(component_triples(g.m), g.b):
+        if v:
+            yield ("BORROMEAN", triple, 1 if v > 0 else -1), abs(v)
+    for pair, bit in zip(component_pairs(g.m), g.c):
         if bit:
-            gadgets.append(("WHITEHEAD", (i, j)))
-    return gadgets
+            yield ("WHITEHEAD", pair), 1
+
+
+def class_gadgets(g: ZeroSolveClass) -> list:
+    """Gadget list whose serial composition realizes ``g``."""
+    return [gadget for gadget, repeats in _gadget_runs(g)
+            for _ in range(repeats)]
 
 
 def representative(g: ZeroSolveClass) -> LinkDiagram:
     """Canonical diagram in class ``g``: an unlink with one trefoil
     summand per set Arf bit, |b| Borromean insertions per triple and a
-    clasped pair per set parity bit."""
+    clasped pair per set parity bit.  Refuses a class whose diagram
+    would have more than ``MAX_REP_CROSSINGS`` crossings."""
+    n = sum(repeats * gadget_crossings(g.m, gadget)
+            for gadget, repeats in _gadget_runs(g))
+    if n > MAX_REP_CROSSINGS:
+        raise ResourceLimitError(
+            f"the representative of this class would have {n} crossings, "
+            f"over the budget of {MAX_REP_CROSSINGS}")
     diagram, _ = build_from_gadgets(g.m, class_gadgets(g),
                                     name=render_class(g))
     return diagram

@@ -18,7 +18,9 @@ colors yes/no verdicts when printing plain text to stdout;
 
 Exit codes: 0 success, 1 for domain refusals (an invariant or class
 genuinely undefined for the input, a move that does not match), 2 for
-unusable input (unreadable file, syntax error, structural violations).
+unusable input (unreadable file, syntax error, structural violations),
+3 for work over a budget (a representative over its crossing budget)
+or a run out of memory or recursion depth.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .classify import (class_json, classify, is_zero_solvable, parse_class,
                        render_class, representative)
 from .conway import conway_polynomial
 from .diagram import parse_diagram, render_diagram
-from .errors import DiagramParseError, LZeroError
+from .errors import DiagramParseError, LZeroError, ResourceLimitError
 from .invariants import invariant_tuple, invariants_json, render_invariants
 from .moves import apply_move, parse_site, render_site
 
@@ -160,7 +162,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text, payload = args.handler(args)
-    except LZeroError as exc:
+    except (LZeroError, MemoryError, RecursionError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = ResourceLimitError("out of memory")
+        elif isinstance(exc, RecursionError):
+            exc = ResourceLimitError("out of recursion depth")
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 

@@ -51,6 +51,7 @@ __all__ = [
     "BORROMEAN_NEG",
     "braid_closure",
     "build_from_gadgets",
+    "gadget_crossings",
     "band_clasp_diagram",
 ]
 
@@ -274,6 +275,16 @@ def build_from_gadgets(m: int, gadgets, name: str = ""):
         b.splice(_TANGLES[kind], comps)
         b.climb(comps)
     return check_valid(b.finish(name)), tuple(b.bp_sites)
+
+
+def gadget_crossings(m: int, gadget) -> int:
+    """Crossings a TREFOIL, WHITEHEAD or BORROMEAN ``gadget`` adds to an
+    m-component build, counted without building it."""
+    kind = (gadget[0], gadget[2]) if gadget[0] == "BORROMEAN" else gadget[0]
+    # the k-th mover passes over every row below it and under the k
+    # movers before it, once down and once back up
+    return len(_TANGLES[kind].word) + sum(
+        2 * (m - c + k) for k, c in enumerate(sorted(gadget[1])))
 
 
 def band_clasp_diagram() -> tuple[LinkDiagram, MoveSite]:

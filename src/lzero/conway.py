@@ -17,6 +17,9 @@ factor times the number of states, and
 
     nabla(s - 1/s) = sign(det S) * det M.
 
+Both matrices are read off the dart table of ``diagram``: each dart
+enters one corner, whose face lies on the dart's left, and the corner's
+S entry and power of s are constants of the crossing sign and the slot.
 Every state is one monomial s^k with |k| <= n, so |det S| bounds every
 coefficient: det M is taken over the integers at s = 2^K, read back as
 signed base-2^K digits and rewritten in z = s - 1/s.
@@ -32,9 +35,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import (LinkDiagram, bigon_fusions, component_cycles,
-                      consumer_map, crossing_graph_parts, delete_crossings,
-                      face_walks, kink_fusion, renumber_components)
+from .diagram import (LinkDiagram, _darts, _orbits, bigon_fusions,
+                      component_cycles, consumer_map, crossing_graph_parts,
+                      delete_crossings, kink_fusion, renumber_components)
 from .errors import DiagramStructureError
 
 __all__ = [
@@ -177,6 +180,13 @@ def canonical_key(d: LinkDiagram):
 # ---------------------------------------------------------------------------
 # the state-sum determinant
 
+# sign -> (entry of S, power of s in M) of the corner a dart entering at
+# slot k of ``Crossing.arcs()`` meets (see ``diagram._darts``).  Rows of
+# M are scaled by s: s^(1+e) on the out-corner, s^(1-e) on the black
+# hole (entry -1 in S), s on the sides.
+_CORNERS = {1: ((1, 1), (1, 1), (-1, 0), (1, 2)),
+            -1: ((-1, 2), (1, 0), (1, 1), (1, 1))}
+
 
 def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
     """Conway polynomial, as one integer determinant after reduction."""
@@ -188,31 +198,35 @@ def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
         return ZERO
 
     n = len(d.crossings)
-    walks = face_walks(d)
+    _, nxt, order = _darts(d)
+    walks = _orbits(nxt, order)
     if len(walks) != n + 2:
         raise DiagramStructureError([
             f"{len(walks)} faces for {n} crossings in one connected part, "
             f"not {n + 2}: not a planar diagram"])
-    face_of = {c[0]: f for f, walk in enumerate(walks) for c in walk}
-    starred = next((face_of[arc, True], face_of[arc, False])
-                   for arc in sorted(d.arc_components)
-                   if face_of[arc, True] != face_of[arc, False])
+    face_of = {p: f for f, walk in enumerate(walks) for p in walk}
+    # ``order`` pairs each arc's backward dart with its forward one
+    starred = next((face_of[p], face_of[q])
+                   for p, q in zip(order[0::2], order[1::2])
+                   if face_of[p] != face_of[q])
     columns = sorted(set(range(n + 2)) - set(starred),
                      key=lambda f: len(walks[f]))
-    # Rows of M are scaled by s: s^(1+e) on the out-corner, s^(1-e) on
-    # the black hole, s on the sides.
-    signs = [{} for _ in range(n)]
-    powers = [{} for _ in range(n)]
-    for k, f in enumerate(columns):
-        for _, idx, slot, nslot in walks[f]:
-            ins = slot.endswith("_in") + nslot.endswith("_in")
-            signs[idx][k] = signs[idx].get(k, 0) + (-1 if ins == 2 else 1)
-            powers[idx].setdefault(k, []).append(
-                1 + (1 - ins) * d.crossings[idx].sign)
-    states = _det([{k: v for k, v in row.items() if v} for row in signs])
+
+    def matrix(label):  # a dart's corner is in the face on its left
+        rows = [{} for _ in range(n)]
+        for k, f in enumerate(columns):
+            for p in walks[f]:
+                row = rows[p >> 2]
+                row[k] = row.get(k, 0) + label[p]
+        return rows
+
+    corners = [c for cr in d.crossings for c in _CORNERS[cr.sign]]
+    states = _det([{k: v for k, v in row.items() if v}
+                   for row in matrix([s for s, _ in corners])])
     bits = abs(states).bit_length() + 1
-    value = _det([{k: sum(1 << bits * p for p in ps) for k, ps in row.items()}
-                  for row in powers]) * (1 if states > 0 else -1)
+    label = (1, 1 << bits, 1 << 2 * bits)
+    value = _det(matrix([label[e] for _, e in corners]))
+    value *= 1 if states > 0 else -1
     # signed base-2^bits digits, the lowest for s^-n
     laurent = {}
     for power in range(-n, n + 1):

@@ -11,11 +11,12 @@ that way, so they are kept separately as *free loops*.
 
 Planarity of a code is not certified on parsing; all operations are
 combinatorial and their outputs are meaningful for codes that arise
-from actual planar diagrams.  ``face_walks`` reconstructs the face
-structure of a realizable code from the crossing signs, with the
-crossing corner at each step; move generation reads it to stay inside
-the realizable world, and the Conway engine builds its determinant
-from it.
+from actual planar diagrams.  The face structure of a realizable code
+follows from the crossing signs through one integer dart table, four
+darts per crossing numbered by the slot they enter, with the dart that
+leaves each corner: ``faces``, ``face_walks`` and ``face_through`` are
+views of it, move generation reads it to stay inside the realizable
+world, and the Conway engine builds its matrices from it.
 
 File format (UTF-8, one record per line, ``#`` starts a comment):
 
@@ -568,84 +569,90 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 
 # ---------------------------------------------------------------------------
 # face structure of a realizable code
+#
+# A dart walks an arc, along its orientation or against it, into a
+# crossing: dart 4 * idx + k enters crossing idx (0-based) at slot k of
+# ``Crossing.arcs()``, forward at an in-slot (k even), backward at an
+# out-slot.  Orient the under strand east; the over strand heads north
+# at a positive crossing, south at a negative one.  A face boundary
+# entering at a slot turns to the slot before it counterclockwise, the
+# face on its left, and leaves there.
 
-# Counterclockwise slot order around a crossing, recovered from the
-# sign: orient the under strand east; a positive crossing has the over
-# strand heading north, a negative one south.
-_CCW = {
-    1: ("under_in", "over_in", "under_out", "over_out"),
-    -1: ("under_in", "over_out", "under_out", "over_in"),
-}
-# sign -> one (slot, nslot, their positions in Crossing.arcs()) per
-# corner: a face boundary entering at ``slot`` turns to the slot before
-# it in the counterclockwise order.
 _SLOTS = ("under_in", "under_out", "over_in", "over_out")
-_CORNERS = {
-    sign: tuple((slot, nslot, _SLOTS.index(slot), _SLOTS.index(nslot))
-                for slot, nslot in zip(order, order[-1:] + order[:-1]))
-    for sign, order in _CCW.items()
-}
+# sign -> the slot each slot k turns to
+_TURN = {1: (3, 2, 0, 1), -1: (2, 3, 1, 0)}
+
+
+def _darts(d: LinkDiagram) -> tuple[list[int], list[int], list[int]]:
+    """The dart table ``(arc, nxt, order)``: each dart's arc, the dart
+    leaving the corner it enters, and all darts in ``(arc, forward)``
+    order.  Its size is set by the crossings, not by the arc ids."""
+    arc = [a for cr in d.crossings
+           for a in (cr.under_in, cr.under_out, cr.over_in, cr.over_out)]
+    # the forward and the backward dart of each arc
+    fwd = dict(zip(arc[0::2], range(0, len(arc), 2)))
+    back = dict(zip(arc[1::2], range(1, len(arc), 2)))
+    nxt = []
+    for cr in d.crossings:
+        if cr.sign > 0:
+            nxt += (fwd[cr.over_out], back[cr.over_in],
+                    back[cr.under_in], fwd[cr.under_out])
+        else:
+            nxt += (back[cr.over_in], fwd[cr.over_out],
+                    fwd[cr.under_out], back[cr.under_in])
+    return arc, nxt, [p for a in sorted(fwd) for p in (back[a], fwd[a])]
+
+
+def _orbits(nxt: list[int], order: list[int]) -> list[list[int]]:
+    """The darts of each face, listed by and starting at its first dart
+    in ``order``."""
+    seen, out = bytearray(len(nxt)), []
+    for start in order:
+        face, p = [], start
+        while not seen[p]:
+            seen[p] = 1
+            face.append(p)
+            p = nxt[p]
+        if face:
+            out.append(face)
+    return out
+
+
+def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
+    """Face boundaries of the planar embedding determined by the signs.
+
+    Each face is a cyclic list of darts ``(arc, forward)``, walking the
+    arc along its orientation if ``forward``, with the face on its
+    left.  Faces are listed by, and start at, their lowest dart; free
+    loops carry none.  For a planar code
+    ``faces - arcs + crossings == 1 + connected parts``.
+    """
+    arc, nxt, order = _darts(d)
+    return [[(arc[p], not p & 1) for p in face] for face in _orbits(nxt, order)]
 
 
 def face_walks(d: LinkDiagram) -> list[list[tuple]]:
-    """Face boundaries of the planar embedding determined by the signs.
-
-    Each face is a cyclic list ``(dart, idx, slot, nslot)``: the dart
-    ``(arc, forward)`` walks its arc (along the orientation if
-    ``forward``) into crossing ``idx`` (0-based) at ``slot``, and the
-    face's corner there runs to ``nslot``, where the next dart leaves.
-    The face lies to the left of every dart.  Faces are listed by, and
-    start at, their lowest dart; free loops carry none.  For a planar
-    code ``faces - arcs + crossings == 1 + connected parts``.  Each
-    corner is read from the turn table of :func:`_face_turns`.
-    """
-    turns = _face_turns(d)
-    return [[(dart, *turns[dart][:3]) for dart in face]
-            for face in _face_orbits(turns)]
-
-
-def _face_turns(d: LinkDiagram) -> dict:
-    """dart -> (idx, slot, nslot, next dart): the corner of
-    :func:`face_walks` the dart enters, and the dart leaving it at
-    ``nslot``, so a walk takes one lookup per step."""
-    turns = {}
-    for idx, cr in enumerate(d.crossings):
-        arcs = cr.arcs()
-        for slot, nslot, k, n in _CORNERS[cr.sign]:
-            # in-slots sit at even positions of ``arcs``: a dart enters
-            # forward at an in-slot, and leaves forward at an out-slot
-            turns[arcs[k], k % 2 == 0] = (idx, slot, nslot, (arcs[n], n % 2 == 1))
-    return turns
-
-
-def _face_orbits(turns: dict) -> list[list[tuple[int, bool]]]:
-    """The darts of each face, listed by and starting at its lowest dart."""
-    seen: set = set()
-    return [_walk_face(turns, start, seen)
-            for start in sorted(turns) if start not in seen]
-
-
-def _walk_face(turns: dict, dart, seen: set) -> list[tuple[int, bool]]:
-    """The darts of the face left of ``dart``, from it; adds them to
-    ``seen``."""
-    face = []
-    while dart not in seen:
-        seen.add(dart)
-        face.append(dart)
-        dart = turns[dart][3]
-    return face
+    """:func:`faces` with corners: ``(dart, idx, slot, nslot)``, where
+    the dart enters crossing ``idx`` (0-based) at ``slot`` and the
+    face's corner there runs to ``nslot``, where the next dart leaves."""
+    arc, nxt, order = _darts(d)
+    return [[((arc[p], not p & 1), p >> 2, _SLOTS[p & 3],
+              _SLOTS[_TURN[d.crossings[p >> 2].sign][p & 3]]) for p in face]
+            for face in _orbits(nxt, order)]
 
 
 def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:
     """The darts of the face left of ``dart``, from it; empty when no
     crossing meets the dart's arc."""
-    turns = _face_turns(d)
-    return _walk_face(turns, dart, set()) if dart in turns else []
-
-
-def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
-    """The darts of each face of :func:`face_walks`, in the same order."""
-    return _face_orbits(_face_turns(d))
+    arc, nxt, _ = _darts(d)
+    a, forward = dart
+    try:
+        p = arc.index(a)
+        if (p % 2 == 0) != forward:
+            p = arc.index(a, p + 1)
+    except ValueError:
+        return []
+    return [(arc[q], not q & 1) for q in _orbits(nxt, [p])[0]]
 
 
 def crossing_graph_parts(d: LinkDiagram) -> int:

@@ -3,11 +3,10 @@
 Each class carries the exit code the CLI returns for it as
 ``exit_code``: file/syntax/structure problems exit with 2, domain-level
 refusals (an invariant that is genuinely undefined for the input, an
-inapplicable move, ...) exit with 1.
-
-Any other exception (a ``MemoryError``, a ``RecursionError``, a bug) is
-not caught: it escapes the CLI as a Python traceback on stderr, and the
-process exits with 1, the same code as a domain refusal.
+inapplicable move, ...) exit with 1, and work over a budget or out of
+memory or recursion depth exits with 3 (the CLI turns a ``MemoryError``
+or ``RecursionError`` into :class:`ResourceLimitError`).  Any other
+exception is a bug: it escapes as a Python traceback.
 """
 
 
@@ -71,3 +70,10 @@ class NotClassifiableError(InvariantUndefinedError):
 class ExpansionError(LZeroError):
     """An expansion fails a relation; on a planar diagram, only when
     some pairwise linking number is nonzero."""
+
+
+class ResourceLimitError(LZeroError):
+    """The input asks for more work than a documented budget allows, or
+    the process ran out of memory or recursion depth on it."""
+
+    exit_code = 3

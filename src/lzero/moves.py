@@ -35,9 +35,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, _face_orbits, _face_turns,
-                      bigon_fusions, check_valid, consumer_map,
-                      delete_crossings, face_through, faces, kink_fusion)
+from .diagram import (Crossing, LinkDiagram, _darts, _orbits, bigon_fusions,
+                      check_valid, consumer_map, delete_crossings,
+                      face_through, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
@@ -371,10 +371,11 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
 def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:
     """The faces with k sides at k distinct crossings, each as its
     sorted crossing ids; sorted."""
-    turns, found = _face_turns(d), set()
-    for face in _face_orbits(turns):
+    _, nxt, order = _darts(d)
+    found = set()
+    for face in _orbits(nxt, order):
         if len(face) == k:
-            corners = {turns[dart][0] + 1 for dart in face}
+            corners = {(p >> 2) + 1 for p in face}
             if len(corners) == k:
                 found.add(tuple(sorted(corners)))
     return sorted(found)

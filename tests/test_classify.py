@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lzero import fixtures
-from lzero.classify import (ZeroSolveClass, class_add, class_gadgets,
-                            class_json, class_neg, class_order, classify,
-                            equivalent, identity_class, is_zero_solvable,
-                            parse_class, render_class, representative)
-from lzero.construct import band_clasp_diagram, build_from_gadgets
+from lzero.classify import (MAX_REP_CROSSINGS, ZeroSolveClass, class_add,
+                            class_gadgets, class_json, class_neg, class_order,
+                            classify, equivalent, identity_class,
+                            is_zero_solvable, parse_class, render_class,
+                            representative)
+from lzero.construct import (band_clasp_diagram, build_from_gadgets,
+                             gadget_crossings)
 from lzero.diagram import disjoint_union, mirror, sublink
-from lzero.errors import DiagramParseError, NotClassifiableError
+from lzero.errors import (DiagramParseError, NotClassifiableError,
+                          ResourceLimitError)
 from lzero.invariants import component_pairs, component_triples
 from lzero.moves import apply_move
 from util import assert_sound, project_class, random_class
@@ -229,6 +232,29 @@ def test_representative_round_trip_random():
         d = representative(g)
         assert_sound(d)
         assert classify(d) == g
+
+
+def test_gadget_crossings_count_the_built_diagram():
+    """The count behind the crossing budget is exact, without building
+    anything."""
+    rng = random.Random(16)
+    for _ in range(40):
+        m = rng.randint(1, 6)
+        g = random_class(rng, m, b_bound=2)
+        assert len(representative(g).crossings) == sum(
+            gadget_crossings(m, gadget) for gadget in class_gadgets(g))
+
+
+def test_representative_budget():
+    """The largest class the budget lets through is built; one more
+    Borromean insertion is refused before anything is built."""
+    per = gadget_crossings(3, ("BORROMEAN", (1, 2, 3), 1))
+    most = MAX_REP_CROSSINGS // per
+    assert len(representative(ZeroSolveClass(
+        3, (0, 0, 0), (most,), (0, 0, 0))).crossings) == most * per
+    with pytest.raises(ResourceLimitError) as exc:
+        representative(ZeroSolveClass(3, (0, 0, 0), (-most - 1,), (0, 0, 0)))
+    assert exc.value.exit_code == 3
 
 
 def test_representative_of_identity_is_crossing_free():

@@ -21,6 +21,8 @@ from lzero.cli import main
 from lzero.classify import parse_class
 from lzero.construct import band_clasp_diagram, braid_closure
 from lzero.diagram import parse_diagram, render_diagram
+from lzero.errors import LZeroError, ResourceLimitError
+from lzero.moves import parse_site
 from util import presentation_reference, random_code
 
 
@@ -245,6 +247,32 @@ def test_structure_errors_list_at_most_21_violations(tmp_path, capsys):
     assert violations[-1] == "... and 780 more"
 
 
+@pytest.mark.parametrize("error, text", [
+    (MemoryError, "error: out of memory\n"),
+    (RecursionError, "error: out of recursion depth\n"),
+])
+def test_resource_failures_are_typed_refusals(fx, capsys, monkeypatch,
+                                              error, text):
+    def exhausted(d):
+        raise error()
+    monkeypatch.setattr(lzero.cli, "conway_polynomial", exhausted)
+    code, out, err = run(capsys, "conway", fx("trefoil"))
+    assert code == ResourceLimitError.exit_code == 3
+    assert out == "" and err == text
+
+
+def test_rep_refuses_a_class_over_the_crossing_budget(capsys, monkeypatch):
+    # 20000 Borromean insertions of 18 crossings each; nothing is built
+    monkeypatch.setattr(sys.modules["lzero.classify"], "build_from_gadgets",
+                        None)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep", "m=3; a=0,0,0; b=20000; c=0,0,0")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == ("error: the representative of this class would have "
+                   "360000 crossings, over the budget of 50000\n")
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -437,3 +465,27 @@ def test_battery_commands_on_random_codes(seed, crossings):
                     assert err == "", (argv, got)
                 with _reference_presentation():
                     assert _outcome(argv) == got, (argv, render_diagram(d))
+
+
+# ---------------------------------------------------------------------------
+# The three text parsers on arbitrary text: each returns a value or
+# raises an LZeroError carrying exit code 2, never anything else.
+
+_TOKENS = st.sampled_from([
+    "components", "x", "a", "o", "+", "-", "#", "=", ";", ",", "m", "b",
+    "c", "R1+", "R1-", "R2+", "R2-", "R3", "BANDPASS", "crossings", "arcs",
+    "sign", "variant", "under", "par", "0", "1", "2", "3", "-1", "99",
+    "10000000000000000000", "\n", " ", "\t"])
+_TEXTS = st.one_of(st.text(max_size=200),
+                   st.lists(_TOKENS, max_size=60).map("".join),
+                   st.lists(_TOKENS, max_size=60).map(" ".join))
+
+
+@pytest.mark.parametrize("parse", [parse_diagram, parse_site, parse_class])
+@given(text=_TEXTS)
+@settings(max_examples=400, deadline=None)
+def test_parsers_raise_only_typed_errors(parse, text):
+    try:
+        parse(text)
+    except LZeroError as exc:
+        assert exc.exit_code == 2, (text, exc)

@@ -1,5 +1,8 @@
 """Diagram records: text format, structural validation, planarity."""
 
+import itertools
+import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -8,13 +11,18 @@ from hypothesis import strategies as st
 
 from lzero import fixtures
 from lzero.construct import braid_closure
-from lzero.diagram import (Crossing, check_valid, component_cycles,
-                           crossing_graph_parts, disjoint_union, face_through,
-                           face_walks, faces, mirror, parse_diagram,
-                           render_diagram, sublink, validate)
-from lzero.errors import DiagramParseError, DiagramStructureError
+from lzero.conway import _reduce, conway_polynomial
+from lzero.diagram import (Crossing, LinkDiagram, check_valid,
+                           component_cycles, crossing_graph_parts,
+                           disjoint_union, face_through, face_walks, faces,
+                           mirror, parse_diagram, render_diagram, sublink,
+                           validate)
+from lzero.errors import (DiagramParseError, DiagramStructureError,
+                          MovePatternError)
 from lzero.milnor import linking_number
-from util import assert_sound, corpus, euler_ok, walked_hosts
+from lzero.moves import _R2_SHAPE, MoveSite, apply_move, enumerate_sites
+from util import (assert_sound, corpus, euler_ok, face_through_reference,
+                  face_walks_reference, random_code, walked_hosts)
 
 
 def test_parse_render_round_trip_on_fixtures():
@@ -228,6 +236,78 @@ def test_faces_agree_with_face_walks_and_face_through():
             for k, dart in enumerate(face):
                 assert face_through(d, dart) == face[k:] + face[:k]
         assert euler_ok(d)
+
+
+def _sites_from_walks(d, walks):
+    """R2+, R2- and R3 sites read off ``walks`` the way the site finders
+    read the faces: R2+ from ordered dart pairs on distinct arcs of one
+    face, R2- and R3 from the 2- and 3-gons at distinct crossings that
+    ``apply_move`` accepts."""
+    sites = {"R2+": [MoveSite("R2+", (), (ax, ay), *_R2_SHAPE[fx, fy])
+                     for walk in walks
+                     for ((ax, fx), *_), ((ay, fy), *_)
+                     in itertools.permutations(walk, 2) if ax != ay]}
+    for kind, k in (("R2-", 2), ("R3", 3)):
+        polygons = {tuple(sorted({idx + 1 for _, idx, _, _ in walk}))
+                    for walk in walks if len(walk) == k}
+        sites[kind] = []
+        for corners in sorted(c for c in polygons if len(c) == k):
+            try:
+                apply_move(d, MoveSite(kind, crossings=corners))
+            except MovePatternError:
+                continue
+            sites[kind].append(MoveSite(kind, crossings=corners))
+    return sites
+
+
+def test_face_layer_matches_the_dict_walk():
+    """The dart table against the tuple-keyed walk it replaced:
+    ``faces``, ``face_walks``, ``face_through`` at every dart, the R2+,
+    R2- and R3 sites, and the face count behind ``conway``'s planarity
+    refusal, on the corpus, seeded walks and 1200 random valid codes of
+    1-8 crossings (most of them not planar)."""
+    rng = random.Random(16)
+    hosts = [d for _, d in corpus()] + walked_hosts(31)
+    hosts += [random_code(rng, rng.randint(1, 8)) for _ in range(1200)]
+    for d in hosts:
+        walks = face_walks_reference(d)
+        assert face_walks(d) == walks
+        assert faces(d) == [[c[0] for c in walk] for walk in walks]
+        for arc in d.arc_components:
+            for dart in ((arc, True), (arc, False)):
+                assert face_through(d, dart) == face_through_reference(d, dart)
+        for kind, sites in _sites_from_walks(d, walks).items():
+            assert enumerate_sites(d, kind) == sites, kind
+        r = _reduce(d)
+        if r.crossings and not r.free_loops and crossing_graph_parts(r) == 1:
+            n, found = len(r.crossings), len(face_walks_reference(r))
+            if found != n + 2:
+                with pytest.raises(DiagramStructureError) as exc:
+                    conway_polynomial(d)
+                assert str(exc.value) == (
+                    f"{found} faces for {n} crossings in one connected "
+                    f"part, not {n + 2}: not a planar diagram")
+
+
+def test_face_layer_is_sized_by_crossings_not_arc_ids():
+    """Arc ids near 10**15 cost nothing: faces, the Conway polynomial
+    and the R2+ sites come out in milliseconds, as on the same code with
+    small ids, shifted."""
+    d = fixtures.load("whitehead")
+    shift = 10 ** 15
+    big = LinkDiagram(
+        d.m, tuple(Crossing(cr.sign, *(a + shift for a in cr.arcs()))
+                   for cr in d.crossings),
+        {a + shift: c for a, c in d.arc_components.items()}, d.free_loops)
+    assert validate(big) == []
+    start = time.perf_counter()
+    found = (faces(big), conway_polynomial(big), enumerate_sites(big, "R2+"))
+    assert time.perf_counter() - start < 0.5
+    assert found[0] == [[(a + shift, fwd) for a, fwd in face]
+                        for face in faces(d)]
+    assert found[1] == conway_polynomial(d)
+    assert found[2] == [site._replace(arcs=tuple(a + shift for a in site.arcs))
+                        for site in enumerate_sites(d, "R2+")]
 
 
 def _braid_permutation_cycles(word, strands):

@@ -1,10 +1,11 @@
 """Shared test helpers: the small-diagram corpus, the planarity check,
 a seeded random-move walker, random valid codes, class projection for
 sublink tests, the plain move-site formatter, the skein recursion that
-checks the Conway engine, the multi-pass Wirtinger builder and the
-crossing scan that check the presentation's one walk and its pair
-totals, and the general two-letter Magnus algebra that checks the
-battery's (u, v) kernel."""
+checks the Conway engine, the tuple-keyed face walk that checks the
+dart table, the multi-pass Wirtinger builder and the crossing scan
+that check the presentation's one walk and its pair totals, and the
+general two-letter Magnus algebra that checks the battery's (u, v)
+kernel."""
 
 from __future__ import annotations
 
@@ -205,6 +206,63 @@ def random_code(rng: random.Random, crossings: int) -> LinkDiagram:
     d = LinkDiagram(max(comp.values()), crs, comp)
     assert validate(d) == [], d
     return d
+
+
+# ---------------------------------------------------------------------------
+# Faces by a dict keyed on (arc, forward) darts, holding each dart's
+# corner with its slot names.  The production route numbers darts by
+# crossing slot in one integer table; this is what it must agree with.
+
+# Counterclockwise slot order around a crossing, recovered from the
+# sign: orient the under strand east; a positive crossing has the over
+# strand heading north, a negative one south.
+_CCW = {
+    1: ("under_in", "over_in", "under_out", "over_out"),
+    -1: ("under_in", "over_out", "under_out", "over_in"),
+}
+_SLOTS = ("under_in", "under_out", "over_in", "over_out")
+
+
+def _face_turns_reference(d: LinkDiagram) -> dict:
+    """dart -> (idx, slot, nslot, next dart): a face boundary entering
+    crossing ``idx`` at ``slot`` turns to the slot before it in the
+    counterclockwise order, ``nslot``, and the next dart leaves there."""
+    turns = {}
+    for idx, cr in enumerate(d.crossings):
+        arcs = cr.arcs()
+        order = _CCW[cr.sign]
+        for slot, nslot in zip(order, order[-1:] + order[:-1]):
+            k, n = _SLOTS.index(slot), _SLOTS.index(nslot)
+            # in-slots sit at even positions of ``arcs``: a dart enters
+            # forward at an in-slot, and leaves forward at an out-slot
+            turns[arcs[k], k % 2 == 0] = (idx, slot, nslot,
+                                          (arcs[n], n % 2 == 1))
+    return turns
+
+
+def _walk_face_reference(turns: dict, dart, seen: set) -> list:
+    face = []
+    while dart not in seen:
+        seen.add(dart)
+        face.append(dart)
+        dart = turns[dart][3]
+    return face
+
+
+def face_walks_reference(d: LinkDiagram) -> list[list[tuple]]:
+    """``diagram.face_walks`` from the dict walk: each face a cyclic
+    list ``(dart, idx, slot, nslot)``, listed by and starting at its
+    lowest dart."""
+    turns, seen = _face_turns_reference(d), set()
+    faces_ = [_walk_face_reference(turns, start, seen)
+              for start in sorted(turns) if start not in seen]
+    return [[(dart, *turns[dart][:3]) for dart in face] for face in faces_]
+
+
+def face_through_reference(d: LinkDiagram, dart) -> list:
+    """``diagram.face_through`` from the dict walk."""
+    turns = _face_turns_reference(d)
+    return _walk_face_reference(turns, dart, set()) if dart in turns else []
 
 
 # ---------------------------------------------------------------------------
