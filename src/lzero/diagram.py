@@ -102,15 +102,6 @@ class LinkDiagram:
     def max_arc(self) -> int:
         return max(self.arc_components, default=0)
 
-    def self_writhe(self, comp: int) -> int:
-        """Signed count of crossings whose both strands lie on ``comp``."""
-        w = 0
-        for cr in self.crossings:
-            if (self.arc_components[cr.under_in] == comp
-                    and self.arc_components[cr.over_in] == comp):
-                w += cr.sign
-        return w
-
 
 # ---------------------------------------------------------------------------
 # parsing / rendering

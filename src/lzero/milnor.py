@@ -15,9 +15,8 @@ crossing, then gives everything the battery reads: each letter's step
 (position, overpass component, overpass segment, sign), the
 self-writhes and every pair's signed crossing total (twice the linking
 number); a component's Gauss word is its recorded passages at its self
-letters' crossings.  The generator-level views that only checks and listings need
-(``relations``, ``letters``, ``arc_class``, ``class_comp``,
-``segment``) are built on demand from the same data.
+letters' crossings.  The presentation holds only what the battery
+reads; relations, letters and arc classes are never built.
 
 Every invariant here is a coefficient of a longitude in one algebra:
 power series in two non-commuting variables ``h_i, h_j`` (for a chosen
@@ -76,9 +75,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .diagram import LinkDiagram, consumer_map
 from .errors import (DiagramStructureError, ExpansionError,
@@ -113,17 +110,9 @@ class WirtingerPresentation:
     component's letters, other, overpass segment, sign).  ``writhe``
     holds each component's self-writhe, ``gauss[comp]`` its
     self-crossing passages (crossing index, 'under'|'over') in walk
-    order from its base, and ``totals[i, j]`` the signed count of
-    crossings between components i < j, in lex order.  ``under[comp]``
-    lists the crossings (0-based) met at the component's underpasses,
-    in walk order, and ``crossings`` is the diagram's.
-
-    Derived on demand: ``class_comp`` (generator -> component),
-    ``base_class``, ``segment`` (generator -> segment), ``letters[comp]``
-    (the (overpass generator, sign) met at the component's underpasses),
-    ``relations`` (in walk order, ``(target, source, over, sign)``:
-    target = over^sign source over^-sign) and ``arc_class``
-    (arc -> generator).
+    order from its base, ``totals[i, j]`` the signed count of crossings
+    between components i < j, in lex order, and ``crossings`` is the
+    diagram's.  A free loop has no generators and no steps.
     """
 
     m: int
@@ -132,56 +121,7 @@ class WirtingerPresentation:
     writhe: dict[int, int]
     gauss: dict[int, tuple[tuple[int, str], ...]]
     totals: dict[tuple[int, int], int]
-    under: dict[int, list[int]] = field(default_factory=dict, repr=False,
-                                        compare=False)
     crossings: tuple = field(default=(), repr=False, compare=False)
-
-    @cached_property
-    def class_comp(self) -> dict[int, int]:
-        return {g: c for c, gens in self.gens.items() for g in gens}
-
-    @cached_property
-    def base_class(self) -> dict[int, int]:
-        return {c: gens[0] for c, gens in self.gens.items()}
-
-    @cached_property
-    def segment(self) -> dict[int, int]:
-        return {g: s for gens in self.gens.values()
-                for s, g in enumerate(gens)}
-
-    @cached_property
-    def letters(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        word = {c: [] for c in range(1, self.m + 1)}
-        for (c, other), steps in self.steps.items():
-            gens = self.gens[other]
-            word[c] += ((k, gens[s], sign) for k, _, s, sign in steps)
-        return {c: tuple((g, sign) for _, g, sign in sorted(w))
-                for c, w in word.items()}
-
-    @cached_property
-    def relations(self) -> tuple[tuple[int, int, int, int], ...]:
-        relations = []
-        for c, gens in self.gens.items():
-            letters = self.letters[c]
-            relations += ((gens[(k + 1) % len(gens)], gens[k], over, sign)
-                          for k, (over, sign) in enumerate(letters))
-        return tuple(relations)
-
-    @cached_property
-    def arc_class(self) -> dict[int, int]:
-        crs, arc_class = self.crossings, {}
-        for c, under in self.under.items():
-            gens = self.gens[c]
-            for k, idx in enumerate(under):
-                arc_class[crs[idx].under_in] = gens[k]
-        for (c, other), steps in self.steps.items():
-            gens = self.gens[other]
-            for k, _, s, _ in steps:
-                arc_class[crs[self.under[c][k]].over_in] = gens[s]
-        return arc_class
-
-    def generators(self) -> list[int]:
-        return sorted(self.class_comp)
 
     def linking(self):
         """Yield ``((i, j), lk)`` for every pair i < j in lex order.  An
@@ -240,12 +180,12 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
         count[c] = s
         walks.append((c, starts, under, passages))
 
-    gens, steps, under_of = {}, {}, {}
+    gens, steps = {}, {}
     rows = {c: [0] * (m + 1) for c in range(1, m + 1)}
     gauss = {c: () for c in range(1, m + 1)}
     for c, starts, under, passages in walks:
         # the last raw segment, the tail, belongs to the base overpass
-        gens[c], under_of[c], row = starts[:-1] or starts, under, rows[c]
+        gens[c], row = starts[:-1] or starts, rows[c]
         runs = [[] for _ in range(m + 1)]
         for k, idx in enumerate(under):
             other, s = over_comp[idx], over_seg[idx]
@@ -264,42 +204,24 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     totals = {(i, j): rows[i][j] + rows[j][i]
               for i, j in itertools.combinations(range(1, m + 1), 2)}
     writhe = {c: rows[c][c] for c in range(1, m + 1)}
-    return WirtingerPresentation(m, gens, steps, writhe, gauss, totals,
-                                 under_of, crs)
+    return WirtingerPresentation(m, gens, steps, writhe, gauss, totals, crs)
 
 
-class _PairSeries(Mapping):
-    """The series of every generator of components i and j, in
-    ``pair``.  ``runs[c]`` holds the positions in ``letters[c]`` of the
-    steps that moved a value of c, and (u, v) before the first step and
-    after each one: a generator at segment s has the values after the
-    steps before s."""
-
-    def __init__(self, pres: WirtingerPresentation, pair, runs):
-        self._pres, self.pair, self.runs = pres, pair, runs
-
-    def __getitem__(self, g):
-        c = self._pres.class_comp.get(g)
-        if c not in self.runs:
-            raise KeyError(g)
-        at, us, vs = self.runs[c]
-        t = bisect_left(at, self._pres.segment[g])
-        if c == self.pair[0]:
-            return (1, 1, 0, 0, us[t], vs[t])
-        return (1, 0, 1, 0, us[t], vs[t])
-
-    def __iter__(self):
-        return (g for c, gens in self._pres.gens.items() if c in self.runs
-                for g in gens)
-
-    def __len__(self):
-        return sum(1 for _ in self)
+def _check_components(m: int, *comps: int) -> None:
+    for c in comps:
+        if not 1 <= c <= m:
+            raise ValueError(f"component {c} out of range 1..{m}")
 
 
 def magnus_expand(pres: WirtingerPresentation, i: int, j: int,
-                  require_exact: bool = True) -> Mapping[int, tuple]:
+                  require_exact: bool = True) -> tuple:
     """Series in ``h_i, h_j`` of every generator of components i and j,
     from two walk-order passes; see the module docstring.
+
+    Returns ``((i, j), runs)``: for c in (i, j), ``runs[c] = (at, us,
+    vs)`` holds the positions among c's letters of the steps that moved
+    a value of c, and (u, v) before the first step and after each one;
+    a generator at segment s has the values after the steps before s.
 
     With ``require_exact`` the closing (pinned) relations are checked
     at degree three, and a defect raises :class:`ExpansionError`; a
@@ -307,6 +229,7 @@ def magnus_expand(pres: WirtingerPresentation, i: int, j: int,
     """
     if i == j:
         raise ValueError("the expansion needs two distinct components")
+    _check_components(pres.m, i, j)
     steps = pres.steps
     i_on_j, j_on_i = steps.get((i, j), []), steps.get((j, i), [])
 
@@ -342,18 +265,18 @@ def magnus_expand(pres: WirtingerPresentation, i: int, j: int,
         raise ExpansionError(
             f"components {i} and {j}: relations are not exactly "
             "satisfiable at degree three; not a planar diagram")
-    return _PairSeries(pres, (i, j), {i: (at_i, us_i, vs_i),
-                                      j: (at_j, us_j, vs_j)})
+    return (i, j), {i: (at_i, us_i, vs_i), j: (at_j, us_j, vs_j)}
 
 
-def longitude_series(pres: WirtingerPresentation, series: _PairSeries,
+def longitude_series(pres: WirtingerPresentation, series,
                      comp: int) -> tuple:
     """Zero-framed longitude of ``comp`` in the two-letter algebra of
     ``series``, a result of :func:`magnus_expand`: its letters in
     reverse walk order, where letters of components outside the pair
     count as 1, times the meridian of ``comp`` to the power of minus its
     self-writhe."""
-    (i, j), runs = series.pair, series.runs
+    _check_components(pres.m, comp)
+    (i, j), runs = series
     w = pres.writhe.get(comp, 0)
     a = b = aa = ab = aab = 0
     if comp == i:  # (1 + h_i)^-w
@@ -403,9 +326,7 @@ def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     from one scan over the crossings."""
     if i == j:
         raise ValueError("linking number needs two distinct components")
-    for c in (i, j):
-        if not 1 <= c <= d.m:
-            raise ValueError(f"component {c} out of range 1..{d.m}")
+    _check_components(d.m, i, j)
     comp, pairs = d.arc_components, ((i, j), (j, i))
     total = sum(cr.sign for cr in d.crossings
                 if (comp[cr.under_in], comp[cr.over_in]) in pairs)
@@ -431,10 +352,8 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
     """
     if len({i, j, k}) != 3:
         raise ValueError("triple linking needs three distinct components")
-    a, b, c = ordered = sorted((i, j, k))
-    bad = [x for x in ordered if not 1 <= x <= d.m]
-    if bad:
-        raise ValueError(f"components out of range 1..{d.m}: {bad}")
+    _check_components(d.m, i, j, k)
+    a, b, c = sorted((i, j, k))
     pres = wirtinger(d)
     pairs = ((a, b), (a, c), (b, c))
     for p, q in pairs:

@@ -19,7 +19,7 @@ from lzero.diagram import (Crossing, LinkDiagram, check_valid,
                            validate)
 from lzero.errors import (DiagramParseError, DiagramStructureError,
                           MovePatternError)
-from lzero.milnor import linking_number
+from lzero.milnor import linking_number, wirtinger
 from lzero.moves import _R2_SHAPE, MoveSite, apply_move, enumerate_sites
 from util import (assert_sound, corpus, euler_ok, face_through_reference,
                   face_walks_reference, random_code, walked_hosts)
@@ -165,10 +165,10 @@ def test_free_loop_fixture():
 
 
 def test_self_writhe():
-    assert fixtures.load("trefoil").self_writhe(1) == 3
-    assert mirror(fixtures.load("trefoil")).self_writhe(1) == -3
+    assert wirtinger(fixtures.load("trefoil")).writhe[1] == 3
+    assert wirtinger(mirror(fixtures.load("trefoil"))).writhe[1] == -3
     # hopf crossings join different components: no self-writhe
-    assert fixtures.load("hopf+").self_writhe(1) == 0
+    assert wirtinger(fixtures.load("hopf+")).writhe[1] == 0
 
 
 def test_mirror_is_an_involution_and_flips_signs():

@@ -17,8 +17,9 @@ from lzero.errors import (DiagramStructureError, ExpansionError,
 from lzero.milnor import (WirtingerPresentation, linking_number,
                           longitude_series, magnus_expand, triple_linking,
                           wirtinger)
-from util import (_inv2, _mul2, _pair_totals, random_class, random_code,
-                  random_walk, walked_hosts, wirtinger_reference)
+from util import (_inv2, _mul2, _pair_totals, presentation_reference,
+                  random_class, random_code, random_walk, series_of,
+                  walked_hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -33,9 +34,9 @@ def test_unit_and_meridian_shapes():
     # magnus_expand pins each base overpass to its exact meridian
     pres = wirtinger(fixtures.load("borromean"))
     for i, j in ((1, 2), (1, 3), (2, 3), (3, 1)):
-        series = magnus_expand(pres, i, j)
-        assert series[pres.base_class[i]] == H_I
-        assert series[pres.base_class[j]] == H_J
+        series = series_of(pres, magnus_expand(pres, i, j))
+        assert series[pres.gens[i][0]] == H_I
+        assert series[pres.gens[j][0]] == H_J
     assert _mul2(ONE, H_I) == _mul2(H_I, ONE) == H_I
 
 
@@ -78,7 +79,7 @@ def test_power_matches_repeated_multiplication(w):
     pres = WirtingerPresentation(2, {1: [10], 2: [20]}, {}, {1: w, 2: w},
                                  {1: (), 2: ()}, {(1, 2): 0})
     series = magnus_expand(pres, 1, 2)
-    assert dict(series) == {10: H_I, 20: H_J}
+    assert series_of(pres, series) == {10: H_I, 20: H_J}
     for comp, mer in ((1, H_I), (2, H_J)):
         slow, step = ONE, (mer if w < 0 else _inv2(mer))
         for _ in range(abs(w)):
@@ -96,8 +97,10 @@ def test_wirtinger_shape():
     for name in ("trefoil", "whitehead", "borromean"):
         d = fixtures.load(name)
         pres = wirtinger(d)
-        assert len(pres.generators()) == len(d.arcs()) - len(d.crossings), name
-        assert len(pres.relations) == len(d.crossings), name
+        gens = sum(map(len, pres.gens.values()))
+        assert gens == len(d.arcs()) - len(d.crossings), name
+        # one relation per crossing, at the underpass letter
+        assert sum(map(len, pres.steps.values())) == len(d.crossings), name
 
 
 def _presentation_hosts():
@@ -116,23 +119,21 @@ def _presentation_hosts():
         yield random_code(rng, rng.randint(1, 8))
 
 
-_ATTRIBUTES = ("arc_class", "class_comp", "base_class", "relations",
-               "letters", "writhe", "gauss", "segment", "steps")
+_FIELDS = ("m", "gens", "steps", "writhe", "gauss", "totals")
 
 
 def test_one_walk_matches_the_multi_pass_presentation():
-    # every attribute of the one-walk presentation, the views built on
-    # demand included, against the cycle / consumer / Gauss-word passes,
-    # and every pair total against a plain scan of the crossings
+    # every field of the one-walk presentation against the cycle /
+    # consumer / Gauss-word passes, and every pair total against a plain
+    # scan of the crossings, lex order included
     seen = {"hosts": 0, "free loops": 0, "odd totals": 0, "m": set()}
     for d in _presentation_hosts():
-        pres, want = wirtinger(d), wirtinger_reference(d)
-        for name in _ATTRIBUTES:
+        pres, want = wirtinger(d), presentation_reference(d)
+        for name in _FIELDS:
             assert getattr(pres, name) == getattr(want, name), \
                 (name, render_diagram(d))
-        assert pres.generators() == want.generators(), render_diagram(d)
         totals = _pair_totals(d)
-        assert pres.totals == totals and list(pres.totals) == list(totals)
+        assert list(pres.totals) == list(totals)
         seen["hosts"] += 1
         seen["free loops"] += bool(d.free_loops)
         seen["odd totals"] += any(t % 2 for t in totals.values())
@@ -173,6 +174,20 @@ def test_linking_rejects_bad_components():
         linking_number(d, 1, 1)
     with pytest.raises(ValueError):
         linking_number(d, 1, 3)
+
+
+def test_expansion_and_longitude_reject_bad_components():
+    # the same refusal as linking_number, triple_linking and arf
+    pres = wirtinger(fixtures.load("borromean"))
+    for i, j in ((1, 9), (0, 2), (4, 1)):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+            magnus_expand(pres, i, j)
+    series = magnus_expand(pres, 1, 2)
+    for comp in (0, 4, 9):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+            longitude_series(pres, series, comp)
+    with pytest.raises(ValueError, match=r"component 4 out of range 1\.\.3"):
+        triple_linking(fixtures.load("borromean"), 1, 4, 2)
 
 
 def test_linking_rejects_odd_crossing_totals():

@@ -1,13 +1,15 @@
 """The benchmark's layer tracer names only functions that exist, and
-still sees the face and site layers."""
+still sees the face and site layers; the README's Python runs."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from lzero import fixtures
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -62,3 +64,18 @@ def test_tracer_reaches_the_battery_walk_and_expansions():
     assert counts["milnor.wirtinger_calls"] == 1
     assert counts["milnor.magnus_expand_calls"] == d.m * (d.m - 1) // 2
     assert counts["milnor.linking_number_calls"] == 0
+
+
+def test_readme_python_runs():
+    """Every Python block of README.md, in order in one namespace, and
+    every inline ``from lzero ... import ...`` it names."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    imports = re.findall(r"`(from lzero[\w.]* import [\w, ]+)`", text)
+    assert len(blocks) >= 2 and imports
+    namespace = {}
+    for code in blocks + imports:
+        exec(compile(code, "README.md", "exec"), namespace)
+    # the value the README's comment gives for the Borromean rings
+    assert namespace["g"] == namespace["parse_class"](
+        "m=3; a=0,0,0; b=+1; c=0,0,0")

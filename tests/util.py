@@ -10,6 +10,7 @@ kernel."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -293,10 +294,11 @@ def _conj2(x, o, sign):
     return _mul2(_mul2(a, x), b)
 
 
-def magnus_expand_reference(pres: WirtingerPresentation, i: int, j: int,
+def magnus_expand_reference(pres: ReferencePresentation, i: int, j: int,
                             require_exact: bool = True) -> dict[int, tuple]:
-    """``milnor.magnus_expand`` as a dict of full series: both passes go
-    through every relation whose target lies on i or j."""
+    """``milnor.magnus_expand`` as a dict of full series, from the
+    reference presentation's relations: both passes go through every
+    relation whose target lies on i or j."""
     unit = {i: (1, 1, 0, 0, 0, 0), j: (1, 0, 1, 0, 0, 0)}
     meridians = {g: unit[c] for g, c in pres.class_comp.items() if c in unit}
     rels = [r for r in pres.relations if r[0] in meridians]
@@ -315,10 +317,11 @@ def magnus_expand_reference(pres: WirtingerPresentation, i: int, j: int,
     return series
 
 
-def longitude_reference(pres: WirtingerPresentation, series: dict,
+def longitude_reference(pres: ReferencePresentation, series: dict,
                         comp: int) -> tuple:
     """``milnor.longitude_series`` as a product over every letter of
-    ``comp``, the framing factor as a power of the meridian."""
+    ``comp`` in the reference presentation, the framing factor as a
+    power of the meridian."""
     out = (1, 0, 0, 0, 0, 0)
     base = series.get(pres.base_class.get(comp))
     if base is not None:
@@ -331,6 +334,21 @@ def longitude_reference(pres: WirtingerPresentation, series: dict,
         if o is not None:
             out = _mul2(o if sign > 0 else _inv2(o), out)
     return out
+
+
+def series_of(pres: WirtingerPresentation, expansion) -> dict[int, tuple]:
+    """The full series of every generator in a ``milnor.magnus_expand``
+    result, keyed by generator, as ``magnus_expand_reference`` gives
+    them: a generator at segment s has the values after the steps
+    before s."""
+    (i, _), runs = expansion
+    series = {}
+    for c, (at, us, vs) in runs.items():
+        head = (1, 1, 0) if c == i else (1, 0, 1)
+        for s, g in enumerate(pres.gens.get(c, ())):
+            t = bisect_left(at, s)
+            series[g] = head + (0, us[t], vs[t])
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +384,6 @@ class ReferencePresentation:
                     (k, other, segment[over], sign))
         object.__setattr__(self, "segment", segment)
         object.__setattr__(self, "steps", steps)
-
-    def generators(self) -> list[int]:
-        return sorted(set(self.arc_class.values()))
 
 
 def gauss_word(d: LinkDiagram, cons: dict[int, tuple[int, str]],
