@@ -41,9 +41,9 @@ WORDS = {
 
 
 def fixture_diagrams() -> dict[str, LinkDiagram]:
-    diagrams = {"unknot": LinkDiagram(1, (), {}, (1,), name="unknot")}
+    diagrams = {"unknot": LinkDiagram(1, (), {}, (1,))}
     for name, (word, strands) in WORDS.items():
-        diagrams[name] = braid_closure(word, strands, name=name)
+        diagrams[name] = braid_closure(word, strands)
     return diagrams
 
 

@@ -224,8 +224,7 @@ def representative(g: ZeroSolveClass) -> LinkDiagram:
         raise ResourceLimitError(
             f"the representative of this class would have {n} crossings, "
             f"over the budget of {MAX_REP_CROSSINGS}")
-    diagram, _ = build_from_gadgets(g.m, class_gadgets(g),
-                                    name=render_class(g))
+    diagram, _ = build_from_gadgets(g.m, class_gadgets(g))
     return diagram
 
 

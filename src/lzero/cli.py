@@ -54,7 +54,7 @@ def _read_diagram(path: str):
             text = fh.read()
     except OSError as exc:
         raise DiagramParseError(f"cannot read {path}: {exc.strerror or exc}")
-    return parse_diagram(text, name=os.path.basename(path))
+    return parse_diagram(text)
 
 
 # Each handler returns (text, json_object).

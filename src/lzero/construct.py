@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
+def braid_closure(word, strands: int) -> LinkDiagram:
     """Close the braid given by ``word`` on ``strands`` strands.
 
     Components are numbered by their smallest arc id; strands untouched
@@ -70,7 +70,7 @@ def braid_closure(word, strands: int, name: str = "") -> LinkDiagram:
             raise ValueError(f"letter {letter} out of range for {n} strands")
     b = _Builder(n)
     b.splice(Tangle(n, tuple(word)), tuple(range(1, n + 1)))
-    return check_valid(renumber_components(b.finish(name)))
+    return check_valid(renumber_components(b.finish()))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ class _Builder:
         self.bp_sites.append(MoveSite(
             "BANDPASS", crossings=(base + 1, base + 2, base + 3, base + 4)))
 
-    def finish(self, name: str) -> LinkDiagram:
+    def finish(self) -> LinkDiagram:
         """Close every row; the result is not yet validated."""
         loops = []
         for c in range(1, self.m + 1):
@@ -246,10 +246,10 @@ class _Builder:
                 # back into the seed arc's consumer.
                 self._rename_output(self.cur[c], c)
         return LinkDiagram(self.m, tuple(self.crossings), self.arc_comp,
-                           tuple(loops), name=name)
+                           tuple(loops))
 
 
-def build_from_gadgets(m: int, gadgets, name: str = ""):
+def build_from_gadgets(m: int, gadgets):
     """Compose gadget insertions serially; see the module docstring.
 
     Returns ``(diagram, band_pass_sites)`` where the sites index the
@@ -274,7 +274,7 @@ def build_from_gadgets(m: int, gadgets, name: str = ""):
         b.dive(comps)
         b.splice(_TANGLES[kind], comps)
         b.climb(comps)
-    return check_valid(b.finish(name)), tuple(b.bp_sites)
+    return check_valid(b.finish()), tuple(b.bp_sites)
 
 
 def gadget_crossings(m: int, gadget) -> int:
@@ -289,5 +289,5 @@ def gadget_crossings(m: int, gadget) -> int:
 
 def band_clasp_diagram() -> tuple[LinkDiagram, MoveSite]:
     """Two-component unlink with one registered band-pass site."""
-    d, sites = build_from_gadgets(2, [("CLASP", (1, 2))], name="clasp-pair")
+    d, sites = build_from_gadgets(2, [("CLASP", (1, 2))])
     return d, sites[0]

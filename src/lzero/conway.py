@@ -102,8 +102,7 @@ def switch_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
     cr = d.crossing(cid)
     crossings = list(d.crossings)
     crossings[cid - 1] = cr.switched()
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components,
-                       d.free_loops, name=d.name)
+    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
 
 
 def smooth_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:

@@ -14,9 +14,9 @@ combinatorial and their outputs are meaningful for codes that arise
 from actual planar diagrams.  The face structure of a realizable code
 follows from the crossing signs through one integer dart table, four
 darts per crossing numbered by the slot they enter, with the dart that
-leaves each corner: ``faces``, ``face_walks`` and ``face_through`` are
-views of it, move generation reads it to stay inside the realizable
-world, and the Conway engine builds its matrices from it.
+leaves each corner: ``faces`` and ``face_through`` are views of it,
+move generation reads it to stay inside the realizable world, and the
+Conway engine builds its matrices from it.
 
 File format (UTF-8, one record per line, ``#`` starts a comment):
 
@@ -32,7 +32,7 @@ index is the crossing id used by moves and by the skein primitives.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import DiagramParseError, DiagramStructureError
 
@@ -43,13 +43,11 @@ __all__ = [
     "render_diagram",
     "validate",
     "check_valid",
-    "successor_map",
     "component_cycles",
     "sublink",
     "disjoint_union",
     "mirror",
     "faces",
-    "face_walks",
 ]
 
 
@@ -88,10 +86,6 @@ class LinkDiagram:
     crossings: tuple[Crossing, ...]
     arc_components: dict[int, int]
     free_loops: tuple[int, ...] = ()
-    name: str = field(default="", compare=False)
-
-    def arcs(self):
-        return set(self.arc_components)
 
     def crossing(self, cid: int) -> Crossing:
         """Crossing by 1-based id (= position in the record list)."""
@@ -107,7 +101,7 @@ class LinkDiagram:
 # parsing / rendering
 
 
-def parse_diagram(text: str, name: str = "") -> LinkDiagram:
+def parse_diagram(text: str) -> LinkDiagram:
     """Parse the line format above; raises on any syntax or structure problem."""
     m = None
     crossings = []
@@ -165,7 +159,7 @@ def parse_diagram(text: str, name: str = "") -> LinkDiagram:
     if m is None:
         raise DiagramParseError("missing 'components' record", line=1, column=1)
 
-    d = LinkDiagram(m, tuple(crossings), arc_comp, tuple(sorted(loops)), name=name)
+    d = LinkDiagram(m, tuple(crossings), arc_comp, tuple(sorted(loops)))
     problems = validate(d)
     if problems:
         raise DiagramStructureError(problems)
@@ -189,15 +183,6 @@ def render_diagram(d: LinkDiagram) -> str:
 # structural checks
 
 
-def successor_map(d: LinkDiagram) -> dict[int, int]:
-    """arc -> the arc the strand continues into at its consuming crossing."""
-    nxt = {}
-    for cr in d.crossings:
-        nxt[cr.under_in] = cr.under_out
-        nxt[cr.over_in] = cr.over_out
-    return nxt
-
-
 def consumer_map(d: LinkDiagram) -> dict[int, tuple[int, str]]:
     """arc -> (crossing index 0-based, 'under'|'over') where it is consumed."""
     cons = {}
@@ -210,10 +195,14 @@ def consumer_map(d: LinkDiagram) -> dict[int, tuple[int, str]]:
 def component_cycles(d: LinkDiagram) -> list[list[int]]:
     """Arc cycles in traversal order, each starting at its lowest arc id.
 
-    Cycles are returned sorted by that starting arc.  Assumes the slot
-    structure already validated; free loops do not appear.
+    Cycles are returned sorted by that starting arc; free loops do not
+    appear.  Slots that are not a permutation raise
+    :class:`DiagramStructureError`.
     """
-    nxt = successor_map(d)
+    nxt = {}
+    for cr in d.crossings:
+        nxt[cr.under_in] = cr.under_out
+        nxt[cr.over_in] = cr.over_out
     seen = set()
     cycles = []
     for start in sorted(d.arc_components):
@@ -221,12 +210,14 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
             continue
         cyc = []
         a = start
-        while True:
+        for _ in range(len(nxt)):
             cyc.append(a)
             seen.add(a)
             a = nxt[a]
             if a == start:
                 break
+        else:
+            raise DiagramStructureError(validate(d))
         cycles.append(cyc)
     return cycles
 
@@ -431,7 +422,7 @@ def delete_crossings(d: LinkDiagram, kill: set[int],
         live.update(cr.arcs())
     arc_comp = {a: d.arc_components[a] for a in live}
     return LinkDiagram(d.m, tuple(new_crossings), arc_comp,
-                       tuple(sorted(loops)), name=d.name)
+                       tuple(sorted(loops)))
 
 
 def kink_fusion(cr: Crossing):
@@ -494,7 +485,7 @@ def renumber_components(d: LinkDiagram) -> LinkDiagram:
             for a in cyc:
                 arc_comp[a] = new_id
     return LinkDiagram(len(keyed), d.crossings, arc_comp,
-                       tuple(sorted(loops)), name=d.name)
+                       tuple(sorted(loops)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +524,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     arc_comp = {a: order[c] for a, c in trimmed.arc_components.items()
                 if c in keep}
     loops = tuple(sorted(order[c] for c in trimmed.free_loops if c in keep))
-    return LinkDiagram(len(keep), trimmed.crossings, arc_comp, loops,
-                       name=d.name)
+    return LinkDiagram(len(keep), trimmed.crossings, arc_comp, loops)
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
@@ -549,8 +539,7 @@ def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
     for a, c in d2.arc_components.items():
         arc_comp[a + shift] = c + d1.m
     loops = tuple(sorted(d1.free_loops + tuple(c + d1.m for c in d2.free_loops)))
-    return LinkDiagram(d1.m + d2.m, tuple(crossings), arc_comp, loops,
-                       name=d1.name)
+    return LinkDiagram(d1.m + d2.m, tuple(crossings), arc_comp, loops)
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
@@ -567,11 +556,9 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 # out-slot.  Orient the under strand east; the over strand heads north
 # at a positive crossing, south at a negative one.  A face boundary
 # entering at a slot turns to the slot before it counterclockwise, the
-# face on its left, and leaves there.
-
-_SLOTS = ("under_in", "under_out", "over_in", "over_out")
-# sign -> the slot each slot k turns to
-_TURN = {1: (3, 2, 0, 1), -1: (2, 3, 1, 0)}
+# face on its left, and leaves along that slot's arc: slot k turns to
+# slot (3, 2, 0, 1)[k] at a positive crossing and to (2, 3, 1, 0)[k] at
+# a negative one, which ``_darts`` writes out once per crossing.
 
 
 def _darts(d: LinkDiagram) -> tuple[list[int], list[int], list[int]]:
@@ -620,16 +607,6 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     """
     arc, nxt, order = _darts(d)
     return [[(arc[p], not p & 1) for p in face] for face in _orbits(nxt, order)]
-
-
-def face_walks(d: LinkDiagram) -> list[list[tuple]]:
-    """:func:`faces` with corners: ``(dart, idx, slot, nslot)``, where
-    the dart enters crossing ``idx`` (0-based) at ``slot`` and the
-    face's corner there runs to ``nslot``, where the next dart leaves."""
-    arc, nxt, order = _darts(d)
-    return [[((arc[p], not p & 1), p >> 2, _SLOTS[p & 3],
-              _SLOTS[_TURN[d.crossings[p >> 2].sign][p & 3]]) for p in face]
-            for face in _orbits(nxt, order)]
 
 
 def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:

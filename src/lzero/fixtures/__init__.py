@@ -17,4 +17,4 @@ def fixture_text(name: str) -> str:
 
 def load(name: str) -> LinkDiagram:
     """Parse and return the bundled diagram called *name*."""
-    return parse_diagram(fixture_text(name), name=name)
+    return parse_diagram(fixture_text(name))

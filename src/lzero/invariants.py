@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram
 from .errors import InvariantUndefinedError
-from .milnor import (WirtingerPresentation, linking_number,
-                     longitude_series, magnus_expand, wirtinger)
+from .milnor import (WirtingerPresentation, _linking, longitude_series,
+                     magnus_expand, wirtinger)
 
 __all__ = [
     "arf",
@@ -87,11 +87,11 @@ def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
     """
     if i == j:
         raise ValueError("needs two distinct components")
-    lk = linking_number(d, i, j)
+    pres = wirtinger(d)
+    lk = _linking(pres, i, j)
     if lk != 0:
         raise InvariantUndefinedError(
             f"undefined for lk(K_{i},K_{j})={lk}", pair=(i, j), linking=lk)
-    pres = wirtinger(d)
     return -longitude_series(pres, magnus_expand(pres, i, j), j)[5]
 
 

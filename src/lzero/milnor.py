@@ -16,7 +16,8 @@ crossing, then gives everything the battery reads: each letter's step
 self-writhes and every pair's signed crossing total (twice the linking
 number); a component's Gauss word is its recorded passages at its self
 letters' crossings.  The presentation holds only what the battery
-reads; relations, letters and arc classes are never built.
+reads; generator lists, relations, letters and arc classes are never
+built.
 
 Every invariant here is a coefficient of a longitude in one algebra:
 power series in two non-commuting variables ``h_i, h_j`` (for a chosen
@@ -77,7 +78,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .diagram import LinkDiagram, consumer_map
+from .diagram import LinkDiagram, consumer_map, validate
 from .errors import (DiagramStructureError, ExpansionError,
                      InvariantUndefinedError)
 
@@ -97,13 +98,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WirtingerPresentation:
-    """Overpass generators and the letters met along each component.
+    """The letters met along each component, with what the battery reads.
 
-    A generator is named by the first arc of its overpass in walk
-    order; a component's base overpass, which holds its lowest arc, is
-    named by that arc.  ``gens[comp]`` lists the component's generators
-    in walk order from the base, so a generator's place in that list is
-    its *segment*, the number of underpasses from the base to it.
+    A generator is known by its *segment*: the number of underpasses
+    its component's walk meets from the base overpass, which holds the
+    component's lowest arc, to it; the base is segment 0.
 
     ``steps[comp, other]`` lists the letters of ``comp`` whose overpass
     lies on ``other``, in walk order, as (position among the
@@ -112,11 +111,10 @@ class WirtingerPresentation:
     self-crossing passages (crossing index, 'under'|'over') in walk
     order from its base, ``totals[i, j]`` the signed count of crossings
     between components i < j, in lex order, and ``crossings`` is the
-    diagram's.  A free loop has no generators and no steps.
+    diagram's.  A free loop has no steps.
     """
 
     m: int
-    gens: dict[int, list[int]]
     steps: dict[tuple[int, int], list]
     writhe: dict[int, int]
     gauss: dict[int, tuple[tuple[int, str], ...]]
@@ -141,7 +139,8 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     the last underpass belongs to the base overpass (segment 0).  One
     pass over the underpass letters, one per crossing, then gives the
     steps, self-writhes and pair totals, and each component's Gauss
-    word keeps the passages at its self letters' crossings.
+    word keeps the passages at its self letters' crossings.  Slots that
+    are not a permutation raise :class:`DiagramStructureError`.
     """
     comp_of, crs, m = d.arc_components, d.crossings, d.m
     cons = consumer_map(d)
@@ -153,23 +152,20 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
             if len(bases) == walked:
                 break
 
-    # starts[r] is the first arc of raw segment r: the base, then the
-    # arc leaving each underpass
     over_seg = [0] * len(crs)
     over_comp = [0] * len(crs)
     count = [0] * (m + 1)
     walks = []
     for c, base in bases.items():
-        under, starts, passages = [], [base], []
+        under, passages = [], []
         s, arc = 0, base
-        while True:
+        for _ in range(len(cons)):
             passage = cons[arc]
             passages.append(passage)
             idx, level = passage
             if level == "under":
                 under.append(idx)
                 arc = crs[idx].under_out
-                starts.append(arc)
                 s += 1
             else:
                 over_seg[idx] = s
@@ -177,18 +173,20 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
                 arc = crs[idx].over_out
             if arc == base:
                 break
+        else:
+            raise DiagramStructureError(validate(d))
         count[c] = s
-        walks.append((c, starts, under, passages))
+        walks.append((c, under, passages))
 
-    gens, steps = {}, {}
+    steps = {}
     rows = {c: [0] * (m + 1) for c in range(1, m + 1)}
     gauss = {c: () for c in range(1, m + 1)}
-    for c, starts, under, passages in walks:
-        # the last raw segment, the tail, belongs to the base overpass
-        gens[c], row = starts[:-1] or starts, rows[c]
+    for c, under, passages in walks:
+        row = rows[c]
         runs = [[] for _ in range(m + 1)]
         for k, idx in enumerate(under):
             other, s = over_comp[idx], over_seg[idx]
+            # the last raw segment, the tail, belongs to the base overpass
             if s == count[other]:
                 s = 0
             sign = crs[idx].sign
@@ -204,7 +202,7 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     totals = {(i, j): rows[i][j] + rows[j][i]
               for i, j in itertools.combinations(range(1, m + 1), 2)}
     writhe = {c: rows[c][c] for c in range(1, m + 1)}
-    return WirtingerPresentation(m, gens, steps, writhe, gauss, totals, crs)
+    return WirtingerPresentation(m, steps, writhe, gauss, totals, crs)
 
 
 def _check_components(m: int, *comps: int) -> None:
@@ -321,26 +319,19 @@ def _half(i: int, j: int, total: int) -> int:
     return total // 2
 
 
+def _linking(pres: WirtingerPresentation, i: int, j: int) -> int:
+    """lk(i, j), in either order, from the presentation's pair total."""
+    _check_components(pres.m, i, j)
+    i, j = sorted((i, j))
+    return _half(i, j, pres.totals[i, j])
+
+
 def linking_number(d: LinkDiagram, i: int, j: int) -> int:
     """Half the signed count of crossings between components i and j,
-    from one scan over the crossings."""
+    the pair total of the presentation's walk."""
     if i == j:
         raise ValueError("linking number needs two distinct components")
-    _check_components(d.m, i, j)
-    comp, pairs = d.arc_components, ((i, j), (j, i))
-    total = sum(cr.sign for cr in d.crossings
-                if (comp[cr.under_in], comp[cr.over_in]) in pairs)
-    return _half(min(i, j), max(i, j), total)
-
-
-def _permutation_sign(seq) -> int:
-    sign = 1
-    seq = list(seq)
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
+    return _linking(wirtinger(d), i, j)
 
 
 def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
@@ -357,7 +348,7 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
     pres = wirtinger(d)
     pairs = ((a, b), (a, c), (b, c))
     for p, q in pairs:
-        lk = _half(p, q, pres.totals[p, q])
+        lk = _linking(pres, p, q)
         if lk != 0:
             raise InvariantUndefinedError(
                 f"triple linking undefined: lk(K_{p},K_{q})={lk}",
@@ -367,4 +358,5 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
     # value.
     series = [magnus_expand(pres, p, q) for p, q in pairs]
     mu = longitude_series(pres, series[0], c)[4]
-    return _permutation_sign((i, j, k)) * mu
+    # the sign of the permutation sorting (i, j, k)
+    return (-1) ** ((i > j) + (i > k) + (j > k)) * mu

@@ -174,8 +174,7 @@ def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     arc_comp = dict(d.arc_components)
     arc_comp[n1] = comp
     arc_comp[n2] = comp
-    return LinkDiagram(d.m, tuple(crossings) + (kink,), arc_comp,
-                       d.free_loops, name=d.name)
+    return LinkDiagram(d.m, tuple(crossings) + (kink,), arc_comp, d.free_loops)
 
 
 def _r1_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -216,7 +215,7 @@ def _r2_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     arc_comp[n1] = arc_comp[n2] = d.arc_components[x]
     arc_comp[n3] = arc_comp[n4] = d.arc_components[y]
     return LinkDiagram(d.m, tuple(crossings) + (c1, c2), arc_comp,
-                       d.free_loops, name=d.name)
+                       d.free_loops)
 
 
 def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -279,8 +278,7 @@ def _r3(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     for cid in site.crossings:
         crossings[cid - 1] = Crossing(crossings[cid - 1].sign,
                                       *slid[cid, "under"], *slid[cid, "over"])
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components,
-                       d.free_loops, name=d.name)
+    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
 
 
 def _band_pass(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -301,8 +299,7 @@ def _band_pass(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     crossings = list(d.crossings)
     for cid in site.crossings:
         crossings[cid - 1] = crossings[cid - 1].switched()
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components,
-                       d.free_loops, name=d.name)
+    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
 
 
 # ---------------------------------------------------------------------------

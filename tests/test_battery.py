@@ -29,7 +29,7 @@ from lzero.invariants import (InvariantTuple, _gauss_arf, arf,
 from lzero.milnor import (linking_number, longitude_series, magnus_expand,
                           triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import (corpus, euler_ok, linking_numbers,
+from util import (corpus, euler_ok, generators, linking_numbers,
                   longitude_reference, magnus_expand_reference,
                   random_class, random_code, random_walk, series_of,
                   walked_hosts, wirtinger_reference)
@@ -162,6 +162,7 @@ def test_kernel_matches_the_general_algebra():
     verdicts = {"values": 0, "refused": 0, "odd": 0, "pair refused": 0}
     for d in _kernel_hosts():
         pres, ref = wirtinger(d), wirtinger_reference(d)
+        gens = generators(ref)
         for i, j in itertools.permutations(range(1, d.m + 1), 2):
             got, err = _expansion_verdict(magnus_expand, pres, i, j)
             want, want_err = _expansion_verdict(magnus_expand_reference,
@@ -171,7 +172,7 @@ def test_kernel_matches_the_general_algebra():
                 verdicts["pair refused"] += 1
                 got = magnus_expand(pres, i, j, require_exact=False)
                 want = magnus_expand_reference(ref, i, j, False)
-            assert series_of(pres, got) == want, (render_diagram(d), i, j)
+            assert series_of(gens, got) == want, (render_diagram(d), i, j)
             for k in range(1, d.m + 1):
                 assert longitude_series(pres, got, k) == \
                     longitude_reference(ref, want, k), (i, j, k)

@@ -9,7 +9,7 @@ import pytest
 
 from lzero import fixtures
 from lzero.classify import (ZeroSolveClass, classify, identity_class,
-                            representative)
+                            render_class, representative)
 from lzero.construct import (band_clasp_diagram, braid_closure,
                              build_from_gadgets)
 from lzero.diagram import render_diagram
@@ -24,9 +24,8 @@ from util import assert_sound, random_class
 
 
 def test_closure_shape():
-    d = braid_closure((1, -2, 1), 3, name="demo")
+    d = braid_closure((1, -2, 1), 3)
     assert len(d.crossings) == 3
-    assert d.name == "demo"
     assert_sound(d)
 
 
@@ -138,9 +137,9 @@ def _construction_outputs():
                          for _ in range(rng.randint(0, 10)))
         yield render_diagram(braid_closure(word, strands))
     for m in range(1, 9):
-        d = representative(random_class(rng, m, b_bound=1))
-        yield d.name
-        yield render_diagram(d)
+        g = random_class(rng, m, b_bound=1)
+        yield render_class(g)
+        yield render_diagram(representative(g))
     d, sites = build_from_gadgets(4, [
         ("CLASP", (2, 4)), ("TREFOIL", (3,)), ("BORROMEAN", (4, 1, 2), -1),
         ("WHITEHEAD", (1, 3)), ("CLASP", (1, 2)), ("BORROMEAN", (1, 3, 4), 1),

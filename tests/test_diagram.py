@@ -1,7 +1,10 @@
 """Diagram records: text format, structural validation, planarity."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -9,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lzero
 from lzero import fixtures
 from lzero.construct import braid_closure
 from lzero.conway import _reduce, conway_polynomial
 from lzero.diagram import (Crossing, LinkDiagram, check_valid,
                            component_cycles, crossing_graph_parts,
-                           disjoint_union, face_through, face_walks, faces,
-                           mirror, parse_diagram, render_diagram, sublink,
-                           validate)
+                           disjoint_union, face_through, faces, mirror,
+                           parse_diagram, render_diagram, sublink, validate)
 from lzero.errors import (DiagramParseError, DiagramStructureError,
                           MovePatternError)
 from lzero.milnor import linking_number, wirtinger
@@ -28,7 +31,7 @@ from util import (assert_sound, corpus, euler_ok, face_through_reference,
 def test_parse_render_round_trip_on_fixtures():
     for name in fixtures.NAMES:
         d = fixtures.load(name)
-        again = parse_diagram(render_diagram(d), name=name)
+        again = parse_diagram(render_diagram(d))
         assert again == d, name
         # rendering is deterministic
         assert render_diagram(again) == render_diagram(d)
@@ -137,6 +140,50 @@ def test_validate_texts_are_pinned(d, texts):
     assert validate(d) == texts
 
 
+# Arc 2 is produced twice and arc 1 never, so the slots are not a
+# permutation: the walk from arc 1 circles 2, 3, 2, 3 and never returns.
+# The child caps its address space, and the parent its time, so a walk
+# that does not stop fails the test instead of hanging the suite.
+_ENDLESS_WALK = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from lzero.classify import classify
+from lzero.diagram import Crossing, LinkDiagram, component_cycles
+from lzero.errors import DiagramStructureError
+from lzero.invariants import arf, invariant_tuple
+from lzero.milnor import linking_number
+crs = (Crossing(1, 1, 2, 4, 5), Crossing(1, 2, 3, 5, 6),
+       Crossing(1, 3, 2, 6, 4))
+knot = LinkDiagram(1, crs, {a: 1 for a in range(1, 7)})
+pair = LinkDiagram(2, crs, {a: 1 + (a > 3) for a in range(1, 7)})
+for name, call in (("classify", lambda: classify(knot)),
+                   ("invariant_tuple", lambda: invariant_tuple(knot)),
+                   ("arf", lambda: arf(knot, 1)),
+                   ("linking_number", lambda: linking_number(pair, 1, 2)),
+                   ("component_cycles", lambda: component_cycles(knot))):
+    start = time.perf_counter()
+    try:
+        call()
+    except DiagramStructureError as exc:
+        print(name, time.perf_counter() - start < 1.0, exc.violations)
+    else:
+        print(name, "returned")
+"""
+
+
+def test_unpermuted_slots_end_every_walk():
+    src = os.path.dirname(os.path.dirname(lzero.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _ENDLESS_WALK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    want = ("True ['arc 2 produced by both crossing 1 and crossing 3', "
+            "'arc 1 is consumed but never produced']")
+    assert done.stdout.splitlines() == [
+        f"{name} {want}" for name in ("classify", "invariant_tuple", "arf",
+                                      "linking_number", "component_cycles")]
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "# header comment\n\ncomponents 1  # trailing\no 1\n"
     d = parse_diagram(text)
@@ -154,7 +201,7 @@ def test_component_cycles_partition_the_arcs():
     cycles = component_cycles(d)
     assert len(cycles) == 3
     seen = sorted(a for cyc in cycles for a in cyc)
-    assert seen == sorted(d.arcs())
+    assert seen == sorted(d.arc_components)
 
 
 def test_free_loop_fixture():
@@ -225,13 +272,13 @@ def test_faces_satisfy_euler_count_on_corpus():
 
 
 def test_faces_agree_with_face_walks_and_face_through():
-    """On the corpus and seeded walks: ``faces`` lists the darts of
-    ``face_walks``; ``face_through`` gives, for every dart, its face
-    rotated to start there; and the Euler count holds."""
+    """On the corpus and seeded walks: ``faces`` lists the darts of the
+    reference face walks; ``face_through`` gives, for every dart, its
+    face rotated to start there; and the Euler count holds."""
     for d in walked_hosts(23):
         found = faces(d)
         assert found == [[corner[0] for corner in walk]
-                         for walk in face_walks(d)]
+                         for walk in face_walks_reference(d)]
         for face in found:
             for k, dart in enumerate(face):
                 assert face_through(d, dart) == face[k:] + face[:k]
@@ -262,16 +309,15 @@ def _sites_from_walks(d, walks):
 
 def test_face_layer_matches_the_dict_walk():
     """The dart table against the tuple-keyed walk it replaced:
-    ``faces``, ``face_walks``, ``face_through`` at every dart, the R2+,
-    R2- and R3 sites, and the face count behind ``conway``'s planarity
-    refusal, on the corpus, seeded walks and 1200 random valid codes of
-    1-8 crossings (most of them not planar)."""
+    ``faces``, ``face_through`` at every dart, the R2+, R2- and R3
+    sites, and the face count behind ``conway``'s planarity refusal, on
+    the corpus, seeded walks and 1200 random valid codes of 1-8
+    crossings (most of them not planar)."""
     rng = random.Random(16)
     hosts = [d for _, d in corpus()] + walked_hosts(31)
     hosts += [random_code(rng, rng.randint(1, 8)) for _ in range(1200)]
     for d in hosts:
         walks = face_walks_reference(d)
-        assert face_walks(d) == walks
         assert faces(d) == [[c[0] for c in walk] for walk in walks]
         for arc in d.arc_components:
             for dart in ((arc, True), (arc, False)):

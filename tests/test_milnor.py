@@ -17,9 +17,9 @@ from lzero.errors import (DiagramStructureError, ExpansionError,
 from lzero.milnor import (WirtingerPresentation, linking_number,
                           longitude_series, magnus_expand, triple_linking,
                           wirtinger)
-from util import (_inv2, _mul2, _pair_totals, presentation_reference,
-                  random_class, random_code, random_walk, series_of,
-                  walked_hosts)
+from util import (_inv2, _mul2, _pair_totals, generators, linking_numbers,
+                  presentation_reference, random_class, random_code,
+                  random_walk, series_of, walked_hosts, wirtinger_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +32,12 @@ H_J = (1, 0, 1, 0, 0, 0)
 
 def test_unit_and_meridian_shapes():
     # magnus_expand pins each base overpass to its exact meridian
-    pres = wirtinger(fixtures.load("borromean"))
+    d = fixtures.load("borromean")
+    pres, gens = wirtinger(d), generators(wirtinger_reference(d))
     for i, j in ((1, 2), (1, 3), (2, 3), (3, 1)):
-        series = series_of(pres, magnus_expand(pres, i, j))
-        assert series[pres.gens[i][0]] == H_I
-        assert series[pres.gens[j][0]] == H_J
+        series = series_of(gens, magnus_expand(pres, i, j))
+        assert series[gens[i][0]] == H_I
+        assert series[gens[j][0]] == H_J
     assert _mul2(ONE, H_I) == _mul2(H_I, ONE) == H_I
 
 
@@ -76,10 +77,10 @@ def test_product_is_associative(x, y, z):
 def test_power_matches_repeated_multiplication(w):
     # a component with self-writhe w and no letters: its longitude is
     # the framing factor alone, the meridian to the power -w
-    pres = WirtingerPresentation(2, {1: [10], 2: [20]}, {}, {1: w, 2: w},
-                                 {1: (), 2: ()}, {(1, 2): 0})
+    pres = WirtingerPresentation(2, {}, {1: w, 2: w}, {1: (), 2: ()},
+                                 {(1, 2): 0})
     series = magnus_expand(pres, 1, 2)
-    assert series_of(pres, series) == {10: H_I, 20: H_J}
+    assert series_of({1: [10], 2: [20]}, series) == {10: H_I, 20: H_J}
     for comp, mer in ((1, H_I), (2, H_J)):
         slow, step = ONE, (mer if w < 0 else _inv2(mer))
         for _ in range(abs(w)):
@@ -92,15 +93,17 @@ def test_power_matches_repeated_multiplication(w):
 
 
 def test_wirtinger_shape():
-    # generators are over-strand classes: passing over a crossing never
-    # breaks a strand, so there are (arcs - crossings) of them
     for name in ("trefoil", "whitehead", "borromean"):
         d = fixtures.load(name)
         pres = wirtinger(d)
-        gens = sum(map(len, pres.gens.values()))
-        assert gens == len(d.arcs()) - len(d.crossings), name
         # one relation per crossing, at the underpass letter
         assert sum(map(len, pres.steps.values())) == len(d.crossings), name
+        # a component with n underpasses has n overpass generators, at
+        # segments 0 .. n-1
+        under = {c: sum(len(run) for (a, _), run in pres.steps.items()
+                        if a == c) for c in range(1, d.m + 1)}
+        assert all(0 <= s < under[other] for run in pres.steps.values()
+                   for _, other, s, _ in run), name
 
 
 def _presentation_hosts():
@@ -119,7 +122,7 @@ def _presentation_hosts():
         yield random_code(rng, rng.randint(1, 8))
 
 
-_FIELDS = ("m", "gens", "steps", "writhe", "gauss", "totals")
+_FIELDS = ("m", "steps", "writhe", "gauss", "totals")
 
 
 def test_one_walk_matches_the_multi_pass_presentation():
@@ -190,6 +193,38 @@ def test_expansion_and_longitude_reject_bad_components():
         triple_linking(fixtures.load("borromean"), 1, 4, 2)
 
 
+def test_linking_number_matches_the_crossing_scan():
+    # the walk's pair totals against the scan in tests/util.py, in both
+    # pair orders, on planar hosts and random valid codes: the same
+    # value at every pair before the first odd total, and the same
+    # refusal there
+    rng = random.Random(47)
+    hosts = walked_hosts(5)
+    hosts += [random_code(rng, rng.randint(1, 8)) for _ in range(400)]
+    seen = {"values": 0, "nonzero": 0, "odd": 0}
+    for d in hosts:
+        want, err = {}, None
+        try:
+            want.update(linking_numbers(d))
+        except DiagramStructureError as exc:
+            err = str(exc)
+        for i, j in itertools.combinations(range(1, d.m + 1), 2):
+            for p, q in ((i, j), (j, i)):
+                if (i, j) in want:
+                    assert linking_number(d, p, q) == want[i, j], \
+                        (render_diagram(d), p, q)
+                    continue
+                with pytest.raises(DiagramStructureError) as exc:
+                    linking_number(d, p, q)
+                assert str(exc.value) == err, (render_diagram(d), p, q)
+            if (i, j) not in want:
+                seen["odd"] += 1
+                break
+            seen["values"] += 1
+            seen["nonzero"] += want[i, j] != 0
+    assert min(seen.values()) >= 30, seen
+
+
 def test_linking_rejects_odd_crossing_totals():
     # two circles meeting in a single crossing close up combinatorially
     # but cannot be drawn in the plane; the crossing count must notice
@@ -218,13 +253,14 @@ def test_expansion_gate_fires_on_linked_input():
 
 
 def test_longitude_degree_one_reads_linking():
+    # against the crossing scan, a route outside the walk
     for name in ("hopf+", "whitehead", "borromean"):
         d = fixtures.load(name)
-        pres = wirtinger(d)
+        pres, lk = wirtinger(d), dict(linking_numbers(d))
         for i, j in itertools.permutations(range(1, d.m + 1), 2):
             series = magnus_expand(pres, j, i, require_exact=False)
             assert longitude_series(pres, series, i)[1] == \
-                linking_number(d, i, j), (name, i, j)
+                lk[min(i, j), max(i, j)], (name, i, j)
 
 
 # ---------------------------------------------------------------------------

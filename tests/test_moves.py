@@ -12,13 +12,13 @@ from lzero import fixtures
 from lzero.classify import representative
 from lzero.construct import band_clasp_diagram, braid_closure
 from lzero.conway import conway_polynomial
-from lzero.diagram import face_walks
 from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
-from util import (assert_sound, corpus, euler_ok, random_class, random_walk,
-                  render_site_reference, walked_hosts)
+from util import (assert_sound, corpus, euler_ok, face_walks_reference,
+                  random_class, random_walk, render_site_reference,
+                  walked_hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_r2_add_then_remove_restores_crossing_count():
 
 
 def test_r3_preserves_everything_countable():
-    d = braid_closure((1, 1, 1, 1, 2), 3, name="r3-host")
+    d = braid_closure((1, 1, 1, 1, 2), 3)
     assert d.m == 2
     sites = enumerate_sites(d, "R3")
     assert sites
@@ -208,7 +208,7 @@ def test_enumerated_sites_all_apply():
 def _accepted_faces(d, kind, k):
     """The k-gon faces at k distinct crossings that apply_move accepts."""
     polygons = set()
-    for walk in face_walks(d):
+    for walk in face_walks_reference(d):
         corners = {idx + 1 for _, idx, _, _ in walk}
         if len(walk) == k and len(corners) == k:
             polygons.add(tuple(sorted(corners)))

@@ -1,15 +1,19 @@
 """The benchmark's layer tracer names only functions that exist, and
-still sees the face and site layers; the README's Python runs."""
+still sees the face and site layers; the README's Python runs, and CI
+runs the README's test command."""
 
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
+import yaml
+
 from lzero import fixtures
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def _load_tracer():
@@ -79,3 +83,15 @@ def test_readme_python_runs():
     # the value the README's comment gives for the Borromean rings
     assert namespace["g"] == namespace["parse_class"](
         "m=3; a=0,0,0; b=+1; c=0,0,0")
+
+
+def test_ci_runs_the_readme_test_command():
+    """The workflow installs the test tools and runs the README's
+    tier-1 command, unchanged, on Python 3.10 and 3.11."""
+    command = re.search(r"^## Install and test\n.*?^```sh\n(.*?)\n```",
+                        (ROOT / "README.md").read_text(), re.M | re.S)[1]
+    job, = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs[-1] == command
+    assert {"pytest", "hypothesis"} <= set(runs[0].split()[2:])

@@ -20,7 +20,8 @@ from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
 from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
                            consumer_map, crossing_graph_parts,
-                           disjoint_union, faces, mirror, validate)
+                           disjoint_union, faces, mirror, render_diagram,
+                           validate)
 from lzero.errors import DiagramStructureError, ExpansionError
 from lzero.invariants import component_pairs, component_triples
 from lzero.milnor import WirtingerPresentation
@@ -43,18 +44,18 @@ def euler_ok(d: LinkDiagram) -> bool:
 def assert_sound(d: LinkDiagram) -> None:
     problems = validate(d)
     assert problems == [], problems
-    assert euler_ok(d), f"{d.name or 'diagram'} fails the Euler face count"
+    assert euler_ok(d), "fails the Euler face count:\n" + render_diagram(d)
 
 
 def corpus() -> list[tuple[str, LinkDiagram]]:
     """Named small diagrams that the cross-checking tests sweep over."""
     out = [(name, fixtures.load(name)) for name in fixtures.NAMES]
     out.append(("trefoil-mirror", mirror(fixtures.load("trefoil"))))
-    out.append(("hopf-", braid_closure((-1, -1), 2, name="hopf-")))
+    out.append(("hopf-", braid_closure((-1, -1), 2)))
     out.append(("trefoil+unknot",
                 disjoint_union(fixtures.load("trefoil"),
                                fixtures.load("unknot"))))
-    clasp, _ = build_from_gadgets(2, [("CLASP", (1, 2))], name="clasp-pair")
+    clasp, _ = build_from_gadgets(2, [("CLASP", (1, 2))])
     out.append(("clasp-pair", clasp))
     return out
 
@@ -251,9 +252,11 @@ def _walk_face_reference(turns: dict, dart, seen: set) -> list:
 
 
 def face_walks_reference(d: LinkDiagram) -> list[list[tuple]]:
-    """``diagram.face_walks`` from the dict walk: each face a cyclic
-    list ``(dart, idx, slot, nslot)``, listed by and starting at its
-    lowest dart."""
+    """The faces with their corners, from the dict walk: each face a
+    cyclic list ``(dart, idx, slot, nslot)``, where the dart enters
+    crossing ``idx`` (0-based) at ``slot`` and the face's corner there
+    runs to ``nslot``, where the next dart leaves; faces are listed by
+    and start at their lowest dart, as ``diagram.faces`` lists them."""
     turns, seen = _face_turns_reference(d), set()
     faces_ = [_walk_face_reference(turns, start, seen)
               for start in sorted(turns) if start not in seen]
@@ -336,16 +339,17 @@ def longitude_reference(pres: ReferencePresentation, series: dict,
     return out
 
 
-def series_of(pres: WirtingerPresentation, expansion) -> dict[int, tuple]:
+def series_of(gens: dict[int, list[int]], expansion) -> dict[int, tuple]:
     """The full series of every generator in a ``milnor.magnus_expand``
     result, keyed by generator, as ``magnus_expand_reference`` gives
-    them: a generator at segment s has the values after the steps
-    before s."""
+    them.  ``gens[c]`` lists the generators of component c by segment,
+    as :func:`generators` does, and a generator at segment s has the
+    values after the steps before s."""
     (i, _), runs = expansion
     series = {}
     for c, (at, us, vs) in runs.items():
         head = (1, 1, 0) if c == i else (1, 0, 1)
-        for s, g in enumerate(pres.gens.get(c, ())):
+        for s, g in enumerate(gens.get(c, ())):
             t = bisect_left(at, s)
             series[g] = head + (0, us[t], vs[t])
     return series
@@ -447,15 +451,22 @@ def wirtinger_reference(d: LinkDiagram) -> ReferencePresentation:
         writhe, gauss)
 
 
+def generators(ref: ReferencePresentation) -> dict[int, list[int]]:
+    """Each walked component's generators, named by the first arc of
+    their overpass in walk order and listed by segment, the base
+    first."""
+    gens = {c: [] for c in ref.base_class}
+    for g in sorted(ref.class_comp, key=ref.segment.get):
+        gens[ref.class_comp[g]].append(g)
+    return gens
+
+
 def presentation_reference(d: LinkDiagram) -> WirtingerPresentation:
     """The production presentation type, filled from
     :func:`wirtinger_reference` and the crossing scan: the battery read
     from it is the reference route for the command line."""
     ref = wirtinger_reference(d)
-    gens = {c: [] for c in ref.base_class}
-    for g in sorted(ref.class_comp, key=ref.segment.get):
-        gens[ref.class_comp[g]].append(g)
-    return WirtingerPresentation(d.m, gens, ref.steps, ref.writhe, ref.gauss,
+    return WirtingerPresentation(d.m, ref.steps, ref.writhe, ref.gauss,
                                  _pair_totals(d), crossings=d.crossings)
 
 
