@@ -189,8 +189,8 @@ def is_zero_solvable(d: LinkDiagram) -> SolvableReport:
 
 
 # The most crossings ``representative`` builds: at the budget ``lzero
-# rep`` writes 2.4 MB in about half a second and 60 MB.  Every m = 8
-# class with |b| <= 3 fits.
+# rep`` writes 2.3 MB in about half a second and 60 MB.  Every m = 8
+# class with |b| <= 34 fits.
 MAX_REP_CROSSINGS = 50_000
 
 

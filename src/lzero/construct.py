@@ -26,14 +26,17 @@ serially into an m-component unlink, one slice after another:
                                  crossings form a band-pass site,
                                  returned in the site registry
 
-For each slice the participating components dive into a workspace below
-row m — passing over every row they meet and under the workspace strands
-of earlier participants, so each pairwise detour contributes one
-crossing of each sign and cancels — are spliced through the gadget
-pattern, and climb back the same way.  The detours retract, so the built
-link is exactly the serial stack of the gadget links, and every detour
-crossing has the lower-numbered component on top (which keeps the skein
-oracle's walk order violation-free outside the gadget cores).
+For each slice the participating components dive into a workspace just
+below the lowest participant's row — passing over every row they meet
+on the way and under the workspace strands of earlier participants, so
+each pairwise detour contributes one crossing of each sign and
+cancels — are spliced through the gadget pattern, and climb back the
+same way.  Rows below the lowest participant are never crossed, so a
+gadget adds the same crossings for every m.  The detours retract, so
+the built link is exactly the serial stack of the gadget links, and
+every detour crossing has the lower-numbered component on top (which
+keeps the skein oracle's walk order violation-free outside the gadget
+cores).
 """
 
 from __future__ import annotations
@@ -148,19 +151,19 @@ class _Builder:
             Crossing(sign, self.cur[mover], nu, self.cur[other], no))
         self.cur[mover], self.cur[other] = nu, no
 
-    def dive(self, movers: tuple[int, ...]):
+    def dive(self, movers: tuple[int, ...], low: int):
         for idx, s in enumerate(movers):
-            for row in range(s + 1, self.m + 1):
+            for row in range(s + 1, low + 1):
                 self.cross_over(s, row, 1)
             for e in range(idx):
                 self.cross_under(s, movers[e], -1)
 
-    def climb(self, movers: tuple[int, ...]):
+    def climb(self, movers: tuple[int, ...], low: int):
         for idx in range(len(movers) - 1, -1, -1):
             s = movers[idx]
             for e in range(idx - 1, -1, -1):
                 self.cross_under(s, movers[e], 1)
-            for row in range(self.m, s, -1):
+            for row in range(low, s, -1):
                 self.cross_over(s, row, -1)
 
     def splice(self, tangle: Tangle, movers: tuple[int, ...]):
@@ -211,17 +214,18 @@ class _Builder:
         The two fingers interleave in a way that cannot sit inside the
         parallel two-strand corridor that ``dive``/``climb`` provide
         (the under strand must meet the cluster's last crossing first),
-        so each finger takes its own one-mover detour: i drops to the
-        workspace left of the cluster and returns just right of it, and
-        j drops and returns entirely to the right of i's path."""
+        so each finger takes its own one-mover detour to the workspace
+        below row j: i drops to it left of the cluster and returns just
+        right of it, and j drops and returns entirely to the right of
+        i's path."""
         _need_arity(movers, 2)
         i, j = movers
-        self.dive((i,))
+        self.dive((i,), j)
         e_i = self.cur[i]
         a1, a2, a3, a4 = (self.fresh(i) for _ in range(4))
         self.cur[i] = a4
-        self.climb((i,))
-        self.dive((j,))
+        self.climb((i,), j)
+        self.dive((j,), j)
         e_j = self.cur[j]
         b1, b2, b3, b4 = (self.fresh(j) for _ in range(4))
         base = len(self.crossings)
@@ -230,7 +234,7 @@ class _Builder:
                            Crossing(-1, b3, b4, a2, a3),
                            Crossing(1, e_j, b1, a3, a4)]
         self.cur[j] = b4
-        self.climb((j,))
+        self.climb((j,), j)
         self.bp_sites.append(MoveSite(
             "BANDPASS", crossings=(base + 1, base + 2, base + 3, base + 4)))
 
@@ -271,20 +275,21 @@ def build_from_gadgets(m: int, gadgets):
             kind = (kind, gadget[2])
         if kind not in _TANGLES:
             raise ValueError(f"unknown gadget kind {gadget[0]!r}")
-        b.dive(comps)
+        b.dive(comps, comps[-1])
         b.splice(_TANGLES[kind], comps)
-        b.climb(comps)
+        b.climb(comps, comps[-1])
     return check_valid(b.finish()), tuple(b.bp_sites)
 
 
 def gadget_crossings(m: int, gadget) -> int:
     """Crossings a TREFOIL, WHITEHEAD or BORROMEAN ``gadget`` adds to an
-    m-component build, counted without building it."""
+    m-component build, counted without building it; m does not change it."""
     kind = (gadget[0], gadget[2]) if gadget[0] == "BORROMEAN" else gadget[0]
-    # the k-th mover passes over every row below it and under the k
-    # movers before it, once down and once back up
+    # the k-th mover passes over the rows down to the lowest participant's
+    # and under the k movers before it, once down and once back up
+    comps = sorted(gadget[1])
     return len(_TANGLES[kind].word) + sum(
-        2 * (m - c + k) for k, c in enumerate(sorted(gadget[1])))
+        2 * (comps[-1] - c + k) for k, c in enumerate(comps))
 
 
 def band_clasp_diagram() -> tuple[LinkDiagram, MoveSite]:

@@ -196,7 +196,8 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
     """Arc cycles in traversal order, each starting at its lowest arc id.
 
     Cycles are returned sorted by that starting arc; free loops do not
-    appear.  Slots that are not a permutation raise
+    appear.  Slots that are not a permutation, so that a walk never
+    returns or reaches an arc no crossing consumes, raise
     :class:`DiagramStructureError`.
     """
     nxt = {}
@@ -213,7 +214,10 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
         for _ in range(len(nxt)):
             cyc.append(a)
             seen.add(a)
-            a = nxt[a]
+            try:
+                a = nxt[a]
+            except KeyError:
+                raise DiagramStructureError(validate(d)) from None
             if a == start:
                 break
         else:

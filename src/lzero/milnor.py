@@ -140,7 +140,8 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     pass over the underpass letters, one per crossing, then gives the
     steps, self-writhes and pair totals, and each component's Gauss
     word keeps the passages at its self letters' crossings.  Slots that
-    are not a permutation raise :class:`DiagramStructureError`.
+    are not a permutation, so that a walk never returns or reaches an
+    arc no crossing consumes, raise :class:`DiagramStructureError`.
     """
     comp_of, crs, m = d.arc_components, d.crossings, d.m
     cons = consumer_map(d)
@@ -160,7 +161,10 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
         under, passages = [], []
         s, arc = 0, base
         for _ in range(len(cons)):
-            passage = cons[arc]
+            try:
+                passage = cons[arc]
+            except KeyError:
+                raise DiagramStructureError(validate(d)) from None
             passages.append(passage)
             idx, level = passage
             if level == "under":

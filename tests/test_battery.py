@@ -14,8 +14,7 @@ import sys
 import pytest
 
 from lzero import fixtures
-from lzero.classify import (ZeroSolveClass, classify, parse_class,
-                            representative)
+from lzero.classify import ZeroSolveClass, classify, representative
 from lzero.cli import main
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
@@ -47,12 +46,18 @@ def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):
 
 
 def test_r3_moves_keep_the_class():
-    g = parse_class("m=3; a=0,0,0; b=+1; c=0,0,0")
-    d = representative(g)
-    sites = enumerate_sites(d, "R3")
-    assert len(sites) == 9
-    for site in sites:
-        assert classify(apply_move(d, site)) == g, render_site(site)
+    # every m=3 class with b = +-1: 2^3 Arf bits x 2 signs x 2^3 pair bits
+    classes = [ZeroSolveClass(3, a, (b,), c)
+               for a in itertools.product((0, 1), repeat=3)
+               for b in (1, -1)
+               for c in itertools.product((0, 1), repeat=3)]
+    assert len(classes) == 128
+    for g in classes:
+        d = representative(g)
+        sites = enumerate_sites(d, "R3")
+        assert sites, g
+        for site in sites:
+            assert classify(apply_move(d, site)) == g, (g, render_site(site))
 
 
 def test_longitudes_agree_cyclically_after_walks():

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from lzero import fixtures
 from lzero.classify import (ZeroSolveClass, classify, identity_class,
                             render_class, representative)
 from lzero.construct import (band_clasp_diagram, braid_closure,
-                             build_from_gadgets)
+                             build_from_gadgets, gadget_crossings)
 from lzero.diagram import render_diagram
 from lzero.invariants import sato_levine
 from lzero.milnor import linking_number, triple_linking
@@ -113,11 +114,53 @@ def test_gadgets_on_far_components_are_sound():
         assert sum(g.c) == 1
 
 
+def test_a_trefoil_adds_three_crossings():
+    # a lone mover's detour ends at its own row, so only the word is left
+    for m in range(1, 9):
+        for comp in range(1, m + 1):
+            gadget = ("TREFOIL", (comp,))
+            d, _ = build_from_gadgets(m, [gadget])
+            assert len(d.crossings) == gadget_crossings(m, gadget) == 3
+
+
+def test_gadget_sizes_do_not_depend_on_m():
+    # movers stop at the lowest participant's row; rows below it cost
+    # nothing
+    for m in range(1, 6):
+        comps = range(1, m + 1)
+        gadgets = [("TREFOIL", (c,)) for c in comps]
+        gadgets += [(kind, pair) for pair in itertools.combinations(comps, 2)
+                    for kind in ("WHITEHEAD", "CLASP")]
+        gadgets += [("BORROMEAN", triple, s)
+                    for triple in itertools.combinations(comps, 3)
+                    for s in (1, -1)]
+        for gadget in gadgets:
+            sizes = [len(build_from_gadgets(n, [gadget])[0].crossings)
+                     for n in (m, m + 3)]
+            assert sizes[0] == sizes[1], gadget
+            if gadget[0] != "CLASP":
+                assert sizes[0] == gadget_crossings(m + 3, gadget), gadget
+
+
+# sha256 of the bytes of the bundled ``.lz`` files, in ``fixtures.NAMES``
+# order.  They are braid closures, which no gadget transport touches.
+FIXTURES_SHA256 = (
+    "5ff9d2a600f35d33f50da42763fd0a87831d39aa91f018b0c8b6212d5422a023")
+
+
+def test_fixture_files_are_pinned():
+    folder = Path(fixtures.__file__).parent
+    digest = hashlib.sha256()
+    for name in fixtures.NAMES:
+        digest.update((folder / f"{name}.lz").read_bytes())
+    assert digest.hexdigest() == FIXTURES_SHA256
+
+
 # sha256 of every output of ``_construction_outputs``.  A change that
 # alters the construction bytes on purpose records the new digest here
 # and says so in CHANGES.md.
 CONSTRUCTION_SHA256 = (
-    "efb0a627d97c627fa398a8736dcf59819786c6c9140c5a709547938b8542860d")
+    "479a2c76de7e60cd00cb81ba9c2d6ab08373b41714022993f3a4553b29f8f650")
 
 BUILD_FIXTURES = (Path(__file__).resolve().parents[1] / "scripts"
                   / "build_fixtures.py")

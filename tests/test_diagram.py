@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import lzero
 from lzero import fixtures
+from lzero.classify import classify
 from lzero.construct import braid_closure
 from lzero.conway import _reduce, conway_polynomial
 from lzero.diagram import (Crossing, LinkDiagram, check_valid,
@@ -22,6 +23,7 @@ from lzero.diagram import (Crossing, LinkDiagram, check_valid,
                            parse_diagram, render_diagram, sublink, validate)
 from lzero.errors import (DiagramParseError, DiagramStructureError,
                           MovePatternError)
+from lzero.invariants import arf, invariant_tuple
 from lzero.milnor import linking_number, wirtinger
 from lzero.moves import _R2_SHAPE, MoveSite, apply_move, enumerate_sites
 from util import (assert_sound, corpus, euler_ok, face_through_reference,
@@ -182,6 +184,27 @@ def test_unpermuted_slots_end_every_walk():
     assert done.stdout.splitlines() == [
         f"{name} {want}" for name in ("classify", "invariant_tuple", "arf",
                                       "linking_number", "component_cycles")]
+
+
+# Arc 2 leaves the only crossing and no crossing takes it in, so every
+# walk stops at a missing consumer.
+_DEAD_END = (Crossing(1, 1, 2, 3, 4),)
+_DEAD_KNOT = LinkDiagram(1, _DEAD_END, {1: 1, 2: 1, 3: 1, 4: 1})
+_DEAD_PAIR = LinkDiagram(2, _DEAD_END, {1: 1, 2: 1, 3: 2, 4: 2})
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: classify(_DEAD_KNOT), id="classify"),
+    pytest.param(lambda: invariant_tuple(_DEAD_KNOT), id="invariant_tuple"),
+    pytest.param(lambda: arf(_DEAD_KNOT, 1), id="arf"),
+    pytest.param(lambda: linking_number(_DEAD_PAIR, 1, 2),
+                 id="linking_number"),
+    pytest.param(lambda: component_cycles(_DEAD_KNOT), id="component_cycles"),
+])
+def test_an_unconsumed_arc_ends_the_walk(call):
+    with pytest.raises(DiagramStructureError) as err:
+        call()
+    assert "arc 2 is produced but never consumed" in err.value.violations
 
 
 def test_comments_and_blank_lines_are_ignored():

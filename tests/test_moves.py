@@ -251,11 +251,11 @@ def _pin_hosts():
 # kind -> (site count, sha256 of one ``render_site`` line per site) over
 # the hosts of ``_pin_hosts``, in order.
 _SITE_PINS = {
-    "R1+": (3120, "60a080b2c24605b8d25d6fc014448761862dee83de75adf11f6a26bb704e8dd4"),
-    "R1-": (8, "c0c089b511bec511034de15e0e8acb2b7210fd41370b8279c57c80c582d8f285"),
-    "R2+": (12582, "058ea89fe2a726f40c8cec5c94fad7bbe774a8687b5770413626340223d25206"),
-    "R2-": (39, "19cf908beeed9e018f7c0021dfe336ea12bf1953106805586760e13fc1dbd67e"),
-    "R3": (113, "ca88532c42fb09c1fef02b07605480f02d4a2f29758d31a2ad4b07a91597f5d6"),
+    "R1+": (2736, "07ff5ff65c62093d65ce46431f448fb8653809488f498b5c268e3b2516247ee6"),
+    "R1-": (8, "9b29d0dcf53a5298d8bfef5d1765dd57ba520d30c1e8e0253b5b869addf13fac"),
+    "R2+": (8562, "7fdd609865aa9dea85c11701af1f83edbe5393e0ad8e730f108ab9f168c4548b"),
+    "R2-": (44, "b22322e32b03de66f893ab9359715fed70536d9b2028c9d9e0e03e8b25ac0f91"),
+    "R3": (90, "4a32fb21e3cae2eb224984b708ad05a59656ea08a4e79e777e0530bf41bd6b3f"),
     "BANDPASS": (4, "d06b5d98bbf29e193e7aa1288d022fc32a0c5d3995df7f17657f045558386937"),
 }
 

@@ -1,12 +1,18 @@
 """The benchmark's layer tracer names only functions that exist, and
 still sees the face and site layers; the README's Python runs, and CI
-runs the README's test command."""
+runs the README's test command and one checked short benchmark run per
+workload."""
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from lzero import fixtures
@@ -93,5 +99,50 @@ def test_ci_runs_the_readme_test_command():
     job, = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs[-1] == command
+    assert command in runs
     assert {"pytest", "hypothesis"} <= set(runs[0].split()[2:])
+
+
+def _bench_step() -> str:
+    job, = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
+    step, = [s["run"] for s in job["steps"]
+             if "bench/run.py" in s.get("run", "")]
+    return step
+
+
+def test_ci_runs_every_benchmark_workload():
+    names = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    step = _bench_step()
+    assert f"for workload in {' '.join(names)}; do" in step
+    assert ('python3 bench/run.py --workload "$workload" --seed 1 --seconds 1'
+            in step)
+
+
+# ``python3 bench/run.py`` answers with the line in $LAST and the exit
+# code in $CODE; every other ``python3`` call runs the real interpreter.
+_FAKE_BENCH = """python3() {
+  if [ "$1" = bench/run.py ]; then
+    echo 'warming up'; echo "$LAST"; return "$CODE"
+  fi
+  command "$PYTHON" "$@"
+}
+"""
+
+
+@pytest.mark.parametrize("last, code, ok", [
+    pytest.param('{"correct": true, "attempted": 5, "failed": 0}', 0, True,
+                 id="clean"),
+    pytest.param('{"correct": true, "attempted": 5, "failed": 2}', 0, False,
+                 id="failed-ops"),
+    pytest.param('{"correct": false, "attempted": 5, "failed": 0}', 0, False,
+                 id="wrong-answer"),
+    pytest.param('{"correct": true, "attempted": 5, "failed": 0}', 1, False,
+                 id="run-error"),
+    pytest.param("", 0, False, id="no-output"),
+])
+def test_ci_bench_step_fails_unless_correct_and_clean(last, code, ok):
+    env = dict(os.environ, LAST=last, CODE=str(code), PYTHON=sys.executable)
+    done = subprocess.run(["bash", "-e", "-c", _FAKE_BENCH + _bench_step()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode == 0) == ok, done.stderr
