@@ -218,14 +218,13 @@ def representative(g: ZeroSolveClass) -> LinkDiagram:
     summand per set Arf bit, |b| Borromean insertions per triple and a
     clasped pair per set parity bit.  Refuses a class whose diagram
     would have more than ``MAX_REP_CROSSINGS`` crossings."""
-    n = sum(repeats * gadget_crossings(g.m, gadget)
+    n = sum(repeats * gadget_crossings(gadget)
             for gadget, repeats in _gadget_runs(g))
     if n > MAX_REP_CROSSINGS:
         raise ResourceLimitError(
             f"the representative of this class would have {n} crossings, "
             f"over the budget of {MAX_REP_CROSSINGS}")
-    diagram, _ = build_from_gadgets(g.m, class_gadgets(g))
-    return diagram
+    return build_from_gadgets(g.m, class_gadgets(g))
 
 
 # ---------------------------------------------------------------------------

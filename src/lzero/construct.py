@@ -21,17 +21,14 @@ serially into an m-component unlink, one slice after another:
                                  odd double-pair invariant)
 * ``("BORROMEAN", (i, j, k), s)`` — thread i, j, k through a Borromean
                                  pattern of handedness s = +1 or -1
-* ``("CLASP", (i, j))``        — push a finger of i over a finger of j;
-                                 a trivial insertion whose four
-                                 crossings form a band-pass site,
-                                 returned in the site registry
 
-For each slice the participating components dive into a workspace just
-below the lowest participant's row — passing over every row they meet
-on the way and under the workspace strands of earlier participants, so
-each pairwise detour contributes one crossing of each sign and
-cancels — are spliced through the gadget pattern, and climb back the
-same way.  Rows below the lowest participant are never crossed, so a
+These three kinds realize every class.  For each slice the
+participating components, the movers, dive into a workspace just below
+the last mover's row (the lowest participant's) — passing over every
+row they meet on the way and under the workspace strands of earlier
+movers, so each pairwise detour contributes one crossing of each sign
+and cancels — are spliced through the gadget pattern, and climb back
+the same way.  Rows below the last mover are never crossed, so a
 gadget adds the same crossings for every m.  The detours retract, so
 the built link is exactly the serial stack of the gadget links, and
 every detour crossing has the lower-numbered component on top (which
@@ -44,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import Crossing, LinkDiagram, check_valid, renumber_components
-from .moves import MoveSite
 
 __all__ = [
     "Tangle",
@@ -55,7 +51,6 @@ __all__ = [
     "braid_closure",
     "build_from_gadgets",
     "gadget_crossings",
-    "band_clasp_diagram",
 ]
 
 
@@ -110,11 +105,6 @@ _TANGLES = {"TREFOIL": TREFOIL_T, "WHITEHEAD": WHITEHEAD_T,
             ("BORROMEAN", 1): BORROMEAN_POS, ("BORROMEAN", -1): BORROMEAN_NEG}
 
 
-def _need_arity(movers: tuple[int, ...], arity: int):
-    if len(movers) != arity:
-        raise ValueError("gadget arity does not match the tangle")
-
-
 # ---------------------------------------------------------------------------
 # the slice composer
 
@@ -128,7 +118,6 @@ class _Builder:
         self.arc_comp: dict[int, int] = {c: c for c in range(1, m + 1)}
         self.cur = {c: c for c in range(1, m + 1)}
         self.next_id = m + 1
-        self.bp_sites: list[MoveSite] = []
 
     def fresh(self, comp: int) -> int:
         arc = self.next_id
@@ -151,25 +140,26 @@ class _Builder:
             Crossing(sign, self.cur[mover], nu, self.cur[other], no))
         self.cur[mover], self.cur[other] = nu, no
 
-    def dive(self, movers: tuple[int, ...], low: int):
+    def dive(self, movers: tuple[int, ...]):
         for idx, s in enumerate(movers):
-            for row in range(s + 1, low + 1):
+            for row in range(s + 1, movers[-1] + 1):
                 self.cross_over(s, row, 1)
             for e in range(idx):
                 self.cross_under(s, movers[e], -1)
 
-    def climb(self, movers: tuple[int, ...], low: int):
+    def climb(self, movers: tuple[int, ...]):
         for idx in range(len(movers) - 1, -1, -1):
             s = movers[idx]
             for e in range(idx - 1, -1, -1):
                 self.cross_under(s, movers[e], 1)
-            for row in range(low, s, -1):
+            for row in range(movers[-1], s, -1):
                 self.cross_over(s, row, -1)
 
     def splice(self, tangle: Tangle, movers: tuple[int, ...]):
         """Run the strands of ``movers`` through ``tangle``, one
         crossing per letter, and join each capped strand to itself."""
-        _need_arity(movers, tangle.strands - len(tangle.caps))
+        if len(movers) != tangle.strands - len(tangle.caps):
+            raise ValueError("gadget arity does not match the tangle")
         seeds = [self.fresh(movers[slot]) for slot in tangle.caps]
         arcs = [self.cur[c] for c in movers] + seeds
         labels = list(movers) + [movers[slot] for slot in tangle.caps]
@@ -206,38 +196,6 @@ class _Builder:
             raise AssertionError(f"arc {old} has no producing crossing")
         del self.arc_comp[old]
 
-    def clasp(self, movers: tuple[int, ...]):
-        """Finger of i passing over a finger of j: four crossings that
-        form a registered band-pass site but an isotopically trivial
-        insertion.
-
-        The two fingers interleave in a way that cannot sit inside the
-        parallel two-strand corridor that ``dive``/``climb`` provide
-        (the under strand must meet the cluster's last crossing first),
-        so each finger takes its own one-mover detour to the workspace
-        below row j: i drops to it left of the cluster and returns just
-        right of it, and j drops and returns entirely to the right of
-        i's path."""
-        _need_arity(movers, 2)
-        i, j = movers
-        self.dive((i,), j)
-        e_i = self.cur[i]
-        a1, a2, a3, a4 = (self.fresh(i) for _ in range(4))
-        self.cur[i] = a4
-        self.climb((i,), j)
-        self.dive((j,), j)
-        e_j = self.cur[j]
-        b1, b2, b3, b4 = (self.fresh(j) for _ in range(4))
-        base = len(self.crossings)
-        self.crossings += [Crossing(-1, b1, b2, e_i, a1),
-                           Crossing(1, b2, b3, a1, a2),
-                           Crossing(-1, b3, b4, a2, a3),
-                           Crossing(1, e_j, b1, a3, a4)]
-        self.cur[j] = b4
-        self.climb((j,), j)
-        self.bp_sites.append(MoveSite(
-            "BANDPASS", crossings=(base + 1, base + 2, base + 3, base + 4)))
-
     def finish(self) -> LinkDiagram:
         """Close every row; the result is not yet validated."""
         loops = []
@@ -254,11 +212,8 @@ class _Builder:
 
 
 def build_from_gadgets(m: int, gadgets):
-    """Compose gadget insertions serially; see the module docstring.
-
-    Returns ``(diagram, band_pass_sites)`` where the sites index the
-    crossings of every CLASP gadget, ready for ``apply_move``.
-    """
+    """Compose gadget insertions serially into a validated diagram;
+    see the module docstring."""
     b = _Builder(m)
     for gadget in gadgets:
         kind, comps = gadget[0], tuple(sorted(gadget[1]))
@@ -266,33 +221,24 @@ def build_from_gadgets(m: int, gadgets):
             raise ValueError(f"gadget components must be distinct: {gadget}")
         if any(not 1 <= c <= m for c in comps):
             raise ValueError(f"gadget components out of range 1..{m}: {gadget}")
-        if kind == "CLASP":
-            b.clasp(comps)
-            continue
         if kind == "BORROMEAN":
             if gadget[2] not in (1, -1):
                 raise ValueError(f"borromean handedness must be +-1: {gadget}")
             kind = (kind, gadget[2])
         if kind not in _TANGLES:
             raise ValueError(f"unknown gadget kind {gadget[0]!r}")
-        b.dive(comps, comps[-1])
+        b.dive(comps)
         b.splice(_TANGLES[kind], comps)
-        b.climb(comps, comps[-1])
-    return check_valid(b.finish()), tuple(b.bp_sites)
+        b.climb(comps)
+    return check_valid(b.finish())
 
 
-def gadget_crossings(m: int, gadget) -> int:
-    """Crossings a TREFOIL, WHITEHEAD or BORROMEAN ``gadget`` adds to an
-    m-component build, counted without building it; m does not change it."""
+def gadget_crossings(gadget) -> int:
+    """Crossings ``gadget`` adds to a build of any component count,
+    counted without building it."""
     kind = (gadget[0], gadget[2]) if gadget[0] == "BORROMEAN" else gadget[0]
     # the k-th mover passes over the rows down to the lowest participant's
     # and under the k movers before it, once down and once back up
     comps = sorted(gadget[1])
     return len(_TANGLES[kind].word) + sum(
         2 * (comps[-1] - c + k) for k, c in enumerate(comps))
-
-
-def band_clasp_diagram() -> tuple[LinkDiagram, MoveSite]:
-    """Two-component unlink with one registered band-pass site."""
-    d, sites = build_from_gadgets(2, [("CLASP", (1, 2))])
-    return d, sites[0]

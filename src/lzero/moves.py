@@ -7,9 +7,9 @@ is actually present (raising :class:`MovePatternError` otherwise) and
 returns a new diagram; inputs are never mutated.  Pattern checks are
 combinatorial, except that an R2+ slide is refused unless its two
 darts lie on one face of the embedding encoded by the crossing signs
-(see ``_R2_SHAPE``); any other choice would leave a non-planar code.
-``enumerate_sites`` only offers sites certified against that face
-structure.
+(see ``_R2_SHAPE``), and an R3 slide unless its triangle is a face;
+any other choice would leave a non-planar code.  ``enumerate_sites``
+only offers sites certified against that face structure.
 
 A :class:`MoveSite` is a :class:`typing.NamedTuple`: immutable,
 hashable, and equal to the plain tuple of its fields.
@@ -237,6 +237,14 @@ def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
 
 
 def _r3(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+    slid = _r3_slide(d, site)
+    _need(tuple(sorted(site.crossings)) in _polygons(d, 3),
+          "the triangle is not a face; the slide would not be planar")
+    return slid
+
+
+def _r3_slide(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+    """The R3 rewrite after its strand-pattern checks only."""
     _need(len(site.crossings) == 3 and len(set(site.crossings)) == 3,
           "R3 needs three distinct crossings")
     # (crossing, level) -> (in arc, out arc) of the strand passing there
@@ -402,8 +410,9 @@ def _accepted(d: LinkDiagram, rewrite, sites) -> list[MoveSite]:
 
 
 def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
-    return _accepted(d, _r3, [MoveSite("R3", crossings=tri)
-                              for tri in _polygons(d, 3)])
+    # the candidates are faces already, so only the pattern is checked
+    return _accepted(d, _r3_slide, [MoveSite("R3", crossings=tri)
+                                    for tri in _polygons(d, 3)])
 
 
 def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:

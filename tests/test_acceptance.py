@@ -15,14 +15,14 @@ from lzero.classify import (ZeroSolveClass, class_add, class_gadgets,
                             representative)
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
-from lzero.diagram import sublink
+from lzero.diagram import disjoint_union, sublink
 from lzero.invariants import (arf, component_pairs, component_triples,
                               sato_levine)
 from lzero.milnor import (linking_number, longitude_series, magnus_expand,
                           triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites
-from util import (conway_polynomial_naive, corpus, linking_numbers,
-                  project_class, random_class, random_move)
+from util import (clasp_pair, conway_polynomial_naive, corpus,
+                  linking_numbers, project_class, random_class, random_move)
 
 
 def _finish(n: int, desc: str, t0: float, budget: float) -> None:
@@ -157,18 +157,20 @@ def test_criterion_5_move_invariance():
         passes_done = 0
         rng = random.Random(99)
         while passes_done < 50:
+            # a gadget stack beside the clasp pair, whose band-pass site
+            # joins any the stack has
             m = rng.randint(2, 4)
-            gadgets = [("CLASP", tuple(rng.sample(range(1, m + 1), 2)))]
+            gadgets = []
             if rng.random() < 0.5:
                 gadgets.append(("TREFOIL", (rng.randint(1, m),)))
             if m >= 3 and rng.random() < 0.5:
                 gadgets.append(("BORROMEAN",
                                 tuple(rng.sample(range(1, m + 1), 3)),
                                 rng.choice((1, -1))))
-            d, sites = build_from_gadgets(m, gadgets)
+            d = disjoint_union(build_from_gadgets(m, gadgets), clasp_pair())
             g = classify(d)
-            sl_before = {p: sato_levine(d, *p) for p in component_pairs(m)}
-            for site in sites:
+            sl_before = {p: sato_levine(d, *p) for p in component_pairs(d.m)}
+            for site in enumerate_sites(d, "BANDPASS"):
                 moved = apply_move(d, site)
                 assert classify(moved) == g, (gadgets, site)
                 for p, v in sl_before.items():
@@ -206,7 +208,7 @@ def test_criterion_7_stacking_additivity():
             m = rng.randint(1, 3)
             g = random_class(rng, m, b_bound=2)
             h = random_class(rng, m, b_bound=2)
-            stacked, _ = build_from_gadgets(
+            stacked = build_from_gadgets(
                 m, class_gadgets(g) + class_gadgets(h))
             assert classify(stacked) == class_add(g, h), (trial, g, h)
     except BaseException:

@@ -305,7 +305,7 @@ def test_arf_matches_the_skein_on_knot_sublinks():
 def test_sato_levine_matches_the_skein_on_pair_sublinks():
     stacks = []
     for k in range(1, 5):
-        d, _ = build_from_gadgets(2, [("WHITEHEAD", (1, 2))] * k)
+        d = build_from_gadgets(2, [("WHITEHEAD", (1, 2))] * k)
         stacks += [(f"whitehead x{k}", d), (f"mirror whitehead x{k}",
                                             mirror(d))]
     cases = (corpus() + stacks + list(_braids(33, 120, (3, 4), 12))

@@ -13,14 +13,14 @@ from lzero.classify import (MAX_REP_CROSSINGS, ZeroSolveClass, class_add,
                             classify, equivalent, identity_class,
                             is_zero_solvable, parse_class, render_class,
                             representative)
-from lzero.construct import (band_clasp_diagram, build_from_gadgets,
-                             gadget_crossings)
+from lzero.construct import build_from_gadgets, gadget_crossings
 from lzero.diagram import disjoint_union, mirror, sublink
 from lzero.errors import (DiagramParseError, NotClassifiableError,
                           ResourceLimitError)
 from lzero.invariants import component_pairs, component_triples
 from lzero.moves import apply_move
-from util import assert_sound, project_class, random_class
+from util import (CLASP_SITE, assert_sound, clasp_pair, project_class,
+                  random_class)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,8 @@ def test_solvable_reports():
 
 def test_solvable_obstruction_scan_order():
     # Arf outranks the triple and pair readings
-    d, _ = build_from_gadgets(3, [("TREFOIL", (2,)),
-                                  ("BORROMEAN", (1, 2, 3), 1)])
+    d = build_from_gadgets(3, [("TREFOIL", (2,)),
+                               ("BORROMEAN", (1, 2, 3), 1)])
     assert is_zero_solvable(d).obstruction == "Arf(K_2)=1"
 
 
@@ -242,13 +242,13 @@ def test_gadget_crossings_count_the_built_diagram():
         m = rng.randint(1, 6)
         g = random_class(rng, m, b_bound=2)
         assert len(representative(g).crossings) == sum(
-            gadget_crossings(m, gadget) for gadget in class_gadgets(g))
+            gadget_crossings(gadget) for gadget in class_gadgets(g))
 
 
 def test_representative_budget():
     """The largest class the budget lets through is built; one more
     Borromean insertion is refused before anything is built."""
-    per = gadget_crossings(3, ("BORROMEAN", (1, 2, 3), 1))
+    per = gadget_crossings(("BORROMEAN", (1, 2, 3), 1))
     most = MAX_REP_CROSSINGS // per
     assert len(representative(ZeroSolveClass(
         3, (0, 0, 0), (most,), (0, 0, 0))).crossings) == most * per
@@ -264,7 +264,7 @@ def test_representative_of_identity_is_crossing_free():
 
 
 def test_band_pass_preserves_the_class():
-    d, site = band_clasp_diagram()
+    d, site = clasp_pair(), CLASP_SITE
     g = classify(d)
     assert g == identity_class(2)
     assert classify(apply_move(d, site)) == g
@@ -275,7 +275,7 @@ def test_stacking_realizes_addition():
     for _ in range(10):
         g = random_class(rng, 3, b_bound=1)
         h = random_class(rng, 3, b_bound=1)
-        stacked, _ = build_from_gadgets(3, class_gadgets(g) + class_gadgets(h))
+        stacked = build_from_gadgets(3, class_gadgets(g) + class_gadgets(h))
         assert classify(stacked) == class_add(g, h)
 
 

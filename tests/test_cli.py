@@ -19,11 +19,11 @@ import lzero
 from lzero import fixtures
 from lzero.cli import main
 from lzero.classify import parse_class
-from lzero.construct import band_clasp_diagram, braid_closure
+from lzero.construct import braid_closure
 from lzero.diagram import parse_diagram, render_diagram
 from lzero.errors import LZeroError, ResourceLimitError
 from lzero.moves import parse_site
-from util import presentation_reference, random_code
+from util import clasp_pair, presentation_reference, random_code
 
 
 @pytest.fixture
@@ -172,10 +172,12 @@ def test_move_pattern_mismatch_is_a_domain_refusal(fx, capsys):
     ("trefoil", "R2+ arcs=1,4 sign=+ variant=par",
      "arcs 1 and 4 do not bound one face in the directions this sign and "
      "variant need; the slide would not be planar"),
+    (((1, -1, -1, -2, 1, 3, 2), 4), "R3 crossings=4,6,7",
+     "the triangle is not a face; the slide would not be planar"),
 ])
 def test_move_refusal_texts(source, site, message, tmp_path, capsys):
     if source == "clasp":
-        d, _ = band_clasp_diagram()
+        d = clasp_pair()
     elif isinstance(source, str):
         d = fixtures.load(source)
     else:

@@ -9,15 +9,14 @@ from pathlib import Path
 import pytest
 
 from lzero import fixtures
-from lzero.classify import (ZeroSolveClass, classify, identity_class,
-                            render_class, representative)
-from lzero.construct import (band_clasp_diagram, braid_closure,
-                             build_from_gadgets, gadget_crossings)
-from lzero.diagram import render_diagram
+from lzero.classify import (ZeroSolveClass, classify, render_class,
+                            representative)
+from lzero.construct import braid_closure, build_from_gadgets, gadget_crossings
+from lzero.diagram import disjoint_union, render_diagram
 from lzero.invariants import sato_levine
 from lzero.milnor import linking_number, triple_linking
-from lzero.moves import apply_move
-from util import assert_sound, random_class
+from lzero.moves import apply_move, enumerate_sites
+from util import assert_sound, clasp_pair, random_class
 
 
 # ---------------------------------------------------------------------------
@@ -64,50 +63,31 @@ def test_fixtures_come_from_braid_words():
 
 
 def test_trefoil_gadget_sets_one_arf_bit():
-    d, sites = build_from_gadgets(2, [("TREFOIL", (1,))])
-    assert sites == ()
+    d = build_from_gadgets(2, [("TREFOIL", (1,))])
     assert classify(d) == ZeroSolveClass(2, (1, 0), (), (0,))
-    d, _ = build_from_gadgets(2, [("TREFOIL", (2,))])
+    d = build_from_gadgets(2, [("TREFOIL", (2,))])
     assert classify(d) == ZeroSolveClass(2, (0, 1), (), (0,))
 
 
 def test_whitehead_gadget_sets_one_pair_bit():
-    d, _ = build_from_gadgets(3, [("WHITEHEAD", (1, 3))])
+    d = build_from_gadgets(3, [("WHITEHEAD", (1, 3))])
     assert classify(d) == ZeroSolveClass(3, (0, 0, 0), (0,), (0, 1, 0))
     assert sato_levine(d, 1, 3) == 1
     assert linking_number(d, 1, 3) == 0
 
 
 def test_borromean_gadget_signs():
-    pos, _ = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 1)])
-    neg, _ = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), -1)])
+    pos = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 1)])
+    neg = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), -1)])
     assert triple_linking(pos, 1, 2, 3) == 1
     assert triple_linking(neg, 1, 2, 3) == -1
     assert classify(neg).b == (-1,)
 
 
-def test_clasp_gadget_is_invisible_to_the_battery():
-    d, sites = build_from_gadgets(2, [("CLASP", (1, 2))])
-    assert classify(d) == identity_class(2)
-    assert len(sites) == 1
-    assert_sound(apply_move(d, sites[0]))
-
-
-def test_one_band_pass_site_per_clasp():
-    d, sites = build_from_gadgets(3, [("CLASP", (1, 2)), ("TREFOIL", (3,)),
-                                      ("CLASP", (2, 3))])
-    assert len(sites) == 2
-    moved = d
-    for site in sites:
-        moved = apply_move(moved, site)
-    assert_sound(moved)
-    assert classify(moved) == classify(d)
-
-
 def test_gadgets_on_far_components_are_sound():
     # movers must detour over every intermediate row without tangling
     for m in (3, 4, 5):
-        d, _ = build_from_gadgets(m, [("WHITEHEAD", (1, m))])
+        d = build_from_gadgets(m, [("WHITEHEAD", (1, m))])
         assert_sound(d)
         g = classify(d)
         assert g.a == (0,) * m
@@ -119,8 +99,8 @@ def test_a_trefoil_adds_three_crossings():
     for m in range(1, 9):
         for comp in range(1, m + 1):
             gadget = ("TREFOIL", (comp,))
-            d, _ = build_from_gadgets(m, [gadget])
-            assert len(d.crossings) == gadget_crossings(m, gadget) == 3
+            d = build_from_gadgets(m, [gadget])
+            assert len(d.crossings) == gadget_crossings(gadget) == 3
 
 
 def test_gadget_sizes_do_not_depend_on_m():
@@ -129,17 +109,15 @@ def test_gadget_sizes_do_not_depend_on_m():
     for m in range(1, 6):
         comps = range(1, m + 1)
         gadgets = [("TREFOIL", (c,)) for c in comps]
-        gadgets += [(kind, pair) for pair in itertools.combinations(comps, 2)
-                    for kind in ("WHITEHEAD", "CLASP")]
+        gadgets += [("WHITEHEAD", pair)
+                    for pair in itertools.combinations(comps, 2)]
         gadgets += [("BORROMEAN", triple, s)
                     for triple in itertools.combinations(comps, 3)
                     for s in (1, -1)]
         for gadget in gadgets:
-            sizes = [len(build_from_gadgets(n, [gadget])[0].crossings)
+            sizes = [len(build_from_gadgets(n, [gadget]).crossings)
                      for n in (m, m + 3)]
-            assert sizes[0] == sizes[1], gadget
-            if gadget[0] != "CLASP":
-                assert sizes[0] == gadget_crossings(m + 3, gadget), gadget
+            assert sizes[0] == sizes[1] == gadget_crossings(gadget), gadget
 
 
 # sha256 of the bytes of the bundled ``.lz`` files, in ``fixtures.NAMES``
@@ -160,7 +138,7 @@ def test_fixture_files_are_pinned():
 # alters the construction bytes on purpose records the new digest here
 # and says so in CHANGES.md.
 CONSTRUCTION_SHA256 = (
-    "479a2c76de7e60cd00cb81ba9c2d6ab08373b41714022993f3a4553b29f8f650")
+    "5d3c3ae4fa74fb79a152a6941213537e689ea58063283aafdf1bcc4226029aba")
 
 BUILD_FIXTURES = (Path(__file__).resolve().parents[1] / "scripts"
                   / "build_fixtures.py")
@@ -169,7 +147,7 @@ BUILD_FIXTURES = (Path(__file__).resolve().parents[1] / "scripts"
 def _construction_outputs():
     """Rendered closures of 1-6 strands (empty words and untouched
     strands included), seeded representatives for m = 1..8 and one
-    mixed gadget stack with its band-pass sites."""
+    mixed gadget stack."""
     rng = random.Random(1103)
     for _ in range(1000):
         strands = rng.randint(1, 6)
@@ -183,12 +161,9 @@ def _construction_outputs():
         g = random_class(rng, m, b_bound=1)
         yield render_class(g)
         yield render_diagram(representative(g))
-    d, sites = build_from_gadgets(4, [
-        ("CLASP", (2, 4)), ("TREFOIL", (3,)), ("BORROMEAN", (4, 1, 2), -1),
-        ("WHITEHEAD", (1, 3)), ("CLASP", (1, 2)), ("BORROMEAN", (1, 3, 4), 1),
-        ("TREFOIL", (1,))])
-    yield render_diagram(d)
-    yield repr(sites)
+    yield render_diagram(build_from_gadgets(4, [
+        ("TREFOIL", (3,)), ("BORROMEAN", (4, 1, 2), -1), ("WHITEHEAD", (1, 3)),
+        ("BORROMEAN", (1, 3, 4), 1), ("TREFOIL", (1,))]))
 
 
 def test_construction_bytes_are_pinned():
@@ -216,44 +191,41 @@ def test_gadget_argument_validation():
         build_from_gadgets(2, [("WHITEHEAD", (1, 3))])    # out of range
     with pytest.raises(ValueError):
         build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 0)])
-    with pytest.raises(ValueError):
-        build_from_gadgets(2, [("WAT", (1,))])
+    for kind in ("WAT", "CLASP"):
+        with pytest.raises(ValueError, match="unknown gadget kind"):
+            build_from_gadgets(2, [(kind, (1, 2))])
     for gadget in [("TREFOIL", (1, 2)), ("WHITEHEAD", (1,)),
                    ("WHITEHEAD", (1, 2, 3)), ("BORROMEAN", (1, 2), 1),
-                   ("BORROMEAN", (1, 2, 3, 4), 1), ("CLASP", (1, 2, 3))]:
+                   ("BORROMEAN", (1, 2, 3, 4), 1)]:
         with pytest.raises(ValueError, match="arity"):
             build_from_gadgets(4, [gadget])
 
 
 def test_gadget_components_may_come_unsorted():
-    a, _ = build_from_gadgets(3, [("WHITEHEAD", (3, 1))])
-    b, _ = build_from_gadgets(3, [("WHITEHEAD", (1, 3))])
+    a = build_from_gadgets(3, [("WHITEHEAD", (3, 1))])
+    b = build_from_gadgets(3, [("WHITEHEAD", (1, 3))])
     assert render_diagram(a) == render_diagram(b)
 
 
 def test_random_gadget_stacks_are_sound():
+    # every band-pass site of a stack beside the clasp pair stays sound
     rng = random.Random(31)
     for _ in range(20):
         m = rng.randint(2, 5)
         gadgets = []
         for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(("TREFOIL", "WHITEHEAD", "BORROMEAN", "CLASP"))
+            kind = rng.choice(("TREFOIL", "WHITEHEAD", "BORROMEAN"))
             if kind == "TREFOIL":
                 gadgets.append((kind, (rng.randint(1, m),)))
-            elif kind in ("WHITEHEAD", "CLASP"):
+            elif kind == "WHITEHEAD":
                 gadgets.append((kind, tuple(rng.sample(range(1, m + 1), 2))))
             elif m >= 3:
                 gadgets.append((kind, tuple(rng.sample(range(1, m + 1), 3)),
                                 rng.choice((1, -1))))
-        d, sites = build_from_gadgets(m, gadgets)
+        d = disjoint_union(build_from_gadgets(m, gadgets), clasp_pair())
         assert_sound(d)
+        sites = enumerate_sites(d, "BANDPASS")
+        assert sites
         for site in sites:
-            d = apply_move(d, site)
-        assert_sound(d)
+            assert_sound(apply_move(d, site))
 
-
-def test_band_clasp_diagram_helper():
-    d, site = band_clasp_diagram()
-    assert d.m == 2
-    assert site.kind == "BANDPASS"
-    assert_sound(apply_move(d, site))

@@ -11,6 +11,7 @@ from lzero.errors import InvariantUndefinedError
 from lzero.invariants import (arf, component_pairs, component_triples,
                               invariant_tuple, invariants_json,
                               render_invariants, sato_levine)
+from util import clasp_pair
 
 
 def test_pair_and_triple_index_orders():
@@ -69,12 +70,11 @@ def test_sato_levine_gate():
 
 
 def test_clasp_gadget_is_sato_levine_trivial():
-    d, _ = build_from_gadgets(2, [("CLASP", (1, 2))])
-    assert sato_levine(d, 1, 2) == 0
+    assert sato_levine(clasp_pair(), 1, 2) == 0
 
 
 def test_whitehead_gadget_inserts_one_sato_levine_unit():
-    d, _ = build_from_gadgets(2, [("WHITEHEAD", (1, 2))])
+    d = build_from_gadgets(2, [("WHITEHEAD", (1, 2))])
     assert sato_levine(d, 1, 2) == 1
 
 

@@ -346,10 +346,10 @@ def test_triple_linking_uses_only_the_named_sublink():
 
 
 def test_opposite_handedness_insertion_cancels():
-    d_pos, _ = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 1)])
-    d_neg, _ = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), -1)])
-    both, _ = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 1),
-                                     ("BORROMEAN", (1, 2, 3), -1)])
+    d_pos = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 1)])
+    d_neg = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), -1)])
+    both = build_from_gadgets(3, [("BORROMEAN", (1, 2, 3), 1),
+                                  ("BORROMEAN", (1, 2, 3), -1)])
     assert triple_linking(d_pos, 1, 2, 3) == 1
     assert triple_linking(d_neg, 1, 2, 3) == -1
     assert triple_linking(both, 1, 2, 3) == 0

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from lzero import fixtures
 from lzero.classify import representative
-from lzero.construct import band_clasp_diagram, braid_closure
+from lzero.construct import braid_closure
 from lzero.conway import conway_polynomial
 from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
-from util import (assert_sound, corpus, euler_ok, face_walks_reference,
-                  random_class, random_walk, render_site_reference,
-                  walked_hosts)
+from util import (CLASP_SITE, assert_sound, clasp_pair, corpus, euler_ok,
+                  face_walks_reference, random_class, random_walk,
+                  render_site_reference, walked_hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_r3_preserves_everything_countable():
 
 
 def test_bandpass_switches_exactly_the_four_crossings():
-    d, site = band_clasp_diagram()
+    d, site = clasp_pair(), CLASP_SITE
     moved = apply_move(d, site)
     assert_sound(moved)
     assert len(moved.crossings) == len(d.crossings)
@@ -237,14 +237,14 @@ def test_enumerated_sites_are_all_accepted_faces():
 
 def _pin_hosts():
     """The fixtures, seeded representatives at m = 2, 3, 4, each of
-    those with one added curl, and the band-pass demo diagram."""
+    those with one added curl, and the clasp pair."""
     rng = random.Random(41)
     hosts = [fixtures.load(name) for name in fixtures.NAMES]
     hosts += [representative(random_class(rng, m, b_bound=1))
               for m in (2, 3, 4)]
     hosts += [apply_move(d, enumerate_sites(d, "R1+")[0])
               for d in list(hosts) if d.crossings]
-    hosts.append(band_clasp_diagram()[0])
+    hosts.append(clasp_pair())
     return hosts
 
 
@@ -292,3 +292,29 @@ def test_r2_add_accepts_exactly_the_enumerated_sites(name):
             assert euler_ok(moved), site
             accepted.add(site)
     assert accepted == set(enumerate_sites(d, "R2+"))
+
+
+# ---------------------------------------------------------------------------
+# R3 keeps planarity
+
+
+def test_r3_accepts_exactly_the_enumerated_sites():
+    """Of every sorted crossing triple of seeded braid closures,
+    apply_move accepts just the triangles that are faces, and each
+    result stays planar."""
+    rng = random.Random(5)
+    for _ in range(300):
+        strands = rng.randint(3, 5)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                     for _ in range(rng.randint(3, 10)))
+        d = braid_closure(word, strands)
+        accepted = []
+        for tri in itertools.combinations(range(1, len(d.crossings) + 1), 3):
+            site = MoveSite("R3", crossings=tri)
+            try:
+                moved = apply_move(d, site)
+            except MovePatternError:
+                continue
+            assert euler_ok(moved), (word, site)
+            accepted.append(site)
+        assert accepted == enumerate_sites(d, "R3"), word

@@ -1,8 +1,9 @@
 """The benchmark's layer tracer names only functions that exist, and
-still sees the face and site layers; the README's Python runs, and CI
-runs the README's test command and one checked short benchmark run per
-workload."""
+still sees the face and site layers; the builders sit on the diagram
+layer alone; the README's Python runs, and CI runs the README's test
+command and one checked short benchmark run per workload."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -74,6 +75,24 @@ def test_tracer_reaches_the_battery_walk_and_expansions():
     assert counts["milnor.wirtinger_calls"] == 1
     assert counts["milnor.magnus_expand_calls"] == d.m * (d.m - 1) // 2
     assert counts["milnor.linking_number_calls"] == 0
+
+
+def test_construct_imports_only_the_diagram_layer():
+    """``lzero.construct`` builds codes; it needs no move, invariant or
+    class layer."""
+    tree = ast.parse((ROOT / "src" / "lzero" / "construct.py").read_text(
+        encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # relative imports stay inside the package
+            names.update([f"lzero.{node.module}"] if node.module
+                         else [f"lzero.{alias.name}" for alias in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    assert {n for n in names if n.split(".")[0] == "lzero"} == {"lzero.diagram"}
 
 
 def test_readme_python_runs():

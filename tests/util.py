@@ -1,8 +1,8 @@
-"""Shared test helpers: the small-diagram corpus, the planarity check,
-a seeded random-move walker, random valid codes, class projection for
-sublink tests, the plain move-site formatter, the skein recursion that
-checks the Conway engine, the tuple-keyed face walk that checks the
-dart table, the multi-pass Wirtinger builder and the crossing scan
+"""Shared test helpers: the small-diagram corpus, the clasp pair (a
+band-pass host), the planarity check, a seeded random-move walker,
+random valid codes, class projection for sublink tests, the plain
+move-site formatter, the skein recursion that checks the Conway
+engine, the tuple-keyed face walk that checks the dart table, the multi-pass Wirtinger builder and the crossing scan
 that check the presentation's one walk and its pair totals, and the
 general two-letter Magnus algebra that checks the battery's (u, v)
 kernel."""
@@ -16,12 +16,12 @@ from itertools import combinations
 
 from lzero import fixtures
 from lzero.classify import ZeroSolveClass, representative
-from lzero.construct import braid_closure, build_from_gadgets
+from lzero.construct import braid_closure
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
 from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
                            consumer_map, crossing_graph_parts,
-                           disjoint_union, faces, mirror, render_diagram,
-                           validate)
+                           disjoint_union, faces, mirror, parse_diagram,
+                           render_diagram, validate)
 from lzero.errors import DiagramStructureError, ExpansionError
 from lzero.invariants import component_pairs, component_triples
 from lzero.milnor import WirtingerPresentation
@@ -47,6 +47,35 @@ def assert_sound(d: LinkDiagram) -> None:
     assert euler_ok(d), "fails the Euler face count:\n" + render_diagram(d)
 
 
+# Two unknots, a finger of 1 pushed over a finger of 2: crossings 3-6
+# form a band-pass square, and the pair is an unlink.
+CLASP_PAIR_CODE = """components 2
+x + 2 4 1 3
+x - 4 10 8 1
+x - 11 12 3 5
+x + 12 13 5 6
+x - 13 2 6 7
+x + 10 11 7 8
+a 1 1
+a 2 2
+a 3 1
+a 4 2
+a 5 1
+a 6 1
+a 7 1
+a 8 1
+a 10 2
+a 11 2
+a 12 2
+a 13 2
+"""
+CLASP_SITE = MoveSite("BANDPASS", crossings=(3, 4, 5, 6))
+
+
+def clasp_pair() -> LinkDiagram:
+    return parse_diagram(CLASP_PAIR_CODE)
+
+
 def corpus() -> list[tuple[str, LinkDiagram]]:
     """Named small diagrams that the cross-checking tests sweep over."""
     out = [(name, fixtures.load(name)) for name in fixtures.NAMES]
@@ -55,8 +84,7 @@ def corpus() -> list[tuple[str, LinkDiagram]]:
     out.append(("trefoil+unknot",
                 disjoint_union(fixtures.load("trefoil"),
                                fixtures.load("unknot"))))
-    clasp, _ = build_from_gadgets(2, [("CLASP", (1, 2))])
-    out.append(("clasp-pair", clasp))
+    out.append(("clasp-pair", clasp_pair()))
     return out
 
 
