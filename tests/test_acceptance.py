@@ -15,14 +15,14 @@ from lzero.classify import (ZeroSolveClass, class_add, class_gadgets,
                             representative)
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
-from lzero.diagram import disjoint_union, sublink
+from lzero.diagram import sublink
 from lzero.invariants import (arf, component_pairs, component_triples,
                               sato_levine)
 from lzero.milnor import (linking_number, longitude_series, magnus_expand,
                           triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites
-from util import (clasp_pair, conway_polynomial_naive, corpus,
-                  linking_numbers, project_class, random_class, random_move)
+from util import (conway_polynomial_naive, corpus, linking_numbers,
+                  project_class, random_class, random_move)
 
 
 def _finish(n: int, desc: str, t0: float, budget: float) -> None:
@@ -154,29 +154,49 @@ def test_criterion_5_move_invariance():
                     assert now["class"] == base["class"], (name, site)
         assert moves_done >= 500, f"only {moves_done} moves exercised"
 
-        passes_done = 0
+        # Band passes on lk-zero braid closures.  Each word stacks
+        # Borromean, Whitehead, trefoil or single-letter blocks and then
+        # inserts s_i s_i^-1 s_i s_i^-1, the identity braid whose four
+        # crossings form a pass between whatever components the two
+        # strands belong to.
+        passes_done, touched = 0, set()
         rng = random.Random(99)
         while passes_done < 50:
-            # a gadget stack beside the clasp pair, whose band-pass site
-            # joins any the stack has
-            m = rng.randint(2, 4)
-            gadgets = []
-            if rng.random() < 0.5:
-                gadgets.append(("TREFOIL", (rng.randint(1, m),)))
-            if m >= 3 and rng.random() < 0.5:
-                gadgets.append(("BORROMEAN",
-                                tuple(rng.sample(range(1, m + 1), 3)),
-                                rng.choice((1, -1))))
-            d = disjoint_union(build_from_gadgets(m, gadgets), clasp_pair())
+            n = rng.randint(3, 4)
+            word = []
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randint(1, n - 2)
+                word += rng.choice(([i, -(i + 1)] * 3,
+                                    [-i, i + 1, -i, i + 1, -i], [i] * 3,
+                                    [rng.choice((1, -1)) *
+                                     rng.randint(1, n - 1)]))
+            i, pos = rng.randint(1, n - 1), rng.randint(0, len(word))
+            word[pos:pos] = [i, -i, i, -i]
+            d = braid_closure(tuple(word), n)
+            pairs = component_pairs(d.m)
+            if any(linking_number(d, *p) for p in pairs):
+                continue
             g = classify(d)
-            sl_before = {p: sato_levine(d, *p) for p in component_pairs(d.m)}
+            sl_before = {p: sato_levine(d, *p) for p in pairs}
             for site in enumerate_sites(d, "BANDPASS"):
                 moved = apply_move(d, site)
-                assert classify(moved) == g, (gadgets, site)
+                assert classify(moved) == g, (word, site)
                 for p, v in sl_before.items():
                     after = sato_levine(moved, *p)
-                    assert (after - v) % 2 == 0, (gadgets, site, p)
+                    assert (after - v) % 2 == 0, (word, site, p)
                 passes_done += 1
+                comps = {d.arc_components[arc] for cid in site.crossings
+                         for arc in (d.crossings[cid - 1].over_in,
+                                     d.crossings[cid - 1].under_in)}
+                triples = component_triples(d.m)
+                touched.update(kind for kind, hit in (
+                    ("a", any(g.a[k - 1] for k in comps)),
+                    ("b", any(v and comps & set(t)
+                              for t, v in zip(triples, g.b))),
+                    ("c", any(v and comps & set(p)
+                              for p, v in zip(pairs, g.c)))) if hit)
+        # some passes act on components that carry each kind of invariant
+        assert touched == {"a", "b", "c"}, touched
     except BaseException:
         _fail_line(5, desc)
         raise

@@ -2,9 +2,10 @@
 band-pass host), the planarity check, a seeded random-move walker,
 random valid codes, class projection for sublink tests, the plain
 move-site formatter, the skein recursion that checks the Conway
-engine, the tuple-keyed face walk that checks the dart table, the multi-pass Wirtinger builder and the crossing scan
-that check the presentation's one walk and its pair totals, and the
-general two-letter Magnus algebra that checks the battery's (u, v)
+engine, the tuple-keyed face walk that checks the dart table, the
+multi-pass Wirtinger builder and the crossing scan that check the
+presentation's one walk and its pair totals, and the general
+two-letter Magnus algebra that checks the battery's (u, v)
 kernel."""
 
 from __future__ import annotations
