@@ -18,9 +18,8 @@ from .diagram import (Crossing, LinkDiagram, check_valid, disjoint_union,
                       mirror, parse_diagram, render_diagram, sublink,
                       validate)
 from .errors import (DiagramParseError, DiagramStructureError,
-                     ExpansionError, InvariantUndefinedError, LZeroError,
-                     MovePatternError, NotClassifiableError,
-                     ResourceLimitError)
+                     InvariantUndefinedError, LZeroError, MovePatternError,
+                     NotClassifiableError, ResourceLimitError)
 from .invariants import (InvariantTuple, arf, invariant_tuple,
                          invariants_json, render_invariants, sato_levine)
 from .milnor import (WirtingerPresentation, linking_number,
@@ -36,7 +35,7 @@ __all__ = [
     "validate", "check_valid", "sublink", "disjoint_union", "mirror",
     "LZeroError", "DiagramParseError", "DiagramStructureError",
     "MovePatternError", "InvariantUndefinedError", "NotClassifiableError",
-    "ExpansionError", "ResourceLimitError",
+    "ResourceLimitError",
     "MoveSite", "KINDS", "apply_move", "enumerate_sites", "parse_site",
     "render_site",
     "ConwayPolynomial", "conway_polynomial",

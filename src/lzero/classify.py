@@ -19,7 +19,8 @@ bounds an order-2 Whitney tower — iff its tuple is zero.
 
 ``classify`` and ``is_zero_solvable`` read the tuple from one
 computation of the invariant battery (:mod:`lzero.invariants`), which
-refuses at the first nonzero linking number before any expansion.
+runs no expansion when some linking number is nonzero; both name the
+first such pair in lex order.
 
 ``representative`` builds a canonical diagram in a given class from
 unknots decorated with trefoil summands, Borromean insertions and
@@ -36,9 +37,7 @@ from .construct import build_from_gadgets, gadget_crossings
 from .diagram import LinkDiagram
 from .errors import (DiagramParseError, NotClassifiableError,
                      ResourceLimitError)
-from .invariants import (InvariantTuple, battery, component_pairs,
-                         component_triples)
-from .milnor import wirtinger
+from .invariants import component_pairs, component_triples, invariant_tuple
 
 __all__ = [
     "ZeroSolveClass",
@@ -122,23 +121,14 @@ def class_order(g: ZeroSolveClass):
 # diagrams -> classes
 
 
-def _classifiable_battery(d: LinkDiagram) -> InvariantTuple:
-    """The battery; refuses at the first nonzero linking number in lex
-    order, before any expansion."""
-    pres = wirtinger(d)
-    linking = {}
-    for (i, j), v in pres.linking():
+def classify(d: LinkDiagram) -> ZeroSolveClass:
+    """Class of the link; requires all pairwise linking numbers zero."""
+    t = invariant_tuple(d)
+    for (i, j), v in t.linking.items():
         if v != 0:
             raise NotClassifiableError(
                 f"not classifiable: lk(K_{i},K_{j})={v}",
                 pair=(i, j), linking=v)
-        linking[i, j] = v
-    return battery(pres, linking)
-
-
-def classify(d: LinkDiagram) -> ZeroSolveClass:
-    """Class of the link; requires all pairwise linking numbers zero."""
-    t = _classifiable_battery(d)
     return ZeroSolveClass(d.m, t.arf, tuple(t.triple.values()),
                           tuple(v % 2 for v in t.sato_levine.values()))
 
@@ -168,17 +158,13 @@ class SolvableReport:
 def is_zero_solvable(d: LinkDiagram) -> SolvableReport:
     """Trivial-class test with the first obstruction in scan order
     (linking, then Arf, then triples, then pair parities)."""
-    try:
-        t = _classifiable_battery(d)
-    except NotClassifiableError as exc:
-        (i, j), v = exc.pair, exc.linking
-        found = [f"lk(K_{i},K_{j})={v}"]
-    else:
-        found = [f"Arf(K_{c})=1" for c, v in enumerate(t.arf, start=1) if v]
-        found += [f"mubar({i},{j},{k})={v}"
-                  for (i, j, k), v in t.triple.items() if v]
-        found += [f"mubar({i},{i},{j},{j})={v} (odd)"
-                  for (i, j), v in t.sato_levine.items() if v % 2]
+    t = invariant_tuple(d)
+    found = [f"lk(K_{i},K_{j})={v}" for (i, j), v in t.linking.items() if v]
+    found += [f"Arf(K_{c})=1" for c, v in enumerate(t.arf, start=1) if v]
+    found += [f"mubar({i},{j},{k})={v}"
+              for (i, j, k), v in (t.triple or {}).items() if v]
+    found += [f"mubar({i},{i},{j},{j})={v} (odd)"
+              for (i, j), v in (t.sato_levine or {}).items() if v % 2]
     obstruction = found[0] if found else None
     ok = obstruction is None
     return SolvableReport(ok, ok, ok, obstruction)

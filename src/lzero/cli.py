@@ -18,7 +18,8 @@ colors yes/no verdicts when printing plain text to stdout;
 
 Exit codes: 0 success, 1 for domain refusals (an invariant or class
 genuinely undefined for the input, a move that does not match), 2 for
-unusable input (unreadable file, syntax error, structural violations),
+unusable input (unreadable file, syntax error, structural violations,
+a code that is not a planar diagram),
 3 for work over a budget (a representative over its crossing budget)
 or a run out of memory or recursion depth.
 """

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, LinkDiagram, check_valid, renumber_components
+from .diagram import Crossing, LinkDiagram, _check_slots, renumber_components
 
 __all__ = [
     "Tangle",
@@ -68,7 +68,7 @@ def braid_closure(word, strands: int) -> LinkDiagram:
             raise ValueError(f"letter {letter} out of range for {n} strands")
     b = _Builder(n)
     b.splice(Tangle(n, tuple(word)), tuple(range(1, n + 1)))
-    return check_valid(renumber_components(b.finish()))
+    return _check_slots(renumber_components(b.finish()))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def build_from_gadgets(m: int, gadgets):
         b.dive(comps)
         b.splice(_TANGLES[kind], comps)
         b.climb(comps)
-    return check_valid(b.finish())
+    return _check_slots(b.finish())
 
 
 def gadget_crossings(gadget) -> int:

@@ -26,7 +26,8 @@ signed base-2^K digits and rewritten in z = s - 1/s.
 
 Curls and opposite-sign bigons go first, in batched rounds (one scan
 and one surgery per round), and split diagrams return 0.  A connected
-diagram without n + 2 faces is not planar and is refused.  The tests
+diagram without n + 2 faces is not planar and is refused (parsing
+already refuses such a code; this guards one built by hand).  The tests
 check the engine with the skein primitives kept here.
 """
 

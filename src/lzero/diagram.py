@@ -9,14 +9,14 @@ slot" around the diagram partitions the arcs into disjoint cycles, one
 per component.  Components with no crossings at all cannot be expressed
 that way, so they are kept separately as *free loops*.
 
-Planarity of a code is not certified on parsing; all operations are
-combinatorial and their outputs are meaningful for codes that arise
-from actual planar diagrams.  The face structure of a realizable code
-follows from the crossing signs through one integer dart table, four
-darts per crossing numbered by the slot they enter, with the dart that
-leaves each corner: ``faces`` and ``face_through`` are views of it,
-move generation reads it to stay inside the realizable world, and the
-Conway engine builds its matrices from it.
+The face structure of a code follows from the crossing signs through
+one integer dart table, four darts per crossing numbered by the slot
+they enter, with the dart that leaves each corner: ``faces`` and
+``face_through`` are views of it, move generation reads it to stay
+inside the realizable world, and the Conway engine builds its matrices
+from it.  A code is a planar diagram exactly when every connected part
+of its crossing graph with v crossings has v + 2 faces; ``validate``
+counts them, so parsing refuses a code that no planar diagram has.
 
 File format (UTF-8, one record per line, ``#`` starts a comment):
 
@@ -159,11 +159,8 @@ def parse_diagram(text: str) -> LinkDiagram:
     if m is None:
         raise DiagramParseError("missing 'components' record", line=1, column=1)
 
-    d = LinkDiagram(m, tuple(crossings), arc_comp, tuple(sorted(loops)))
-    problems = validate(d)
-    if problems:
-        raise DiagramStructureError(problems)
-    return d
+    return check_valid(LinkDiagram(m, tuple(crossings), arc_comp,
+                                   tuple(sorted(loops))))
 
 
 def render_diagram(d: LinkDiagram) -> str:
@@ -232,13 +229,33 @@ _MAX_VIOLATIONS = 20
 def validate(d: LinkDiagram) -> list[str]:
     """Structural violations, as strings; empty list means valid.
 
-    Lists the first 20, then one entry counting the rest.
+    The slots are checked first; once they are sound, the face count
+    decides whether the code is a planar diagram.  Lists the first 20,
+    then one entry counting the rest.
     """
-    problems = _violations(d)
+    return _capped(_violations(d) or _face_count(d))
+
+
+def _capped(problems: list[str]) -> list[str]:
     if len(problems) > _MAX_VIOLATIONS:
         rest = len(problems) - _MAX_VIOLATIONS
         problems = problems[:_MAX_VIOLATIONS] + [f"... and {rest} more"]
     return problems
+
+
+def _face_count(d: LinkDiagram) -> list[str]:
+    """The Euler count of a code with sound slots: each connected part
+    of the crossing graph with v crossings needs v + 2 faces."""
+    if not d.crossings:
+        return []
+    _, nxt, _ = _darts(d)
+    found, n = len(_orbits(nxt, range(len(nxt)))), len(d.crossings)
+    parts = crossing_graph_parts(d)
+    if found == n + 2 * parts:
+        return []
+    where = "one connected part" if parts == 1 else f"{parts} connected parts"
+    return [f"{found} faces for {n} crossings in {where}, "
+            f"not {n + 2 * parts}: not a planar diagram"]
 
 
 def _violations(d: LinkDiagram) -> list[str]:
@@ -346,7 +363,21 @@ def _violations(d: LinkDiagram) -> list[str]:
 
 
 def check_valid(d: LinkDiagram) -> LinkDiagram:
-    problems = validate(d)
+    """``d`` itself when :func:`validate` finds nothing; otherwise
+    :class:`DiagramStructureError` with its list, a non-planar code
+    included."""
+    return _checked(d, validate(d))
+
+
+def _check_slots(d: LinkDiagram) -> LinkDiagram:
+    """:func:`check_valid` without the face count, for the package's own
+    rewrites and splices: each of them keeps a planar code planar (the
+    tests apply every listed move site and count the faces), and the
+    count costs about half again as much as the slot checks."""
+    return _checked(d, _capped(_violations(d)))
+
+
+def _checked(d: LinkDiagram, problems: list[str]) -> LinkDiagram:
     if problems:
         raise DiagramStructureError(problems)
     return d

@@ -67,11 +67,6 @@ class NotClassifiableError(InvariantUndefinedError):
     """Classification requested for a diagram with nonzero linking."""
 
 
-class ExpansionError(LZeroError):
-    """An expansion fails a relation; on a planar diagram, only when
-    some pairwise linking number is nonzero."""
-
-
 class ResourceLimitError(LZeroError):
     """The input asks for more work than a documented budget allows, or
     the process ran out of memory or recursion depth on it."""

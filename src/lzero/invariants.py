@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram
 from .errors import InvariantUndefinedError
-from .milnor import (WirtingerPresentation, _linking, longitude_series,
-                     magnus_expand, wirtinger)
+from .milnor import _linking, longitude_series, magnus_expand, wirtinger
 
 __all__ = [
     "arf",
@@ -108,15 +107,11 @@ class InvariantTuple:
 
 
 def invariant_tuple(d: LinkDiagram) -> InvariantTuple:
-    pres = wirtinger(d)
-    return battery(pres, dict(pres.linking()))
-
-
-def battery(pres: WirtingerPresentation, linking) -> InvariantTuple:
-    """The battery of a diagram's presentation, given every pairwise
-    linking number."""
-    m = pres.m
-    arfs = tuple(_gauss_arf(pres.crossings, pres.gauss[c])
+    """The whole battery, from one presentation of ``d``; ``linking``
+    lists its pairs in lex order."""
+    pres, m = wirtinger(d), d.m
+    linking = {pair: total // 2 for pair, total in pres.totals.items()}
+    arfs = tuple(_gauss_arf(d.crossings, pres.gauss[c])
                  for c in range(1, m + 1))
     if any(v != 0 for v in linking.values()):
         return InvariantTuple(m, linking, arfs, None, None)

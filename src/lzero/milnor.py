@@ -51,8 +51,8 @@ and is exact through degree three.  Only relations whose overpass lies
 on i or j change a value, so each pass steps through those alone, and
 a generator's value is read by bisection at its segment, the number of
 underpasses between its component's base and it.  The closing (pinned)
-relations then hold whenever the diagram is planar with lk(i, j) = 0,
-and are checked.
+relations then hold whenever lk(i, j) = 0, since every diagram that
+passes ``diagram.validate`` is planar; they are not checked again.
 
 Walking once around a component from its base arc, with overpass
 letters ``a_1 .. a_n`` met at its underpasses, carries the base
@@ -76,11 +76,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import LinkDiagram, consumer_map, validate
-from .errors import (DiagramStructureError, ExpansionError,
-                     InvariantUndefinedError)
+from .errors import DiagramStructureError, InvariantUndefinedError
 
 __all__ = [
     "WirtingerPresentation",
@@ -109,9 +108,9 @@ class WirtingerPresentation:
     component's letters, other, overpass segment, sign).  ``writhe``
     holds each component's self-writhe, ``gauss[comp]`` its
     self-crossing passages (crossing index, 'under'|'over') in walk
-    order from its base, ``totals[i, j]`` the signed count of crossings
-    between components i < j, in lex order, and ``crossings`` is the
-    diagram's.  A free loop has no steps.
+    order from its base, and ``totals[i, j]`` the signed count of
+    crossings between components i < j, in lex order.  A free loop has
+    no steps.
     """
 
     m: int
@@ -119,14 +118,6 @@ class WirtingerPresentation:
     writhe: dict[int, int]
     gauss: dict[int, tuple[tuple[int, str], ...]]
     totals: dict[tuple[int, int], int]
-    crossings: tuple = field(default=(), repr=False, compare=False)
-
-    def linking(self):
-        """Yield ``((i, j), lk)`` for every pair i < j in lex order.  An
-        odd signed total raises :class:`DiagramStructureError` only once
-        its pair is reached."""
-        for (i, j), total in self.totals.items():
-            yield (i, j), _half(i, j, total)
 
 
 def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
@@ -206,7 +197,7 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     totals = {(i, j): rows[i][j] + rows[j][i]
               for i, j in itertools.combinations(range(1, m + 1), 2)}
     writhe = {c: rows[c][c] for c in range(1, m + 1)}
-    return WirtingerPresentation(m, steps, writhe, gauss, totals, crs)
+    return WirtingerPresentation(m, steps, writhe, gauss, totals)
 
 
 def _check_components(m: int, *comps: int) -> None:
@@ -215,8 +206,7 @@ def _check_components(m: int, *comps: int) -> None:
             raise ValueError(f"component {c} out of range 1..{m}")
 
 
-def magnus_expand(pres: WirtingerPresentation, i: int, j: int,
-                  require_exact: bool = True) -> tuple:
+def magnus_expand(pres: WirtingerPresentation, i: int, j: int) -> tuple:
     """Series in ``h_i, h_j`` of every generator of components i and j,
     from two walk-order passes; see the module docstring.
 
@@ -224,10 +214,6 @@ def magnus_expand(pres: WirtingerPresentation, i: int, j: int,
     vs)`` holds the positions among c's letters of the steps that moved
     a value of c, and (u, v) before the first step and after each one;
     a generator at segment s has the values after the steps before s.
-
-    With ``require_exact`` the closing (pinned) relations are checked
-    at degree three, and a defect raises :class:`ExpansionError`; a
-    planar diagram with lk(i, j) = 0 has none.
     """
     if i == j:
         raise ValueError("the expansion needs two distinct components")
@@ -262,11 +248,6 @@ def magnus_expand(pres: WirtingerPresentation, i: int, j: int,
         vs_i.append(v)
     vs_j = list(itertools.accumulate(
         (r[3] * u_j + (r[3] < 0) for r, u_j in zip(j_on_i, us_j)), initial=0))
-
-    if require_exact and (u, v, us_j[-1], vs_j[-1]) != (0, 0, 0, 0):
-        raise ExpansionError(
-            f"components {i} and {j}: relations are not exactly "
-            "satisfiable at degree three; not a planar diagram")
     return (i, j), {i: (at_i, us_i, vs_i), j: (at_j, us_j, vs_j)}
 
 
@@ -315,19 +296,10 @@ def longitude_series(pres: WirtingerPresentation, series,
 # the invariants
 
 
-def _half(i: int, j: int, total: int) -> int:
-    if total % 2:
-        raise DiagramStructureError([
-            f"components {i} and {j} cross an odd signed total of {total}; "
-            "the code does not describe a planar diagram"])
-    return total // 2
-
-
 def _linking(pres: WirtingerPresentation, i: int, j: int) -> int:
     """lk(i, j), in either order, from the presentation's pair total."""
     _check_components(pres.m, i, j)
-    i, j = sorted((i, j))
-    return _half(i, j, pres.totals[i, j])
+    return pres.totals[min(i, j), max(i, j)] // 2
 
 
 def linking_number(d: LinkDiagram, i: int, j: int) -> int:
@@ -350,17 +322,12 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
     _check_components(d.m, i, j, k)
     a, b, c = sorted((i, j, k))
     pres = wirtinger(d)
-    pairs = ((a, b), (a, c), (b, c))
-    for p, q in pairs:
+    for p, q in ((a, b), (a, c), (b, c)):
         lk = _linking(pres, p, q)
         if lk != 0:
             raise InvariantUndefinedError(
                 f"triple linking undefined: lk(K_{p},K_{q})={lk}",
                 pair=(p, q), linking=lk)
-    # The value needs only (a, b), but each pair's closing check covers
-    # relations the others do not, and a non-planar code must not get a
-    # value.
-    series = [magnus_expand(pres, p, q) for p, q in pairs]
-    mu = longitude_series(pres, series[0], c)[4]
+    mu = longitude_series(pres, magnus_expand(pres, a, b), c)[4]
     # the sign of the permutation sorting (i, j, k)
     return (-1) ** ((i > j) + (i > k) + (j > k)) * mu

@@ -35,8 +35,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, _darts, _orbits, bigon_fusions,
-                      check_valid, consumer_map, delete_crossings,
+from .diagram import (Crossing, LinkDiagram, _check_slots, _darts, _orbits,
+                      bigon_fusions, consumer_map, delete_crossings,
                       face_through, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
@@ -112,9 +112,10 @@ def parse_site(text: str) -> MoveSite:
 
 
 def apply_move(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
-    """Rewrite ``d`` at ``site``; the result is re-validated before return."""
+    """Rewrite ``d`` at ``site``; the result's slots are re-checked
+    before return (every rewrite keeps a planar code planar)."""
     rewrite, _ = _kind(site.kind)
-    return check_valid(rewrite(d, site))
+    return _check_slots(rewrite(d, site))
 
 
 def _kind(kind: str):

@@ -18,20 +18,20 @@ from lzero.classify import ZeroSolveClass, classify, representative
 from lzero.cli import main
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
-from lzero.diagram import (component_cycles, consumer_map, disjoint_union,
-                           mirror, parse_diagram, render_diagram, sublink,
-                           validate)
-from lzero.errors import DiagramStructureError, ExpansionError
+from lzero.diagram import (Crossing, LinkDiagram, _violations,
+                           component_cycles, consumer_map, disjoint_union,
+                           mirror, parse_diagram, render_diagram, sublink)
+from lzero.errors import DiagramStructureError
 from lzero.invariants import (InvariantTuple, _gauss_arf, arf,
                               component_pairs, component_triples,
                               invariant_tuple, sato_levine)
 from lzero.milnor import (linking_number, longitude_series, magnus_expand,
                           triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import (corpus, euler_ok, generators, linking_numbers,
-                  longitude_reference, magnus_expand_reference,
-                  random_class, random_code, random_walk, series_of,
-                  walked_hosts, wirtinger_reference)
+from util import (_pair_totals, corpus, euler_ok, generators,
+                  linking_numbers, longitude_reference,
+                  magnus_expand_reference, random_class, random_code,
+                  random_walk, series_of, walked_hosts, wirtinger_reference)
 
 
 def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):
@@ -137,16 +137,10 @@ def test_battery_expands_each_pair_once(monkeypatch):
         assert counts["sublink"] == 0, d.m
 
 
-def _expansion_verdict(expand, pres, i, j):
-    try:
-        return expand(pres, i, j), None
-    except ExpansionError as exc:
-        return None, str(exc)
-
-
 def _kernel_hosts():
     """Walked hosts, representatives with m 2-6 and their R1-R3 walks,
-    one with a free loop, and random valid codes of 1-7 crossings."""
+    one with a free loop, and random codes of sound slots with 1-7
+    crossings."""
     yield from walked_hosts(3)
     rng = random.Random(38)
     for m in range(2, 7):
@@ -160,45 +154,42 @@ def _kernel_hosts():
 
 
 def test_kernel_matches_the_general_algebra():
-    # every series, longitude and closing verdict of the (u, v) kernel,
-    # and the battery read from them, against the full 6-tuple products
-    # over the multi-pass presentation, which shares no code with the
-    # one walk
-    verdicts = {"values": 0, "refused": 0, "odd": 0, "pair refused": 0}
+    # every series and longitude of the (u, v) kernel against the full
+    # 6-tuple products over the multi-pass presentation, which shares no
+    # code with the one walk; on planar hosts, the battery read from
+    # them too, and the closing relations, which the kernel does not
+    # check, hold for every pair with lk = 0.  The random codes that
+    # fail the Euler count are refused at parse.
+    seen = {"planar": 0, "refused": 0, "open pairs": 0}
     for d in _kernel_hosts():
         pres, ref = wirtinger(d), wirtinger_reference(d)
-        gens = generators(ref)
+        gens, planar, totals = generators(ref), euler_ok(d), _pair_totals(d)
         for i, j in itertools.permutations(range(1, d.m + 1), 2):
-            got, err = _expansion_verdict(magnus_expand, pres, i, j)
-            want, want_err = _expansion_verdict(magnus_expand_reference,
-                                                ref, i, j)
-            assert err == want_err, (render_diagram(d), i, j)
-            if err:
-                verdicts["pair refused"] += 1
-                got = magnus_expand(pres, i, j, require_exact=False)
-                want = magnus_expand_reference(ref, i, j, False)
+            got = magnus_expand(pres, i, j)
+            want, closed = magnus_expand_reference(ref, i, j)
             assert series_of(gens, got) == want, (render_diagram(d), i, j)
             for k in range(1, d.m + 1):
                 assert longitude_series(pres, got, k) == \
                     longitude_reference(ref, want, k), (i, j, k)
-        try:
-            t = invariant_tuple(d)
-        except DiagramStructureError:
-            verdicts["odd"] += 1
-            continue
-        except ExpansionError as exc:
-            t = str(exc)
-        assert t == _reference_battery(d, ref), render_diagram(d)
-        verdicts["refused" if isinstance(t, str) else "values"] += 1
-    assert verdicts["refused"] >= 10, verdicts
-    assert min(verdicts["values"], verdicts["pair refused"]) >= 100, verdicts
+            if planar and not totals[min(i, j), max(i, j)]:
+                assert closed, (render_diagram(d), i, j)
+            seen["open pairs"] += not closed
+        if planar:
+            assert invariant_tuple(d) == _reference_battery(d, ref), \
+                render_diagram(d)
+            seen["planar"] += 1
+        else:
+            with pytest.raises(DiagramStructureError,
+                               match="not a planar diagram$"):
+                parse_diagram(render_diagram(d))
+            seen["refused"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def _reference_battery(d, ref):
     """``invariant_tuple`` read from the general algebra over the
     reference presentation ``ref``, with its Gauss words and the
-    crossing scan, or the text of the first closing defect in lex
-    order."""
+    crossing scan."""
     linking = dict(linking_numbers(d))
     arfs = tuple(_gauss_arf(d.crossings, ref.gauss[c])
                  for c in range(1, d.m + 1))
@@ -206,9 +197,7 @@ def _reference_battery(d, ref):
         return InvariantTuple(d.m, linking, arfs, None, None)
     triple, sato = {}, {}
     for i, j in component_pairs(d.m):
-        series, err = _expansion_verdict(magnus_expand_reference, ref, i, j)
-        if err:
-            return err
+        series, _ = magnus_expand_reference(ref, i, j)
         sato[i, j] = -longitude_reference(ref, series, j)[5]
         for k in range(j + 1, d.m + 1):
             triple[i, j, k] = longitude_reference(ref, series, k)[4]
@@ -239,35 +228,6 @@ def test_leading_conway_coefficient_is_triple_squared():
         d, _ = _walked(g, rng, 8, 4)
         (b,) = classify(d).b
         assert conway_polynomial(d).coefficient(4) == b * b, (seed, b)
-
-
-# A pair of circles meeting in a single crossing: a valid code whose
-# signed crossing total is odd, so no planar diagram has it.
-_ODD = "components 2\nx + 1 1 2 2\na 1 1\na 2 2\n"
-_ODD_MSG = ("error: components {} and {} cross an odd signed total of 1; "
-            "the code does not describe a planar diagram\n")
-_SOLVABLE_LK = ("solvable: no\ngrope_class_2: no\n"
-                "whitney_tower_order_2: no\nobstruction: lk(K_1,K_2)=1\n")
-
-
-@pytest.mark.parametrize("command,linked_first,code,out,err", [
-    ("classify", True, 1, "", "error: not classifiable: lk(K_1,K_2)=1\n"),
-    ("solvable", True, 0, _SOLVABLE_LK, ""),
-    ("classify", False, 2, "", _ODD_MSG.format(1, 2)),
-    ("solvable", False, 2, "", _ODD_MSG.format(1, 2)),
-])
-def test_refusal_order_with_an_odd_pair(tmp_path, capsys, command,
-                                        linked_first, code, out, err):
-    # pairs are scanned in lex order and the first nonzero or odd pair
-    # decides; a nonzero pair hides a later odd one
-    hopf, odd = fixtures.load("hopf+"), parse_diagram(_ODD)
-    d = disjoint_union(hopf, odd) if linked_first else \
-        disjoint_union(odd, hopf)
-    path = tmp_path / "mixed.lz"
-    path.write_text(render_diagram(d), encoding="utf-8")
-    assert main([command, str(path)]) == code
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (out, err)
 
 
 # ---------------------------------------------------------------------------
@@ -342,37 +302,54 @@ def test_class_battery_uses_neither_the_skein_nor_sublinks(monkeypatch):
         assert tuple(v % 2 for v in t.sato_levine.values()) == g.c
 
 
-# Valid codes with every linking number 0 whose (1, 2) relations fail to
-# close: no planar diagram has them.
-_NON_PLANAR_PAIR = """components 2
-x + 7 6 4 8
-x - 1 5 6 4
-x - 8 1 2 3
-x + 5 7 3 2
-""" + "".join(f"a {arc} {1 + (arc in (2, 3))}\n" for arc in range(1, 9))
-_NON_PLANAR_TRIPLE = """components 3
-x + 6 1 5 2
-x - 4 3 3 4
-x - 2 5 1 6
-a 1 1
-a 2 2
-a 3 3
-a 4 3
-a 5 2
-a 6 1
-"""
+# Codes with sound slots that no planar diagram has.  A pair of circles
+# meeting in a single crossing has an odd signed total.
+_ODD = LinkDiagram(2, (Crossing(1, 1, 1, 2, 2),), {1: 1, 2: 2})
+# Every linking number is 0, but the (1, 2) relations do not close.
+_NON_PLANAR_PAIR = LinkDiagram(
+    2, (Crossing(1, 7, 6, 4, 8), Crossing(-1, 1, 5, 6, 4),
+        Crossing(-1, 8, 1, 2, 3), Crossing(1, 5, 7, 3, 2)),
+    {arc: 1 + (arc in (2, 3)) for arc in range(1, 9)})
+_NON_PLANAR_TRIPLE = LinkDiagram(
+    3, (Crossing(1, 6, 1, 5, 2), Crossing(-1, 4, 3, 3, 4),
+        Crossing(-1, 2, 5, 1, 6)),
+    {1: 1, 2: 2, 3: 3, 4: 3, 5: 2, 6: 1})
+
+
+_REFUSED = ("error: {} faces for {} crossings in {}, not {}: "
+            "not a planar diagram\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "solvable"])
+@pytest.mark.parametrize("linked_first", [True, False],
+                         ids=["linked-first", "odd-first"])
+def test_refusal_order_with_an_odd_pair(tmp_path, capsys, command,
+                                        linked_first):
+    # the face count at parse comes before every linking refusal: the
+    # odd pair is refused on either side of a linked one
+    hopf = fixtures.load("hopf+")
+    d = disjoint_union(hopf, _ODD) if linked_first else \
+        disjoint_union(_ODD, hopf)
+    assert [lk for _, lk in linking_numbers(hopf)] == [1]
+    path = tmp_path / "mixed.lz"
+    path.write_text(render_diagram(d), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", _REFUSED.format(5, 3, "2 connected parts", 7))
 
 
 def test_non_planar_pair_is_refused(tmp_path, capsys):
-    for code in (_NON_PLANAR_PAIR, _NON_PLANAR_TRIPLE):
-        d = parse_diagram(code)
-        assert validate(d) == [] and not euler_ok(d)
+    # every linking number is 0; each command refuses both codes at parse
+    for d, found, n, parts, want in (
+            (_NON_PLANAR_PAIR, 2, 4, "one connected part", 6),
+            (_NON_PLANAR_TRIPLE, 5, 3, "2 connected parts", 7)):
+        assert _violations(d) == [] and not euler_ok(d)
         assert all(lk == 0 for _, lk in linking_numbers(d))
         path = tmp_path / "witness.lz"
-        path.write_text(code, encoding="utf-8")
-        assert main(["invariants", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: components 1 and 2")
-        assert captured.err.count("\n") == 1
-        assert "nonzero" not in captured.err
+        path.write_text(render_diagram(d), encoding="utf-8")
+        for command in ("invariants", "conway", "classify", "solvable"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == \
+                ("", _REFUSED.format(found, n, parts, want)), command

@@ -134,12 +134,38 @@ _VALIDATE_TEXTS = [
      ["component 1 is realized by 2 circles"]),
     (_edited("trefoil", m=2),
      ["component 2 has no circle (cycle or free loop)"]),
+    # sound slots, one component, two faces instead of six
+    (LinkDiagram(1, (Crossing(-1, 8, 1, 5, 2), Crossing(-1, 2, 3, 7, 4),
+                     Crossing(-1, 4, 5, 3, 6), Crossing(-1, 1, 7, 6, 8)),
+                 dict.fromkeys(range(1, 9), 1)),
+     ["2 faces for 4 crossings in one connected part, not 6: "
+      "not a planar diagram"]),
 ]
 
 
 @pytest.mark.parametrize("d, texts", _VALIDATE_TEXTS)
 def test_validate_texts_are_pinned(d, texts):
     assert validate(d) == texts
+
+
+def test_validate_is_the_euler_count_on_sound_slots():
+    """On random codes of sound slots, ``validate`` refuses exactly the
+    codes that fail the Euler count of ``tests/util.py``, each with one
+    face-count line, and ``check_valid`` raises it."""
+    rng = random.Random(7)
+    refused = 0
+    for _ in range(1000):
+        d = random_code(rng, rng.randint(1, 6))
+        problems = validate(d)
+        assert (problems == []) == euler_ok(d), render_diagram(d)
+        if problems:
+            refused += 1
+            assert len(problems) == 1, problems
+            assert problems[0].endswith(": not a planar diagram"), problems
+            with pytest.raises(DiagramStructureError) as exc:
+                check_valid(d)
+            assert exc.value.violations == problems
+    assert refused == 850
 
 
 # Arc 2 is produced twice and arc 1 never, so the slots are not a
@@ -334,8 +360,8 @@ def test_face_layer_matches_the_dict_walk():
     """The dart table against the tuple-keyed walk it replaced:
     ``faces``, ``face_through`` at every dart, the R2+, R2- and R3
     sites, and the face count behind ``conway``'s planarity refusal, on
-    the corpus, seeded walks and 1200 random valid codes of 1-8
-    crossings (most of them not planar)."""
+    the corpus, seeded walks and 1200 random codes of sound slots with
+    1-8 crossings (most of them not planar)."""
     rng = random.Random(16)
     hosts = [d for _, d in corpus()] + walked_hosts(31)
     hosts += [random_code(rng, rng.randint(1, 8)) for _ in range(1200)]

@@ -11,15 +11,17 @@ import random
 from lzero import fixtures
 from lzero.classify import representative
 from lzero.construct import braid_closure, build_from_gadgets
-from lzero.diagram import disjoint_union, mirror, render_diagram
-from lzero.errors import (DiagramStructureError, ExpansionError,
-                          InvariantUndefinedError)
+from lzero.diagram import (Crossing, LinkDiagram, disjoint_union, mirror,
+                           parse_diagram, render_diagram)
+from lzero.errors import DiagramStructureError, InvariantUndefinedError
+from lzero.invariants import invariant_tuple, sato_levine
 from lzero.milnor import (WirtingerPresentation, linking_number,
                           longitude_series, magnus_expand, triple_linking,
                           wirtinger)
-from util import (_inv2, _mul2, _pair_totals, generators, linking_numbers,
-                  presentation_reference, random_class, random_code,
-                  random_walk, series_of, walked_hosts, wirtinger_reference)
+from util import (_inv2, _mul2, _pair_totals, euler_ok, generators,
+                  linking_numbers, presentation_reference, random_class,
+                  random_code, random_walk, series_of, walked_hosts,
+                  wirtinger_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +110,8 @@ def test_wirtinger_shape():
 
 def _presentation_hosts():
     """Walked hosts, representatives with m 1-8 and their R1-R3 walks,
-    one with a free-loop component, and random valid codes of 1-8
-    crossings."""
+    one with a free-loop component, and random codes of sound slots
+    with 1-8 crossings."""
     yield from walked_hosts(3)
     rng = random.Random(39)
     for m in range(1, 9):
@@ -195,47 +197,48 @@ def test_expansion_and_longitude_reject_bad_components():
 
 def test_linking_number_matches_the_crossing_scan():
     # the walk's pair totals against the scan in tests/util.py, in both
-    # pair orders, on planar hosts and random valid codes: the same
-    # value at every pair before the first odd total, and the same
-    # refusal there
+    # pair orders, on planar hosts (walks, braid closures and the random
+    # codes of sound slots that pass the Euler count); the scan refuses
+    # an odd total, which no planar code has, and parsing refuses every
+    # other random code
     rng = random.Random(47)
     hosts = walked_hosts(5)
+    for _ in range(100):
+        strands = rng.randint(2, 4)
+        hosts.append(braid_closure(
+            [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+             for _ in range(rng.randint(1, 8))], strands))
     hosts += [random_code(rng, rng.randint(1, 8)) for _ in range(400)]
-    seen = {"values": 0, "nonzero": 0, "odd": 0}
+    seen = {"values": 0, "nonzero": 0, "refused": 0}
     for d in hosts:
-        want, err = {}, None
-        try:
-            want.update(linking_numbers(d))
-        except DiagramStructureError as exc:
-            err = str(exc)
-        for i, j in itertools.combinations(range(1, d.m + 1), 2):
+        if not euler_ok(d):
+            with pytest.raises(DiagramStructureError,
+                               match="not a planar diagram$"):
+                parse_diagram(render_diagram(d))
+            seen["refused"] += 1
+            continue
+        want = dict(linking_numbers(d))
+        for (i, j), lk in want.items():
             for p, q in ((i, j), (j, i)):
-                if (i, j) in want:
-                    assert linking_number(d, p, q) == want[i, j], \
-                        (render_diagram(d), p, q)
-                    continue
-                with pytest.raises(DiagramStructureError) as exc:
-                    linking_number(d, p, q)
-                assert str(exc.value) == err, (render_diagram(d), p, q)
-            if (i, j) not in want:
-                seen["odd"] += 1
-                break
+                assert linking_number(d, p, q) == lk, \
+                    (render_diagram(d), p, q)
             seen["values"] += 1
-            seen["nonzero"] += want[i, j] != 0
+            seen["nonzero"] += lk != 0
     assert min(seen.values()) >= 30, seen
 
 
 def test_linking_rejects_odd_crossing_totals():
     # two circles meeting in a single crossing close up combinatorially
-    # but cannot be drawn in the plane; the crossing count must notice
-    from lzero.diagram import parse_diagram
-    d = parse_diagram("components 2\nx + 1 1 2 2\na 1 1\na 2 2\n")
-    with pytest.raises(DiagramStructureError):
-        linking_number(d, 1, 2)
+    # but cannot be drawn in the plane; the face count at parse notices
+    with pytest.raises(DiagramStructureError) as exc:
+        parse_diagram("components 2\nx + 1 1 2 2\na 1 1\na 2 2\n")
+    assert exc.value.violations == [
+        "1 faces for 1 crossings in one connected part, not 3: "
+        "not a planar diagram"]
 
 
 # ---------------------------------------------------------------------------
-# expansion and its exactness gate
+# expansion
 
 
 def test_expansion_exact_on_borromean():
@@ -244,12 +247,21 @@ def test_expansion_exact_on_borromean():
         magnus_expand(pres, i, j)
 
 
-def test_expansion_gate_fires_on_linked_input():
-    pres = wirtinger(fixtures.load("hopf+"))
-    with pytest.raises(ExpansionError):
-        magnus_expand(pres, 1, 2)
-    series = magnus_expand(pres, 1, 2, require_exact=False)
-    assert longitude_series(pres, series, 2)[1] == 1
+def test_expansion_gate_fires_on_linked_input(monkeypatch):
+    # a pair with lk != 0 is refused before any expansion: its series
+    # does not close, though its longitude still reads lk in degree one
+    d = fixtures.load("hopf+")
+    pres = wirtinger(d)
+    assert longitude_series(pres, magnus_expand(pres, 1, 2), 2)[1] == 1
+
+    def refuse(*args):
+        raise AssertionError("a linked pair was expanded")
+    monkeypatch.setattr("lzero.invariants.magnus_expand", refuse)
+    with pytest.raises(InvariantUndefinedError) as exc:
+        sato_levine(d, 1, 2)
+    assert (exc.value.pair, exc.value.linking) == ((1, 2), 1)
+    t = invariant_tuple(d)
+    assert (t.linking, t.triple, t.sato_levine) == ({(1, 2): 1}, None, None)
 
 
 def test_longitude_degree_one_reads_linking():
@@ -258,7 +270,7 @@ def test_longitude_degree_one_reads_linking():
         d = fixtures.load(name)
         pres, lk = wirtinger(d), dict(linking_numbers(d))
         for i, j in itertools.permutations(range(1, d.m + 1), 2):
-            series = magnus_expand(pres, j, i, require_exact=False)
+            series = magnus_expand(pres, j, i)
             assert longitude_series(pres, series, i)[1] == \
                 lk[min(i, j), max(i, j)], (name, i, j)
 
@@ -304,32 +316,45 @@ def test_triple_linking_undefined_over_nonzero_linking():
     assert exc.value.linking == 1
 
 
-def test_triple_linking_names_the_callers_odd_pair():
-    # components 3 and 4 meet in a single crossing; inside the sublink
-    # (1, 3, 4) they are numbered 2 and 3, but the error must not be
-    from lzero.diagram import parse_diagram
-    odd = parse_diagram("components 2\nx + 1 1 2 2\na 1 1\na 2 2\n")
+def test_triple_linking_names_the_callers_pair():
+    # components 3 and 4 form a Hopf link; inside the sublink (1, 3, 4)
+    # they are numbered 2 and 3, but the error must not be.  With the
+    # pair meeting in a single crossing instead, the code is refused at
+    # parse.
     unknot = fixtures.load("unknot")
-    d = disjoint_union(disjoint_union(unknot, unknot), odd)
-    with pytest.raises(DiagramStructureError) as exc:
+    d = disjoint_union(disjoint_union(unknot, unknot), fixtures.load("hopf+"))
+    with pytest.raises(InvariantUndefinedError) as exc:
         triple_linking(d, 1, 3, 4)
-    assert exc.value.violations[0].startswith(
-        "components 3 and 4 cross an odd signed total of 1;")
+    assert (exc.value.pair, exc.value.linking) == ((3, 4), 1)
+    assert str(exc.value) == "triple linking undefined: lk(K_3,K_4)=1"
+    odd = LinkDiagram(2, (Crossing(1, 1, 1, 2, 2),), {1: 1, 2: 2})
+    text = render_diagram(disjoint_union(disjoint_union(unknot, unknot), odd))
+    with pytest.raises(DiagramStructureError, match="not a planar diagram$"):
+        parse_diagram(text)
 
 
 def test_triple_linking_refuses_a_non_planar_code():
     # every linking number is 0 and the (1, 2) relations close, but the
-    # (2, 3) relations do not: no planar diagram has this code
-    from lzero.diagram import parse_diagram
-    d = parse_diagram("components 3\n"
-                      "x - 2 6 3 8\nx - 6 3 10 5\nx - 4 1 9 7\n"
-                      "x + 5 10 8 2\nx - 1 9 7 4\n"
-                      + "".join(f"a {arc} {comp}\n" for arc, comp in
-                                enumerate((1, 2, 2, 1, 3, 2, 1, 2, 1, 3), 1)))
+    # (2, 3) relations do not: no planar diagram has this code, and
+    # parsing refuses it
+    text = ("components 3\n"
+            "x - 2 6 3 8\nx - 6 3 10 5\nx - 4 1 9 7\n"
+            "x + 5 10 8 2\nx - 1 9 7 4\n"
+            + "".join(f"a {arc} {comp}\n" for arc, comp in
+                      enumerate((1, 2, 2, 1, 3, 2, 1, 2, 1, 3), 1)))
+    crossings = (Crossing(-1, 2, 6, 3, 8), Crossing(-1, 6, 3, 10, 5),
+                 Crossing(-1, 4, 1, 9, 7), Crossing(1, 5, 10, 8, 2),
+                 Crossing(-1, 1, 9, 7, 4))
+    d = LinkDiagram(3, crossings, dict(enumerate(
+        (1, 2, 2, 1, 3, 2, 1, 2, 1, 3), 1)))
+    assert render_diagram(d) == text
     assert [linking_number(d, *p) for p in ((1, 2), (1, 3), (2, 3))] == \
         [0, 0, 0]
-    with pytest.raises(ExpansionError, match="components 2 and 3"):
-        triple_linking(d, 1, 2, 3)
+    with pytest.raises(DiagramStructureError) as exc:
+        parse_diagram(text)
+    assert exc.value.violations == [
+        "5 faces for 5 crossings in 2 connected parts, not 9: "
+        "not a planar diagram"]
 
 
 def test_triple_linking_needs_distinct_components():

@@ -273,6 +273,37 @@ def test_site_lists_are_pinned():
 
 
 # ---------------------------------------------------------------------------
+# every rewrite keeps planarity: ``apply_move`` re-checks the slots only
+
+
+def test_every_listed_site_keeps_planarity():
+    """On the corpus and seeded walks from it, every site that
+    ``enumerate_sites`` lists, of every kind, gives a code that passes
+    the Euler count; and of every ordered crossing pair, ``apply_move``
+    accepts as R2- just the pairs that sort to a listed R2- site."""
+    rng = random.Random(29)
+    hosts = [d for _, d in corpus() if d.crossings]
+    for d in list(hosts):
+        hosts += [w for _, w in random_walk(
+            d, rng, 6, max_crossings=len(d.crossings) + 4)]
+    applied = dict.fromkeys(KINDS, 0)
+    for d in hosts:
+        for kind in KINDS:
+            for site in enumerate_sites(d, kind):
+                assert euler_ok(apply_move(d, site)), render_site(site)
+                applied[kind] += 1
+        accepted = set()
+        for pair in itertools.permutations(range(1, len(d.crossings) + 1), 2):
+            try:
+                apply_move(d, MoveSite("R2-", crossings=pair))
+            except MovePatternError:
+                continue
+            accepted.add(tuple(sorted(pair)))
+        assert accepted == {s.crossings for s in enumerate_sites(d, "R2-")}
+    assert min(applied.values()) >= 10, applied
+
+
+# ---------------------------------------------------------------------------
 # R2+ keeps planarity
 
 

@@ -111,15 +111,20 @@ def test_readme_python_runs():
 
 
 def test_ci_runs_the_readme_test_command():
-    """The workflow installs the test tools and runs the README's
-    tier-1 command, unchanged, on Python 3.10 and 3.11."""
+    """The workflow installs exactly the tools of the ``test`` extra and
+    runs the README's tier-1 command, unchanged, on Python 3.10 and
+    3.11."""
     command = re.search(r"^## Install and test\n.*?^```sh\n(.*?)\n```",
                         (ROOT / "README.md").read_text(), re.M | re.S)[1]
     job, = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert command in runs
-    assert {"pytest", "hypothesis"} <= set(runs[0].split()[2:])
+    # tomllib is 3.11+, and the extra is one line of string literals
+    extra = re.search(r"^test = (\[.*\])$",
+                      (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    assert runs[0].split()[:2] == ["pip", "install"]
+    assert sorted(runs[0].split()[2:]) == sorted(ast.literal_eval(extra))
 
 
 def _bench_step() -> str:

@@ -1,7 +1,7 @@
 """Shared test helpers: the small-diagram corpus, the clasp pair (a
 band-pass host), the planarity check, a seeded random-move walker,
-random valid codes, class projection for sublink tests, the plain
-move-site formatter, the skein recursion that checks the Conway
+random codes of sound slots, class projection for sublink tests, the
+plain move-site formatter, the skein recursion that checks the Conway
 engine, the tuple-keyed face walk that checks the dart table, the
 multi-pass Wirtinger builder and the crossing scan that check the
 presentation's one walk and its pair totals, and the general
@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from lzero import fixtures
+from lzero import diagram, fixtures
 from lzero.classify import ZeroSolveClass, representative
 from lzero.construct import braid_closure
 from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
@@ -23,7 +23,7 @@ from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
                            consumer_map, crossing_graph_parts,
                            disjoint_union, faces, mirror, parse_diagram,
                            render_diagram, validate)
-from lzero.errors import DiagramStructureError, ExpansionError
+from lzero.errors import DiagramStructureError
 from lzero.invariants import component_pairs, component_triples
 from lzero.milnor import WirtingerPresentation
 from lzero.moves import MoveSite, apply_move, enumerate_sites
@@ -222,9 +222,10 @@ def conway_polynomial_naive(d: LinkDiagram,
 
 
 def random_code(rng: random.Random, crossings: int) -> LinkDiagram:
-    """A valid code with the given number of crossings: its slots are
-    wired at random and each arc cycle is one component, numbered by
-    its lowest arc.  Most such codes describe no planar diagram."""
+    """A code with sound slots and the given number of crossings: its
+    slots are wired at random and each arc cycle is one component,
+    numbered by its lowest arc.  Most such codes describe no planar
+    diagram, so ``validate`` refuses them."""
     arcs = range(1, 2 * crossings + 1)
     ins, outs = rng.sample(arcs, len(arcs)), rng.sample(arcs, len(arcs))
     crs = tuple(Crossing(rng.choice((1, -1)), ins[2 * k], outs[2 * k],
@@ -235,7 +236,7 @@ def random_code(rng: random.Random, crossings: int) -> LinkDiagram:
     for n, cyc in enumerate(component_cycles(d), start=1):
         comp.update(dict.fromkeys(cyc, n))
     d = LinkDiagram(max(comp.values()), crs, comp)
-    assert validate(d) == [], d
+    assert diagram._violations(d) == [], d
     return d
 
 
@@ -326,27 +327,26 @@ def _conj2(x, o, sign):
     return _mul2(_mul2(a, x), b)
 
 
-def magnus_expand_reference(pres: ReferencePresentation, i: int, j: int,
-                            require_exact: bool = True) -> dict[int, tuple]:
+def magnus_expand_reference(pres: ReferencePresentation, i: int,
+                            j: int) -> tuple[dict[int, tuple], bool]:
     """``milnor.magnus_expand`` as a dict of full series, from the
     reference presentation's relations: both passes go through every
-    relation whose target lies on i or j."""
+    relation whose target lies on i or j.  The flag says whether the
+    closing (pinned) relations hold at degree three."""
     unit = {i: (1, 1, 0, 0, 0, 0), j: (1, 0, 1, 0, 0, 0)}
     meridians = {g: unit[c] for g, c in pres.class_comp.items() if c in unit}
     rels = [r for r in pres.relations if r[0] in meridians]
     pinned = set(pres.base_class.values())
     series = meridians
-    for final in (False, True):
-        prev, series = series, dict(meridians)
+    for _ in range(2):
+        prev, series, closed = series, dict(meridians), True
         for tgt, src, over, sign in rels:
             value = _conj2(series[src], prev.get(over), sign)
             if tgt not in pinned:
                 series[tgt] = value
-            elif final and require_exact and value != series[tgt]:
-                raise ExpansionError(
-                    f"components {i} and {j}: relations are not exactly "
-                    "satisfiable at degree three; not a planar diagram")
-    return series
+            else:
+                closed &= value == series[tgt]
+    return series, closed
 
 
 def longitude_reference(pres: ReferencePresentation, series: dict,
@@ -496,7 +496,7 @@ def presentation_reference(d: LinkDiagram) -> WirtingerPresentation:
     from it is the reference route for the command line."""
     ref = wirtinger_reference(d)
     return WirtingerPresentation(d.m, ref.steps, ref.writhe, ref.gauss,
-                                 _pair_totals(d), crossings=d.crossings)
+                                 _pair_totals(d))
 
 
 def _pair_totals(d: LinkDiagram) -> dict[tuple[int, int], int]:
