@@ -36,9 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import (LinkDiagram, _darts, _orbits, bigon_fusions,
-                      component_cycles, consumer_map, crossing_graph_parts,
-                      delete_crossings, kink_fusion, renumber_components)
+from .diagram import (LinkDiagram, _darts, _face_count, _orbits,
+                      bigon_fusions, component_cycles, consumer_map,
+                      crossing_graph_parts, delete_crossings, kink_fusion,
+                      renumber_components)
 from .errors import DiagramStructureError
 
 __all__ = [
@@ -201,9 +202,7 @@ def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
     _, nxt, order = _darts(d)
     walks = _orbits(nxt, order)
     if len(walks) != n + 2:
-        raise DiagramStructureError([
-            f"{len(walks)} faces for {n} crossings in one connected part, "
-            f"not {n + 2}: not a planar diagram"])
+        raise DiagramStructureError(_face_count(d))
     face_of = {p: f for f, walk in enumerate(walks) for p in walk}
     # ``order`` pairs each arc's backward dart with its forward one
     starred = next((face_of[p], face_of[q])

@@ -31,6 +31,7 @@ index is the crossing id used by moves and by the skein primitives.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -108,17 +109,19 @@ def parse_diagram(text: str) -> LinkDiagram:
     arc_comp: dict[int, int] = {}
     loops: list[int] = []
 
-    def fail(lineno, raw, tok, msg):
-        col = raw.find(tok) + 1 if tok and tok in raw else 1
+    def fail(lineno, raw, field, msg):
+        # at the start of the line's token number ``field``, from 0
+        col = [tok.start() for tok in re.finditer(r"\S+", raw)][field] + 1
         raise DiagramParseError(msg, line=lineno, column=col)
 
-    def want_int(lineno, raw, tok, positive=True):
+    def want_int(lineno, raw, parts, field):
+        tok = parts[field]
         try:
             v = int(tok)
         except ValueError:
-            fail(lineno, raw, tok, f"expected an integer, got {tok!r}")
-        if positive and v < 1:
-            fail(lineno, raw, tok, f"expected a positive integer, got {tok!r}")
+            fail(lineno, raw, field, f"expected an integer, got {tok!r}")
+        if v < 1:
+            fail(lineno, raw, field, f"expected a positive integer, got {tok!r}")
         return v
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -129,32 +132,32 @@ def parse_diagram(text: str) -> LinkDiagram:
         kw = parts[0]
         if kw == "components":
             if m is not None:
-                fail(lineno, raw, kw, "duplicate 'components' record")
+                fail(lineno, raw, 0, "duplicate 'components' record")
             if len(parts) != 2:
-                fail(lineno, raw, kw, "'components' takes exactly one integer")
-            m = want_int(lineno, raw, parts[1])
+                fail(lineno, raw, 0, "'components' takes exactly one integer")
+            m = want_int(lineno, raw, parts, 1)
         elif kw == "x":
             if len(parts) != 6:
-                fail(lineno, raw, kw, "'x' takes sign and four arc ids")
+                fail(lineno, raw, 0, "'x' takes sign and four arc ids")
             if parts[1] not in ("+", "-"):
-                fail(lineno, raw, parts[1], f"sign must be '+' or '-', got {parts[1]!r}")
+                fail(lineno, raw, 1, f"sign must be '+' or '-', got {parts[1]!r}")
             sign = 1 if parts[1] == "+" else -1
-            ids = [want_int(lineno, raw, t) for t in parts[2:6]]
+            ids = [want_int(lineno, raw, parts, k) for k in range(2, 6)]
             crossings.append(Crossing(sign, *ids))
         elif kw == "a":
             if len(parts) != 3:
-                fail(lineno, raw, kw, "'a' takes arc id and component id")
-            arc = want_int(lineno, raw, parts[1])
-            comp = want_int(lineno, raw, parts[2])
+                fail(lineno, raw, 0, "'a' takes arc id and component id")
+            arc = want_int(lineno, raw, parts, 1)
+            comp = want_int(lineno, raw, parts, 2)
             if arc in arc_comp:
-                fail(lineno, raw, parts[1], f"arc {arc} assigned to a component twice")
+                fail(lineno, raw, 1, f"arc {arc} assigned to a component twice")
             arc_comp[arc] = comp
         elif kw == "o":
             if len(parts) != 2:
-                fail(lineno, raw, kw, "'o' takes one component id")
-            loops.append(want_int(lineno, raw, parts[1]))
+                fail(lineno, raw, 0, "'o' takes one component id")
+            loops.append(want_int(lineno, raw, parts, 1))
         else:
-            fail(lineno, raw, kw, f"unknown record type {kw!r}")
+            fail(lineno, raw, 0, f"unknown record type {kw!r}")
 
     if m is None:
         raise DiagramParseError("missing 'components' record", line=1, column=1)
@@ -399,7 +402,8 @@ def delete_crossings(d: LinkDiagram, kill: set[int],
     fusions are resolved so that the arc entering the killed region from
     a surviving crossing keeps its identity and absorbs the rest.  A
     fusion chain that closes on itself leaves a crossing-free circle,
-    which is recorded as a free loop.  Arcs touching killed crossings on
+    which is recorded as a free loop; the closed chains are found in
+    one pass over the sources left, sorted once.  Arcs touching killed crossings on
     both ends and not mentioned in any fusion simply disappear.
 
     Component numbering is preserved; callers renumber if components
@@ -429,19 +433,16 @@ def delete_crossings(d: LinkDiagram, kill: set[int],
             consumed.add(tail)
 
     loops = list(d.free_loops)
-    remaining = sorted(set(nxt) - consumed)
-    while remaining:
-        start = remaining[0]
+    for start in sorted(nxt.keys() - consumed):
+        if start in consumed:
+            continue
         arc = start
-        cycle = []
         while True:
-            cycle.append(arc)
+            consumed.add(arc)
             arc = nxt[arc]
             if arc == start:
                 break
         loops.append(d.arc_components[start])
-        consumed.update(cycle)
-        remaining = sorted(set(nxt) - consumed)
 
     new_crossings = []
     for idx, cr in enumerate(d.crossings):
@@ -503,17 +504,14 @@ def renumber_components(d: LinkDiagram) -> LinkDiagram:
     every arc carries the strand position its row started at, so circles
     come in order of their lowest position, free loops in place.
     """
-    keyed: list[tuple[tuple[int, int], list[int] | None, int | None]] = []
-    for cyc in component_cycles(d):
-        key = min((d.arc_components[a], a) for a in cyc)
-        keyed.append((key, cyc, None))
-    for comp in d.free_loops:
-        keyed.append(((comp, 0), None, comp))
+    keyed = [(min((d.arc_components[a], a) for a in cyc), cyc)
+             for cyc in component_cycles(d)]
+    keyed += [((comp, 0), None) for comp in d.free_loops]
     keyed.sort(key=lambda t: t[0])
 
     arc_comp: dict[int, int] = {}
     loops: list[int] = []
-    for new_id, (_, cyc, loop_comp) in enumerate(keyed, start=1):
+    for new_id, (_, cyc) in enumerate(keyed, start=1):
         if cyc is None:
             loops.append(new_id)
         else:
@@ -555,11 +553,9 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
             fusions.append((cr.over_in, cr.over_out))
 
     trimmed = delete_crossings(d, kill, fusions)
-    order = {old: new for new, old in enumerate(sorted(keep), start=1)}
-    arc_comp = {a: order[c] for a, c in trimmed.arc_components.items()
-                if c in keep}
-    loops = tuple(sorted(order[c] for c in trimmed.free_loops if c in keep))
-    return LinkDiagram(len(keep), trimmed.crossings, arc_comp, loops)
+    # one circle per kept component, so renumbering keeps their order
+    return renumber_components(replace(trimmed, free_loops=tuple(
+        c for c in trimmed.free_loops if c in keep)))
 
 
 def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
@@ -642,6 +638,19 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     """
     arc, nxt, order = _darts(d)
     return [[(arc[p], not p & 1) for p in face] for face in _orbits(nxt, order)]
+
+
+def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:
+    """The faces with k sides at k distinct crossings, each as its
+    sorted crossing ids; sorted."""
+    _, nxt, order = _darts(d)
+    found = set()
+    for face in _orbits(nxt, order):
+        if len(face) == k:
+            corners = {(p >> 2) + 1 for p in face}
+            if len(corners) == k:
+                found.add(tuple(sorted(corners)))
+    return sorted(found)
 
 
 def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:

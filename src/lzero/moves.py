@@ -9,7 +9,9 @@ combinatorial, except that an R2+ slide is refused unless its two
 darts lie on one face of the embedding encoded by the crossing signs
 (see ``_R2_SHAPE``), and an R3 slide unless its triangle is a face;
 any other choice would leave a non-planar code.  ``enumerate_sites``
-only offers sites certified against that face structure.
+only offers sites certified against that face structure, and tests a
+candidate with the same pattern matcher ``apply_move`` runs, without
+building the rewritten diagram.
 
 A :class:`MoveSite` is a :class:`typing.NamedTuple`: immutable,
 hashable, and equal to the plain tuple of its fields.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, _check_slots, _darts, _orbits,
+from .diagram import (Crossing, LinkDiagram, _check_slots, _polygons,
                       bigon_fusions, consumer_map, delete_crossings,
                       face_through, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
@@ -81,10 +83,14 @@ def parse_site(text: str) -> MoveSite:
     arcs: tuple[int, ...] = ()
     sign = 0
     variant = ""
+    seen = set()
     for tok in parts[1:]:
         key, eq, val = tok.partition("=")
         if not eq:
             raise DiagramParseError(f"expected key=value, got {tok!r}")
+        if key in seen:
+            raise DiagramParseError(f"duplicate site field {key!r}")
+        seen.add(key)
         if key in ("crossings", "arcs"):
             try:
                 ids = tuple(int(x) for x in val.split(","))
@@ -140,19 +146,27 @@ def _crossing_at(d: LinkDiagram, cid: int) -> Crossing:
     return d.crossings[cid - 1]
 
 
-def _with_consumer_rewired(crossings, old_arc, new_arc):
-    """Replace the single input slot consuming ``old_arc``."""
-    out = []
-    done = False
-    for cr in crossings:
-        if not done and cr.under_in == old_arc:
-            cr = Crossing(cr.sign, new_arc, cr.under_out, cr.over_in, cr.over_out)
-            done = True
-        elif not done and cr.over_in == old_arc:
-            cr = Crossing(cr.sign, cr.under_in, cr.under_out, new_arc, cr.over_out)
-            done = True
-        out.append(cr)
-    return out, done
+def _inserted(d: LinkDiagram, added: tuple[Crossing, ...], threads,
+              missing: str) -> LinkDiagram:
+    """``d`` with the crossings ``added`` appended.  Each ``(old arc,
+    new arcs)`` in ``threads`` runs on through its new arcs, which join
+    the old arc's component, and the last of them takes over the old
+    arc's consumer; refused with ``missing`` when an old arc has none."""
+    left = {old: new[-1] for old, new in threads}
+    crossings = list(d.crossings)
+    for idx, cr in enumerate(crossings):
+        if cr.under_in in left or cr.over_in in left:
+            crossings[idx] = Crossing(
+                cr.sign, left.pop(cr.under_in, cr.under_in), cr.under_out,
+                left.pop(cr.over_in, cr.over_in), cr.over_out)
+            if not left:
+                break
+    _need(not left, missing)
+    arc_comp = dict(d.arc_components)
+    for old, new in threads:
+        for a in new:
+            arc_comp[a] = d.arc_components[old]
+    return LinkDiagram(d.m, tuple(crossings) + added, arc_comp, d.free_loops)
 
 
 def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -169,13 +183,8 @@ def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
         kink = Crossing(site.sign, a, n1, n1, n2)
     else:
         kink = Crossing(site.sign, n1, n2, a, n1)
-    crossings, done = _with_consumer_rewired(d.crossings, a, n2)
-    _need(done, f"arc {a} has no consuming crossing")
-    comp = d.arc_components[a]
-    arc_comp = dict(d.arc_components)
-    arc_comp[n1] = comp
-    arc_comp[n2] = comp
-    return LinkDiagram(d.m, tuple(crossings) + (kink,), arc_comp, d.free_loops)
+    return _inserted(d, (kink,), [(a, (n1, n2))],
+                     f"arc {a} has no consuming crossing")
 
 
 def _r1_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -209,14 +218,8 @@ def _r2_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
         # y runs against x: y hits c2 first, then c1.
         c1 = Crossing(s, n3, n4, x, n1)
         c2 = Crossing(-s, y, n3, n1, n2)
-    crossings, ok_x = _with_consumer_rewired(d.crossings, x, n2)
-    crossings, ok_y = _with_consumer_rewired(crossings, y, n4)
-    _need(ok_x and ok_y, "both arcs must have consuming crossings")
-    arc_comp = dict(d.arc_components)
-    arc_comp[n1] = arc_comp[n2] = d.arc_components[x]
-    arc_comp[n3] = arc_comp[n4] = d.arc_components[y]
-    return LinkDiagram(d.m, tuple(crossings) + (c1, c2), arc_comp,
-                       d.free_loops)
+    return _inserted(d, (c1, c2), [(x, (n1, n2)), (y, (n3, n4))],
+                     "both arcs must have consuming crossings")
 
 
 def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -238,14 +241,24 @@ def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
 
 
 def _r3(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
-    slid = _r3_slide(d, site)
+    ends, sides = _r3_match(d, site)
     _need(tuple(sorted(site.crossings)) in _polygons(d, 3),
           "the triangle is not a face; the slide would not be planar")
-    return slid
+    # Slide: each strand swaps its (in, out) slot pairs between its two
+    # crossings, keeping its level at each crossing and every sign.
+    slid = dict(ends)
+    for p, c in sides.values():
+        slid[p], slid[c] = ends[c], ends[p]
+    crossings = list(d.crossings)
+    for cid in site.crossings:
+        crossings[cid - 1] = Crossing(crossings[cid - 1].sign,
+                                      *slid[cid, "under"], *slid[cid, "over"])
+    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
 
 
-def _r3_slide(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
-    """The R3 rewrite after its strand-pattern checks only."""
+def _r3_match(d: LinkDiagram, site: MoveSite):
+    """The strand pattern of an R3 site, as ``(ends, sides)``: each
+    corner passage's (in, out) arcs, and each side arc's two passages."""
     _need(len(site.crossings) == 3 and len(set(site.crossings)) == 3,
           "R3 needs three distinct crossings")
     # (crossing, level) -> (in arc, out arc) of the strand passing there
@@ -277,20 +290,18 @@ def _r3_slide(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     _need(over_counts == [0, 1, 2],
           "the three strands are cyclically stacked; the triangle cannot "
           "be slid")
-
-    # Slide: each strand swaps its (in, out) slot pairs between its two
-    # crossings, keeping its level at each crossing and every sign.
-    slid = dict(ends)
-    for p, c in sides.values():
-        slid[p], slid[c] = ends[c], ends[p]
-    crossings = list(d.crossings)
-    for cid in site.crossings:
-        crossings[cid - 1] = Crossing(crossings[cid - 1].sign,
-                                      *slid[cid, "under"], *slid[cid, "over"])
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
+    return ends, sides
 
 
 def _band_pass(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+    _band_pass_match(d, site)
+    crossings = list(d.crossings)
+    for cid in site.crossings:
+        crossings[cid - 1] = crossings[cid - 1].switched()
+    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
+
+
+def _band_pass_match(d: LinkDiagram, site: MoveSite) -> None:
     _need(len(site.crossings) == 4 and len(set(site.crossings)) == 4,
           "BANDPASS needs four distinct crossings")
     c1, c2, c3, c4 = (_crossing_at(d, cid) for cid in site.crossings)
@@ -305,10 +316,6 @@ def _band_pass(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     under_comps = {d.arc_components[c.under_in] for c in (c1, c2, c3, c4)}
     _need(len(over_comps) == 1, "the over band must lie on one component")
     _need(len(under_comps) == 1, "the under band must lie on one component")
-    crossings = list(d.crossings)
-    for cid in site.crossings:
-        crossings[cid - 1] = crossings[cid - 1].switched()
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +381,6 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
             if ax != ay]
 
 
-def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:
-    """The faces with k sides at k distinct crossings, each as its
-    sorted crossing ids; sorted."""
-    _, nxt, order = _darts(d)
-    found = set()
-    for face in _orbits(nxt, order):
-        if len(face) == k:
-            corners = {(p >> 2) + 1 for p in face}
-            if len(corners) == k:
-                found.add(tuple(sorted(corners)))
-    return sorted(found)
-
-
 def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
     sites = []
     for i, j in _polygons(d, 2):
@@ -398,12 +392,12 @@ def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
     return sites
 
 
-def _accepted(d: LinkDiagram, rewrite, sites) -> list[MoveSite]:
-    """The sites whose pattern ``rewrite`` accepts on ``d``."""
+def _accepted(d: LinkDiagram, match, sites) -> list[MoveSite]:
+    """The sites whose pattern ``match`` accepts on ``d``."""
     kept = []
     for site in sites:
         try:
-            rewrite(d, site)
+            match(d, site)
         except MovePatternError:
             continue
         kept.append(site)
@@ -412,13 +406,13 @@ def _accepted(d: LinkDiagram, rewrite, sites) -> list[MoveSite]:
 
 def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
     # the candidates are faces already, so only the pattern is checked
-    return _accepted(d, _r3_slide, [MoveSite("R3", crossings=tri)
+    return _accepted(d, _r3_match, [MoveSite("R3", crossings=tri)
                                     for tri in _polygons(d, 3)])
 
 
 def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:
     # Follow the over, under and over strands out of each crossing;
-    # _band_pass checks the closing under step and distinctness.
+    # the matcher checks the closing under step and distinctness.
     cons = consumer_map(d)
     chains = []
     for i, c1 in enumerate(d.crossings, start=1):
@@ -432,7 +426,7 @@ def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:
             arc = cr.under_out if level == "over" else cr.over_out
         else:
             chains.append(MoveSite("BANDPASS", crossings=tuple(chain)))
-    return _accepted(d, _band_pass, chains)
+    return _accepted(d, _band_pass_match, chains)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_criterion_3_round_trip():
     _finish(3, desc, t0, 60.0)
 
 
-def test_criterion_4_memo_matches_naive():
+def test_criterion_4_determinant_matches_naive():
     desc = "determinant engine and skein oracle agree on the corpus"
     t0 = time.perf_counter()
     try:

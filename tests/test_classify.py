@@ -45,6 +45,10 @@ def test_class_shape_validation():
         ZeroSolveClass(2, (0, 2), (), (0,))         # a not a bit
     with pytest.raises(ValueError):
         ZeroSolveClass(3, (0, 0, 0), (1,), (0, 0))  # c too short
+    with pytest.raises(ValueError, match="^c entries must be 0 or 1$"):
+        ZeroSolveClass(2, (0, 0), (), (2,))         # c not a bit
+    with pytest.raises(ValueError, match="^b entries must be integers$"):
+        ZeroSolveClass(3, (0, 0, 0), (1.5,), (0, 0, 0))
 
 
 @given(g=classes_strategy(3), h=classes_strategy(3), k=classes_strategy(3))
@@ -111,6 +115,11 @@ def test_parse_accepts_loose_spacing_and_field_order():
 def test_parse_rejects_malformed_classes(text):
     with pytest.raises(DiagramParseError):
         parse_class(text)
+
+
+def test_parse_names_a_bad_integer_list():
+    with pytest.raises(DiagramParseError, match="^bad integer list '1.5'$"):
+        parse_class("m=3; a=0,0,0; b=1.5; c=0,0,0")
 
 
 def test_parse_refuses_a_short_many_component_class_quickly():

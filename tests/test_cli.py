@@ -139,7 +139,8 @@ def test_move_pattern_mismatch_is_a_domain_refusal(fx, capsys):
 
 # One case per refusal text of the removing and switching moves and
 # the R2+ face check (the curl refusal is the test above); a source is a fixture name, "clasp",
-# or a (braid word, strands) closure.
+# or a (braid word, strands) closure.  A pattern refusal exits 1; a
+# site the parser refuses, given with its exit code, exits 2.
 @pytest.mark.parametrize("source, site, message", [
     ("trefoil", "R1- crossings=1,2", "R1- needs exactly one crossing"),
     ("trefoil", "R1- crossings=9", "no crossing 9; diagram has 3"),
@@ -175,8 +176,11 @@ def test_move_pattern_mismatch_is_a_domain_refusal(fx, capsys):
      "variant need; the slide would not be planar"),
     (((1, -1, -1, -2, 1, 3, 2), 4), "R3 crossings=4,6,7",
      "the triangle is not a face; the slide would not be planar"),
+    ("trefoil", "R1- crossings=2 crossings=3",
+     (2, "duplicate site field 'crossings'")),
 ])
 def test_move_refusal_texts(source, site, message, tmp_path, capsys):
+    exit_code, message = message if isinstance(message, tuple) else (1, message)
     if source == "clasp":
         d = clasp_pair()
     elif isinstance(source, str):
@@ -186,7 +190,7 @@ def test_move_refusal_texts(source, site, message, tmp_path, capsys):
     path = tmp_path / "host.lz"
     path.write_text(render_diagram(d), encoding="utf-8")
     code, out, err = run(capsys, "move", str(path), site)
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (exit_code, "", f"error: {message}\n")
 
 
 def test_move_site_syntax_error(fx, capsys):
@@ -290,6 +294,15 @@ def test_out_file_matches_stdout_bytes(fx, capsys, tmp_path):
                           "--out", str(target))
     assert code == 0 and silent == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_out_into_a_missing_directory_is_refused(fx, capsys, tmp_path):
+    target = tmp_path / "missing" / "inv.json"
+    code, out, err = run(capsys, "invariants", fx("borromean"),
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and not target.exists()
 
 
 def test_output_is_deterministic(fx, capsys):

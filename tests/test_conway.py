@@ -123,14 +123,14 @@ def test_degree_parity_matches_component_count():
 # determinant engine vs the skein oracle
 
 
-def test_memo_agrees_with_naive_on_corpus():
+def test_determinant_agrees_with_naive_on_corpus():
     for name, d in corpus():
         if len(d.crossings) > 8:
             continue
         assert conway_polynomial(d) == conway_polynomial_naive(d), name
 
 
-def test_memo_agrees_with_naive_on_random_braids():
+def test_determinant_agrees_with_naive_on_random_braids():
     rng = random.Random(23)
     for _ in range(15):
         n = rng.randint(1, 7)

@@ -53,6 +53,19 @@ def test_parse_reports_line_and_column():
     assert "oops" in str(exc.value)
 
 
+# the column is the bad field's own, not the first match of its text
+@pytest.mark.parametrize("text, line, column", [
+    ("components 1\nx + 10 0 3 4\n", 2, 8),
+    ("components 1\na 10 0\n", 2, 6),
+])
+def test_parse_reports_the_bad_fields_column(text, line, column):
+    with pytest.raises(DiagramParseError) as exc:
+        parse_diagram(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == (f"line {line}, column {column}: expected a "
+                              "positive integer, got '0'")
+
+
 @pytest.mark.parametrize("text", [
     "a 1 1\n",                          # no components record
     "components 1\ncomponents 1\n",     # duplicate header
@@ -210,6 +223,32 @@ def test_unpermuted_slots_end_every_walk():
     assert done.stdout.splitlines() == [
         f"{name} {want}" for name in ("classify", "invariant_tuple", "arf",
                                       "linking_number", "component_cycles")]
+
+
+# 20000 one-crossing curls, each its own component, in a seeded order
+# and with seeded signs: reduction closes 20000 fusion chains into free
+# loops, which must take one pass, not one sort per chain.
+_SEPARATE_CURLS = """
+import random, time
+from lzero.conway import conway_polynomial
+from lzero.diagram import Crossing, LinkDiagram
+rng, n = random.Random(20000), 20000
+crs = [Crossing(rng.choice((1, -1)), 2 * k + 1, 2 * k + 2, 2 * k + 2, 2 * k + 1)
+       for k in range(n)]
+rng.shuffle(crs)
+d = LinkDiagram(n, tuple(crs), {a: (a + 1) // 2 for a in range(1, 2 * n + 1)})
+start = time.perf_counter()
+print(conway_polynomial(d).text(), time.perf_counter() - start < 2.0)
+"""
+
+
+def test_separate_curls_close_in_one_pass():
+    src = os.path.dirname(os.path.dirname(lzero.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _SEPARATE_CURLS], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 True\n"
 
 
 # Arc 2 leaves the only crossing and no crossing takes it in, so every

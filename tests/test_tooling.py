@@ -95,6 +95,18 @@ def test_construct_imports_only_the_diagram_layer():
     assert {n for n in names if n.split(".")[0] == "lzero"} == {"lzero.diagram"}
 
 
+def test_moves_leaves_the_dart_table_to_the_diagram_layer():
+    """``lzero.moves`` reads faces through ``diagram``'s views; the dart
+    numbering stays in ``diagram`` (and in ``conway``'s matrices)."""
+    tree = ast.parse((ROOT / "src" / "lzero" / "moves.py").read_text(
+        encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "diagram"
+             for alias in node.names}
+    assert "_polygons" in names
+    assert not names & {"_darts", "_orbits"}
+
+
 def test_readme_python_runs():
     """Every Python block of README.md, in order in one namespace, and
     every inline ``from lzero ... import ...`` it names."""
