@@ -11,7 +11,7 @@ capped, entering and leaving the tangle at its own position.
 
 ``braid_closure`` splices its whole word through a builder with one
 row per strand, closes every row, and numbers the resulting circles
-with ``diagram.renumber_components``.
+with ``diagram._renumber_components``.
 
 ``build_from_gadgets`` composes a link out of local *gadgets* spliced
 serially into an m-component unlink, one slice after another:
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Crossing, LinkDiagram, _check_slots, renumber_components
+from .diagram import Crossing, LinkDiagram, _check_slots, _renumber_components
 
 __all__ = [
     "Tangle",
@@ -68,7 +68,7 @@ def braid_closure(word, strands: int) -> LinkDiagram:
             raise ValueError(f"letter {letter} out of range for {n} strands")
     b = _Builder(n)
     b.splice(Tangle(n, tuple(word)), tuple(range(1, n + 1)))
-    return _check_slots(renumber_components(b.finish()))
+    return _check_slots(_renumber_components(b.finish()))
 
 
 # ---------------------------------------------------------------------------

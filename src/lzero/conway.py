@@ -24,11 +24,11 @@ Every state is one monomial s^k with |k| <= n, so |det S| bounds every
 coefficient: det M is taken over the integers at s = 2^K, read back as
 signed base-2^K digits and rewritten in z = s - 1/s.
 
-Curls and opposite-sign bigons go first, in batched rounds (one scan
-and one surgery per round), and split diagrams return 0.  A connected
-diagram without n + 2 faces is not planar and is refused (parsing
-already refuses such a code; this guards one built by hand).  The tests
-check the engine with the skein primitives kept here.
+The diagram passes ``diagram.check_valid`` first, so it is planar, and
+so is every reduction of it.  Curls and opposite-sign bigons go first,
+in batched rounds (one scan and one surgery per round), and split
+diagrams return 0.  The tests check the engine with the skein
+primitives kept here.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import (LinkDiagram, _darts, _face_count, _orbits,
-                      bigon_fusions, component_cycles, consumer_map,
-                      crossing_graph_parts, delete_crossings, kink_fusion,
-                      renumber_components)
-from .errors import DiagramStructureError
+from .diagram import (LinkDiagram, _darts, _orbits, _renumber_components,
+                      bigon_fusions, check_valid, component_cycles,
+                      consumer_map, crossing_graph_parts, delete_crossings,
+                      kink_fusion)
 
 __all__ = [
     "ConwayPolynomial",
@@ -113,11 +112,11 @@ def smooth_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
     renumbered from the resulting circle structure (keyed by smallest
     old component id, then smallest arc id), so the count may go up or
     down by one."""
-    cr = d.crossing(cid)
+    cr = check_valid(d).crossing(cid)
     fused = delete_crossings(d, {cid - 1},
                              [(cr.under_in, cr.over_out),
                               (cr.over_in, cr.under_out)])
-    return renumber_components(fused)
+    return _renumber_components(fused)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ _CORNERS = {1: ((1, 1), (1, 1), (-1, 0), (1, 2)),
 
 def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
     """Conway polynomial, as one integer determinant after reduction."""
-    d = _reduce(d)
+    d = _reduce(check_valid(d))
     if not d.crossings:
         return ONE if d.m == 1 else ZERO
     if d.free_loops or crossing_graph_parts(d) > 1:
@@ -201,8 +200,6 @@ def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
     n = len(d.crossings)
     _, nxt, order = _darts(d)
     walks = _orbits(nxt, order)
-    if len(walks) != n + 2:
-        raise DiagramStructureError(_face_count(d))
     face_of = {p: f for f, walk in enumerate(walks) for p in walk}
     # ``order`` pairs each arc's backward dart with its forward one
     starred = next((face_of[p], face_of[q])

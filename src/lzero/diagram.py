@@ -81,12 +81,16 @@ class LinkDiagram:
     ``arc_components`` maps every arc id to the 1-based component that
     owns it; ``free_loops`` lists components realized as crossing-free
     circles (a multiset, though a valid diagram never repeats one).
+    Every reader starts with :func:`check_valid`, which refuses a code
+    that is not a planar diagram; passing is remembered in a flag that
+    is no field, so ``dataclasses.replace`` and every copy start afresh.
     """
 
     m: int
     crossings: tuple[Crossing, ...]
     arc_components: dict[int, int]
     free_loops: tuple[int, ...] = ()
+    _valid = False  # set by ``_checked`` alone; not a field
 
     def crossing(self, cid: int) -> Crossing:
         """Crossing by 1-based id (= position in the record list)."""
@@ -196,10 +200,14 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
     """Arc cycles in traversal order, each starting at its lowest arc id.
 
     Cycles are returned sorted by that starting arc; free loops do not
-    appear.  Slots that are not a permutation, so that a walk never
-    returns or reaches an arc no crossing consumes, raise
-    :class:`DiagramStructureError`.
+    appear.  ``d`` passes :func:`check_valid` first.
     """
+    return _cycles(check_valid(d))
+
+
+def _cycles(d: LinkDiagram) -> list[list[int]]:
+    """:func:`component_cycles` without the gate: every walk must return
+    to its start, so the slots must already be a permutation."""
     nxt = {}
     for cr in d.crossings:
         nxt[cr.under_in] = cr.under_out
@@ -211,17 +219,12 @@ def component_cycles(d: LinkDiagram) -> list[list[int]]:
             continue
         cyc = []
         a = start
-        for _ in range(len(nxt)):
+        while True:
             cyc.append(a)
             seen.add(a)
-            try:
-                a = nxt[a]
-            except KeyError:
-                raise DiagramStructureError(validate(d)) from None
+            a = nxt[a]
             if a == start:
                 break
-        else:
-            raise DiagramStructureError(validate(d))
         cycles.append(cyc)
     return cycles
 
@@ -343,7 +346,7 @@ def _violations(d: LinkDiagram) -> list[str]:
                 or arc_comp[cr.over_in] != arc_comp[cr.over_out]
                 for cr in d.crossings)
     circles = Counter(d.free_loops)
-    for cyc in component_cycles(d):
+    for cyc in _cycles(d):
         comps = {arc_comp[a] for a in cyc} if mixed else {arc_comp[cyc[0]]}
         if len(comps) > 1:
             problems.append(
@@ -368,8 +371,9 @@ def _violations(d: LinkDiagram) -> list[str]:
 def check_valid(d: LinkDiagram) -> LinkDiagram:
     """``d`` itself when :func:`validate` finds nothing; otherwise
     :class:`DiagramStructureError` with its list, a non-planar code
-    included."""
-    return _checked(d, validate(d))
+    included.  Every reader of a diagram starts here; ``d`` remembers
+    passing, so a second call is one attribute read."""
+    return d if d._valid else _checked(d, validate(d))
 
 
 def _check_slots(d: LinkDiagram) -> LinkDiagram:
@@ -383,6 +387,7 @@ def _check_slots(d: LinkDiagram) -> LinkDiagram:
 def _checked(d: LinkDiagram, problems: list[str]) -> LinkDiagram:
     if problems:
         raise DiagramStructureError(problems)
+    object.__setattr__(d, "_valid", True)
     return d
 
 
@@ -494,7 +499,7 @@ def bigon_fusions(a: Crossing, b: Crossing):
     return [(a.over_in, b.over_out), under]
 
 
-def renumber_components(d: LinkDiagram) -> LinkDiagram:
+def _renumber_components(d: LinkDiagram) -> LinkDiagram:
     """Re-derive component ids from the circle structure.
 
     Each circle is keyed by (smallest old component id on it, smallest
@@ -505,7 +510,7 @@ def renumber_components(d: LinkDiagram) -> LinkDiagram:
     come in order of their lowest position, free loops in place.
     """
     keyed = [(min((d.arc_components[a], a) for a in cyc), cyc)
-             for cyc in component_cycles(d)]
+             for cyc in _cycles(d)]
     keyed += [((comp, 0), None) for comp in d.free_loops]
     keyed.sort(key=lambda t: t[0])
 
@@ -532,6 +537,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     their old ids.  At each deleted crossing the surviving strand's
     in-arc absorbs the out-arc's identity.
     """
+    check_valid(d)
     keep = set(keep)
     if not keep:
         raise ValueError("sublink needs at least one component")
@@ -554,7 +560,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
 
     trimmed = delete_crossings(d, kill, fusions)
     # one circle per kept component, so renumbering keeps their order
-    return renumber_components(replace(trimmed, free_loops=tuple(
+    return _renumber_components(replace(trimmed, free_loops=tuple(
         c for c in trimmed.free_loops if c in keep)))
 
 
@@ -636,7 +642,7 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     loops carry none.  For a planar code
     ``faces - arcs + crossings == 1 + connected parts``.
     """
-    arc, nxt, order = _darts(d)
+    arc, nxt, order = _darts(check_valid(d))
     return [[(arc[p], not p & 1) for p in face] for face in _orbits(nxt, order)]
 
 

@@ -51,8 +51,9 @@ and is exact through degree three.  Only relations whose overpass lies
 on i or j change a value, so each pass steps through those alone, and
 a generator's value is read by bisection at its segment, the number of
 underpasses between its component's base and it.  The closing (pinned)
-relations then hold whenever lk(i, j) = 0, since every diagram that
-passes ``diagram.validate`` is planar; they are not checked again.
+relations then hold whenever lk(i, j) = 0, since ``wirtinger`` reads
+only planar diagrams (``diagram.check_valid`` gates it); they are not
+checked again.
 
 Walking once around a component from its base arc, with overpass
 letters ``a_1 .. a_n`` met at its underpasses, carries the base
@@ -78,8 +79,8 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, consumer_map, validate
-from .errors import DiagramStructureError, InvariantUndefinedError
+from .diagram import LinkDiagram, check_valid, consumer_map
+from .errors import InvariantUndefinedError
 
 __all__ = [
     "WirtingerPresentation",
@@ -130,10 +131,14 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     the last underpass belongs to the base overpass (segment 0).  One
     pass over the underpass letters, one per crossing, then gives the
     steps, self-writhes and pair totals, and each component's Gauss
-    word keeps the passages at its self letters' crossings.  Slots that
-    are not a permutation, so that a walk never returns or reaches an
-    arc no crossing consumes, raise :class:`DiagramStructureError`.
+    word keeps the passages at its self letters' crossings.  ``d``
+    passes :func:`diagram.check_valid` first, so every walk returns to
+    its base.
     """
+    return _wirtinger(check_valid(d))
+
+
+def _wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     comp_of, crs, m = d.arc_components, d.crossings, d.m
     cons = consumer_map(d)
     bases: dict[int, int] = {}
@@ -151,13 +156,9 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     for c, base in bases.items():
         under, passages = [], []
         s, arc = 0, base
-        for _ in range(len(cons)):
-            try:
-                passage = cons[arc]
-            except KeyError:
-                raise DiagramStructureError(validate(d)) from None
+        while True:
+            idx, level = passage = cons[arc]
             passages.append(passage)
-            idx, level = passage
             if level == "under":
                 under.append(idx)
                 arc = crs[idx].under_out
@@ -168,8 +169,6 @@ def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
                 arc = crs[idx].over_out
             if arc == base:
                 break
-        else:
-            raise DiagramStructureError(validate(d))
         count[c] = s
         walks.append((c, under, passages))
 
@@ -319,9 +318,9 @@ def triple_linking(d: LinkDiagram, i: int, j: int, k: int) -> int:
     """
     if len({i, j, k}) != 3:
         raise ValueError("triple linking needs three distinct components")
-    _check_components(d.m, i, j, k)
-    a, b, c = sorted((i, j, k))
     pres = wirtinger(d)
+    _check_components(pres.m, i, j, k)
+    a, b, c = sorted((i, j, k))
     for p, q in ((a, b), (a, c), (b, c)):
         lk = _linking(pres, p, q)
         if lk != 0:

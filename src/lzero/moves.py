@@ -38,8 +38,8 @@ import itertools
 from typing import NamedTuple
 
 from .diagram import (Crossing, LinkDiagram, _check_slots, _polygons,
-                      bigon_fusions, consumer_map, delete_crossings,
-                      face_through, faces, kink_fusion)
+                      bigon_fusions, check_valid, consumer_map,
+                      delete_crossings, face_through, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
@@ -118,10 +118,10 @@ def parse_site(text: str) -> MoveSite:
 
 
 def apply_move(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
-    """Rewrite ``d`` at ``site``; the result's slots are re-checked
-    before return (every rewrite keeps a planar code planar)."""
+    """Rewrite ``d``, gated by ``check_valid``, at ``site``; the result's
+    slots are re-checked (every rewrite keeps a planar code planar)."""
     rewrite, _ = _kind(site.kind)
-    return _check_slots(rewrite(d, site))
+    return _check_slots(rewrite(check_valid(d), site))
 
 
 def _kind(kind: str):
@@ -146,12 +146,12 @@ def _crossing_at(d: LinkDiagram, cid: int) -> Crossing:
     return d.crossings[cid - 1]
 
 
-def _inserted(d: LinkDiagram, added: tuple[Crossing, ...], threads,
-              missing: str) -> LinkDiagram:
+def _inserted(d: LinkDiagram, added: tuple[Crossing, ...],
+              threads) -> LinkDiagram:
     """``d`` with the crossings ``added`` appended.  Each ``(old arc,
     new arcs)`` in ``threads`` runs on through its new arcs, which join
     the old arc's component, and the last of them takes over the old
-    arc's consumer; refused with ``missing`` when an old arc has none."""
+    arc's consumer, which every arc of a valid diagram has."""
     left = {old: new[-1] for old, new in threads}
     crossings = list(d.crossings)
     for idx, cr in enumerate(crossings):
@@ -161,7 +161,6 @@ def _inserted(d: LinkDiagram, added: tuple[Crossing, ...], threads,
                 left.pop(cr.over_in, cr.over_in), cr.over_out)
             if not left:
                 break
-    _need(not left, missing)
     arc_comp = dict(d.arc_components)
     for old, new in threads:
         for a in new:
@@ -183,8 +182,7 @@ def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
         kink = Crossing(site.sign, a, n1, n1, n2)
     else:
         kink = Crossing(site.sign, n1, n2, a, n1)
-    return _inserted(d, (kink,), [(a, (n1, n2))],
-                     f"arc {a} has no consuming crossing")
+    return _inserted(d, (kink,), [(a, (n1, n2))])
 
 
 def _r1_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -218,8 +216,7 @@ def _r2_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
         # y runs against x: y hits c2 first, then c1.
         c1 = Crossing(s, n3, n4, x, n1)
         c2 = Crossing(-s, y, n3, n1, n2)
-    return _inserted(d, (c1, c2), [(x, (n1, n2)), (y, (n3, n4))],
-                     "both arcs must have consuming crossings")
+    return _inserted(d, (c1, c2), [(x, (n1, n2)), (y, (n3, n4))])
 
 
 def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
@@ -336,7 +333,7 @@ def enumerate_sites(d: LinkDiagram, kind: str) -> list[MoveSite]:
     pass pattern already pins the local picture).
     """
     _, finder = _kind(kind)
-    return finder(d)
+    return finder(check_valid(d))
 
 
 # The R1+ and R2+ finders list thousands of sites per diagram, so they

@@ -25,8 +25,8 @@ from lzero.errors import DiagramStructureError
 from lzero.invariants import (InvariantTuple, _gauss_arf, arf,
                               component_pairs, component_triples,
                               invariant_tuple, sato_levine)
-from lzero.milnor import (linking_number, longitude_series, magnus_expand,
-                          triple_linking, wirtinger)
+from lzero.milnor import (_wirtinger, linking_number, longitude_series,
+                          magnus_expand, triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
 from util import (_pair_totals, corpus, euler_ok, generators,
                   linking_numbers, longitude_reference,
@@ -159,11 +159,14 @@ def test_kernel_matches_the_general_algebra():
     # code with the one walk; on planar hosts, the battery read from
     # them too, and the closing relations, which the kernel does not
     # check, hold for every pair with lk = 0.  The random codes that
-    # fail the Euler count are refused at parse.
+    # fail the Euler count reach the walk through its ungated body, and
+    # are refused at parse and by ``wirtinger``.
     seen = {"planar": 0, "refused": 0, "open pairs": 0}
     for d in _kernel_hosts():
-        pres, ref = wirtinger(d), wirtinger_reference(d)
-        gens, planar, totals = generators(ref), euler_ok(d), _pair_totals(d)
+        planar = euler_ok(d)
+        pres = (wirtinger if planar else _wirtinger)(d)
+        ref = wirtinger_reference(d)
+        gens, totals = generators(ref), _pair_totals(d)
         for i, j in itertools.permutations(range(1, d.m + 1), 2):
             got = magnus_expand(pres, i, j)
             want, closed = magnus_expand_reference(ref, i, j)
@@ -179,9 +182,11 @@ def test_kernel_matches_the_general_algebra():
                 render_diagram(d)
             seen["planar"] += 1
         else:
-            with pytest.raises(DiagramStructureError,
-                               match="not a planar diagram$"):
-                parse_diagram(render_diagram(d))
+            for refuse in (lambda: parse_diagram(render_diagram(d)),
+                           lambda: wirtinger(d)):
+                with pytest.raises(DiagramStructureError,
+                                   match="not a planar diagram$"):
+                    refuse()
             seen["refused"] += 1
     assert min(seen.values()) >= 100, seen
 

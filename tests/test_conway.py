@@ -285,7 +285,7 @@ def test_reduce_reaches_a_fixpoint():
         assert r.m == d.m, name
 
 
-def test_memo_agrees_with_naive_after_stacked_moves():
+def test_determinant_agrees_with_naive_after_stacked_moves():
     for name, d in _stacked_corpus():
         assert_sound(d)
         assert conway_polynomial(d) == conway_polynomial_naive(d), name

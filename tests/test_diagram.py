@@ -13,21 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lzero
-from lzero import fixtures
-from lzero.classify import classify
+from lzero import diagram, fixtures
+from lzero.classify import classify, parse_class, representative
+from lzero.cli import main
 from lzero.construct import braid_closure
-from lzero.conway import _reduce, conway_polynomial
-from lzero.diagram import (Crossing, LinkDiagram, check_valid,
-                           component_cycles, crossing_graph_parts,
+from lzero.conway import conway_polynomial
+from lzero.diagram import (Crossing, LinkDiagram, _darts, _orbits,
+                           check_valid, component_cycles,
+                           crossing_graph_parts, delete_crossings,
                            disjoint_union, face_through, faces, mirror,
                            parse_diagram, render_diagram, sublink, validate)
 from lzero.errors import (DiagramParseError, DiagramStructureError,
                           MovePatternError)
-from lzero.invariants import arf, invariant_tuple
 from lzero.milnor import linking_number, wirtinger
-from lzero.moves import _R2_SHAPE, MoveSite, apply_move, enumerate_sites
-from util import (assert_sound, corpus, euler_ok, face_through_reference,
-                  face_walks_reference, random_code, walked_hosts)
+from lzero.moves import (_R2_SHAPE, KINDS, MoveSite, apply_move,
+                         enumerate_sites)
+from util import (REFUSED_CODES, assert_sound, corpus, euler_ok,
+                  face_through_reference, face_walks_reference,
+                  gated_readers, random_code, walked_hosts)
 
 
 def test_parse_render_round_trip_on_fixtures():
@@ -161,10 +164,14 @@ def test_validate_texts_are_pinned(d, texts):
     assert validate(d) == texts
 
 
+_DEAD_KNOT = REFUSED_CODES["dead end"]
+
+
 def test_validate_is_the_euler_count_on_sound_slots():
     """On random codes of sound slots, ``validate`` refuses exactly the
     codes that fail the Euler count of ``tests/util.py``, each with one
-    face-count line, and ``check_valid`` raises it."""
+    face-count line, and ``check_valid`` and every public reader of a
+    diagram raise it."""
     rng = random.Random(7)
     refused = 0
     for _ in range(1000):
@@ -175,54 +182,50 @@ def test_validate_is_the_euler_count_on_sound_slots():
             refused += 1
             assert len(problems) == 1, problems
             assert problems[0].endswith(": not a planar diagram"), problems
-            with pytest.raises(DiagramStructureError) as exc:
-                check_valid(d)
-            assert exc.value.violations == problems
+            for name, call in [("check_valid", lambda: check_valid(d)),
+                               *gated_readers(d)]:
+                with pytest.raises(DiagramStructureError) as exc:
+                    call()
+                assert exc.value.violations == problems, name
     assert refused == 850
 
 
-# Arc 2 is produced twice and arc 1 never, so the slots are not a
-# permutation: the walk from arc 1 circles 2, 3, 2, 3 and never returns.
-# The child caps its address space, and the parent its time, so a walk
-# that does not stop fails the test instead of hanging the suite.
+# Every reader meets each of ``tests/util.py``'s refused codes, the one
+# whose walk from arc 1 never returns among them.  The child caps its
+# address space, and the parent its time, so a walk that does not stop
+# fails the test instead of hanging the suite.
 _ENDLESS_WALK = """
-import resource, time
+import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-from lzero.classify import classify
-from lzero.diagram import Crossing, LinkDiagram, component_cycles
+sys.path.insert(0, sys.argv[1])
 from lzero.errors import DiagramStructureError
-from lzero.invariants import arf, invariant_tuple
-from lzero.milnor import linking_number
-crs = (Crossing(1, 1, 2, 4, 5), Crossing(1, 2, 3, 5, 6),
-       Crossing(1, 3, 2, 6, 4))
-knot = LinkDiagram(1, crs, {a: 1 for a in range(1, 7)})
-pair = LinkDiagram(2, crs, {a: 1 + (a > 3) for a in range(1, 7)})
-for name, call in (("classify", lambda: classify(knot)),
-                   ("invariant_tuple", lambda: invariant_tuple(knot)),
-                   ("arf", lambda: arf(knot, 1)),
-                   ("linking_number", lambda: linking_number(pair, 1, 2)),
-                   ("component_cycles", lambda: component_cycles(knot))):
-    start = time.perf_counter()
-    try:
-        call()
-    except DiagramStructureError as exc:
-        print(name, time.perf_counter() - start < 1.0, exc.violations)
-    else:
-        print(name, "returned")
+from util import REFUSED_CODES, gated_readers
+for code, d in REFUSED_CODES.items():
+    for name, call in gated_readers(d):
+        start = time.perf_counter()
+        try:
+            call()
+        except DiagramStructureError as exc:
+            print(code, name, time.perf_counter() - start < 1.0,
+                  exc.violations)
+        else:
+            print(code, name, "returned")
 """
 
 
 def test_unpermuted_slots_end_every_walk():
     src = os.path.dirname(os.path.dirname(lzero.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _ENDLESS_WALK], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-c", _ENDLESS_WALK, os.path.dirname(__file__)],
+        env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    want = ("True ['arc 2 produced by both crossing 1 and crossing 3', "
-            "'arc 1 is consumed but never produced']")
+    assert validate(REFUSED_CODES["endless walk"]) == [
+        "arc 2 produced by both crossing 1 and crossing 3",
+        "arc 1 is consumed but never produced"]
     assert done.stdout.splitlines() == [
-        f"{name} {want}" for name in ("classify", "invariant_tuple", "arf",
-                                      "linking_number", "component_cycles")]
+        f"{code} {name} True {validate(d)}"
+        for code, d in REFUSED_CODES.items() for name, _ in gated_readers(d)]
 
 
 # 20000 one-crossing curls, each its own component, in a seeded order
@@ -251,25 +254,52 @@ def test_separate_curls_close_in_one_pass():
     assert done.stdout == "0 True\n"
 
 
-# Arc 2 leaves the only crossing and no crossing takes it in, so every
-# walk stops at a missing consumer.
-_DEAD_END = (Crossing(1, 1, 2, 3, 4),)
-_DEAD_KNOT = LinkDiagram(1, _DEAD_END, {1: 1, 2: 1, 3: 1, 4: 1})
-_DEAD_PAIR = LinkDiagram(2, _DEAD_END, {1: 1, 2: 1, 3: 2, 4: 2})
-
-
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: classify(_DEAD_KNOT), id="classify"),
-    pytest.param(lambda: invariant_tuple(_DEAD_KNOT), id="invariant_tuple"),
-    pytest.param(lambda: arf(_DEAD_KNOT, 1), id="arf"),
-    pytest.param(lambda: linking_number(_DEAD_PAIR, 1, 2),
-                 id="linking_number"),
-    pytest.param(lambda: component_cycles(_DEAD_KNOT), id="component_cycles"),
-])
-def test_an_unconsumed_arc_ends_the_walk(call):
+@pytest.mark.parametrize("name", [name for name, _ in
+                                  gated_readers(_DEAD_KNOT)])
+def test_an_unconsumed_arc_ends_the_walk(name):
+    call = dict(gated_readers(_DEAD_KNOT))[name]
     with pytest.raises(DiagramStructureError) as err:
         call()
     assert "arc 2 is produced but never consumed" in err.value.violations
+
+
+def test_each_diagram_is_validated_once(monkeypatch, tmp_path, capsys):
+    """A diagram remembers passing the gate: a parsed, moved or built
+    one is never checked again, and one made from it is checked on its
+    first read alone."""
+    runs = []
+    slot_checks = diagram._violations
+    monkeypatch.setattr(diagram, "_violations",
+                        lambda d: runs.append(d) or slot_checks(d))
+
+    def count(call):
+        runs.clear()
+        call()
+        return len(runs)
+
+    g = parse_class("m=3; a=0,1,0; b=+1; c=0,1,0")
+    assert count(lambda: classify(representative(g))) == 1
+    path = tmp_path / "borromean.lz"
+    path.write_text(fixtures.fixture_text("borromean"), encoding="utf-8")
+    assert count(lambda: main(["classify", str(path)])) == 1
+    capsys.readouterr()
+
+    d = fixtures.load("borromean")
+    assert count(lambda: [enumerate_sites(d, kind) for kind in KINDS]) == 0
+
+    def walk(k):
+        e = d
+        for _ in range(k):
+            e = apply_move(e, enumerate_sites(e, "R1+")[-1])
+            classify(e)
+    for k in (1, 2, 5):
+        assert count(lambda: walk(k)) == k
+
+    for made in (replace(d), mirror(d), disjoint_union(d, d),
+                 sublink(d, {1, 2}), delete_crossings(d, set(), [])):
+        assert count(lambda: [classify(made), faces(made)]) == 1
+        # the flag is no field: a fresh copy compares equal
+        assert replace(made) == made and "_valid" not in repr(made)
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -396,31 +426,43 @@ def _sites_from_walks(d, walks):
 
 
 def test_face_layer_matches_the_dict_walk():
-    """The dart table against the tuple-keyed walk it replaced:
-    ``faces``, ``face_through`` at every dart, the R2+, R2- and R3
-    sites, and the face count behind ``conway``'s planarity refusal, on
-    the corpus, seeded walks and 1200 random codes of sound slots with
-    1-8 crossings (most of them not planar)."""
+    """The dart table against the tuple-keyed walk it replaced, on the
+    corpus, seeded walks and 1200 random codes of sound slots with 1-8
+    crossings (most of them not planar): the orbits of ``_darts`` and
+    ``face_through`` at every dart on every host; on the planar hosts,
+    ``faces``, the R2+, R2- and R3 sites, and a Conway polynomial whose
+    degrees have the parity of m - 1; the other hosts are refused by
+    each of those with ``validate``'s face-count line."""
     rng = random.Random(16)
     hosts = [d for _, d in corpus()] + walked_hosts(31)
     hosts += [random_code(rng, rng.randint(1, 8)) for _ in range(1200)]
+    seen = {"planar": 0, "refused": 0}
     for d in hosts:
         walks = face_walks_reference(d)
-        assert faces(d) == [[c[0] for c in walk] for walk in walks]
-        for arc in d.arc_components:
-            for dart in ((arc, True), (arc, False)):
+        want = [[c[0] for c in walk] for walk in walks]
+        arc, nxt, order = _darts(d)
+        assert [[(arc[p], not p & 1) for p in face]
+                for face in _orbits(nxt, order)] == want
+        for a in d.arc_components:
+            for dart in ((a, True), (a, False)):
                 assert face_through(d, dart) == face_through_reference(d, dart)
-        for kind, sites in _sites_from_walks(d, walks).items():
-            assert enumerate_sites(d, kind) == sites, kind
-        r = _reduce(d)
-        if r.crossings and not r.free_loops and crossing_graph_parts(r) == 1:
-            n, found = len(r.crossings), len(face_walks_reference(r))
-            if found != n + 2:
-                with pytest.raises(DiagramStructureError) as exc:
-                    conway_polynomial(d)
-                assert str(exc.value) == (
-                    f"{found} faces for {n} crossings in one connected "
-                    f"part, not {n + 2}: not a planar diagram")
+        if euler_ok(d):
+            assert faces(d) == want
+            for kind, sites in _sites_from_walks(d, walks).items():
+                assert enumerate_sites(d, kind) == sites, kind
+            assert all((deg - d.m) % 2 for deg, _ in
+                       conway_polynomial(d).coeffs), render_diagram(d)
+            seen["planar"] += 1
+            continue
+        for refuse in (lambda: faces(d), lambda: conway_polynomial(d),
+                       *(lambda kind=kind: enumerate_sites(d, kind)
+                         for kind in ("R2+", "R2-", "R3"))):
+            with pytest.raises(DiagramStructureError) as exc:
+                refuse()
+            assert exc.value.violations == validate(d)
+            assert str(exc.value).endswith(": not a planar diagram")
+        seen["refused"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def test_face_layer_is_sized_by_crossings_not_arc_ids():

@@ -15,7 +15,7 @@ from lzero.diagram import (Crossing, LinkDiagram, disjoint_union, mirror,
                            parse_diagram, render_diagram)
 from lzero.errors import DiagramStructureError, InvariantUndefinedError
 from lzero.invariants import invariant_tuple, sato_levine
-from lzero.milnor import (WirtingerPresentation, linking_number,
+from lzero.milnor import (WirtingerPresentation, _wirtinger, linking_number,
                           longitude_series, magnus_expand, triple_linking,
                           wirtinger)
 from util import (_inv2, _mul2, _pair_totals, euler_ok, generators,
@@ -130,10 +130,19 @@ _FIELDS = ("m", "steps", "writhe", "gauss", "totals")
 def test_one_walk_matches_the_multi_pass_presentation():
     # every field of the one-walk presentation against the cycle /
     # consumer / Gauss-word passes, and every pair total against a plain
-    # scan of the crossings, lex order included
+    # scan of the crossings, lex order included; a code that fails the
+    # Euler count reaches the walk through its ungated body, and
+    # ``wirtinger`` refuses it
     seen = {"hosts": 0, "free loops": 0, "odd totals": 0, "m": set()}
     for d in _presentation_hosts():
-        pres, want = wirtinger(d), presentation_reference(d)
+        if euler_ok(d):
+            pres = wirtinger(d)
+        else:
+            with pytest.raises(DiagramStructureError,
+                               match="not a planar diagram$"):
+                wirtinger(d)
+            pres = _wirtinger(d)
+        want = presentation_reference(d)
         for name in _FIELDS:
             assert getattr(pres, name) == getattr(want, name), \
                 (name, render_diagram(d))
@@ -334,9 +343,9 @@ def test_triple_linking_names_the_callers_pair():
 
 
 def test_triple_linking_refuses_a_non_planar_code():
-    # every linking number is 0 and the (1, 2) relations close, but the
-    # (2, 3) relations do not: no planar diagram has this code, and
-    # parsing refuses it
+    # every signed pair total is 0 and the (1, 2) relations close, but
+    # the (2, 3) relations do not: no planar diagram has this code, and
+    # parsing, linking_number and triple_linking refuse it alike
     text = ("components 3\n"
             "x - 2 6 3 8\nx - 6 3 10 5\nx - 4 1 9 7\n"
             "x + 5 10 8 2\nx - 1 9 7 4\n"
@@ -348,13 +357,15 @@ def test_triple_linking_refuses_a_non_planar_code():
     d = LinkDiagram(3, crossings, dict(enumerate(
         (1, 2, 2, 1, 3, 2, 1, 2, 1, 3), 1)))
     assert render_diagram(d) == text
-    assert [linking_number(d, *p) for p in ((1, 2), (1, 3), (2, 3))] == \
-        [0, 0, 0]
-    with pytest.raises(DiagramStructureError) as exc:
-        parse_diagram(text)
-    assert exc.value.violations == [
-        "5 faces for 5 crossings in 2 connected parts, not 9: "
-        "not a planar diagram"]
+    assert set(_pair_totals(d).values()) == {0}
+    for refuse in (lambda: parse_diagram(text),
+                   lambda: linking_number(d, 1, 2),
+                   lambda: triple_linking(d, 1, 2, 3)):
+        with pytest.raises(DiagramStructureError) as exc:
+            refuse()
+        assert exc.value.violations == [
+            "5 faces for 5 crossings in 2 connected parts, not 9: "
+            "not a planar diagram"]
 
 
 def test_triple_linking_needs_distinct_components():

@@ -1,7 +1,8 @@
 """The benchmark's layer tracer names only functions that exist, and
 still sees the face and site layers; the builders sit on the diagram
-layer alone; the README's Python runs, and CI runs the README's test
-command and one checked short benchmark run per workload."""
+layer alone, and it alone decides validity; the README's Python runs,
+and CI runs the README's test command and one checked short benchmark
+run per workload."""
 
 import ast
 import importlib
@@ -95,6 +96,28 @@ def test_construct_imports_only_the_diagram_layer():
     assert {n for n in names if n.split(".")[0] == "lzero"} == {"lzero.diagram"}
 
 
+def test_validity_is_decided_in_the_diagram_layer_alone():
+    """Only ``lzero.diagram`` builds a ``DiagramStructureError``, and no
+    other module imports ``validate``, ``_face_count`` or a walk that
+    skips the gate (the package only re-exports ``validate``), so every
+    reader is refused by ``check_valid`` and nowhere else."""
+    guarded = {"validate", "_face_count", "_cycles", "_wirtinger"}
+    for path in sorted((ROOT / "src" / "lzero").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = path.relative_to(ROOT / "src").as_posix()
+        if name == "lzero/diagram.py":
+            continue
+        built = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "DiagramStructureError"]
+        assert built == [], name
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        allowed = {"validate"} if name == "lzero/__init__.py" else set()
+        assert imported & guarded <= allowed, name
+
+
 def test_moves_leaves_the_dart_table_to_the_diagram_layer():
     """``lzero.moves`` reads faces through ``diagram``'s views; the dart
     numbering stays in ``diagram`` (and in ``conway``'s matrices)."""
@@ -124,12 +147,13 @@ def test_readme_python_runs():
 
 def test_ci_runs_the_readme_test_command():
     """The workflow installs exactly the tools of the ``test`` extra and
-    runs the README's tier-1 command, unchanged, on Python 3.10 and
-    3.11."""
+    runs the README's tier-1 command, unchanged, on Python 3.10 to
+    3.13."""
     command = re.search(r"^## Install and test\n.*?^```sh\n(.*?)\n```",
                         (ROOT / "README.md").read_text(), re.M | re.S)[1]
     job, = yaml.safe_load(WORKFLOW.read_text())["jobs"].values()
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["strategy"]["matrix"]["python-version"] == [
+        "3.10", "3.11", "3.12", "3.13"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert command in runs
     # tomllib is 3.11+, and the extra is one line of string literals

@@ -1,12 +1,13 @@
 """Shared test helpers: the small-diagram corpus, the clasp pair (a
-band-pass host), the planarity check, a seeded random-move walker,
-random codes of sound slots, class projection for sublink tests, the
-plain move-site formatter, the skein recursion that checks the Conway
-engine, the tuple-keyed face walk that checks the dart table, the
-multi-pass Wirtinger builder and the crossing scan that check the
-presentation's one walk and its pair totals, and the general
-two-letter Magnus algebra that checks the battery's (u, v)
-kernel."""
+band-pass host), the planarity check and the cycle walk (neither calls
+the diagram layer's faces or cycles), every public reader of a
+diagram, a seeded random-move walker, random codes of sound slots,
+class projection for sublink tests, the plain move-site formatter, the
+skein recursion that checks the Conway engine, the tuple-keyed face
+walk that checks the dart table, the multi-pass Wirtinger builder and
+the crossing scan that check the presentation's one walk and its pair
+totals, and the general two-letter Magnus algebra that checks the
+battery's (u, v) kernel."""
 
 from __future__ import annotations
 
@@ -16,17 +17,21 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from lzero import diagram, fixtures
-from lzero.classify import ZeroSolveClass, representative
+from lzero.classify import (ZeroSolveClass, classify, equivalent,
+                            is_zero_solvable, representative)
 from lzero.construct import braid_closure
-from lzero.conway import ConwayPolynomial, smooth_crossing, switch_crossing
+from lzero.conway import (ConwayPolynomial, canonical_key, conway_polynomial,
+                          smooth_crossing, switch_crossing)
 from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
                            consumer_map, crossing_graph_parts,
                            disjoint_union, faces, mirror, parse_diagram,
-                           render_diagram, validate)
+                           render_diagram, sublink, validate)
 from lzero.errors import DiagramStructureError
-from lzero.invariants import component_pairs, component_triples
-from lzero.milnor import WirtingerPresentation
-from lzero.moves import MoveSite, apply_move, enumerate_sites
+from lzero.invariants import (arf, component_pairs, component_triples,
+                              invariant_tuple, sato_levine)
+from lzero.milnor import (WirtingerPresentation, linking_number,
+                          triple_linking, wirtinger)
+from lzero.moves import KINDS, MoveSite, apply_move, enumerate_sites
 
 
 def euler_ok(d: LinkDiagram) -> bool:
@@ -34,12 +39,78 @@ def euler_ok(d: LinkDiagram) -> bool:
 
     A 4-valent graph with v crossings has 2v edges, so every connected
     part with v_i crossings must show v_i + 2 face orbits; summed, the
-    whole diagram needs f = v + 2 * parts.  Crossing-free diagrams
-    carry no face data and are vacuously fine.
+    whole diagram needs f = v + 2 * parts, counted here by the dict
+    walk of :func:`face_walks_reference`.  Crossing-free diagrams carry
+    no face data and are vacuously fine.
     """
     if not d.crossings:
         return True
-    return len(faces(d)) == len(d.crossings) + 2 * crossing_graph_parts(d)
+    return (len(face_walks_reference(d))
+            == len(d.crossings) + 2 * crossing_graph_parts(d))
+
+
+def arc_cycles(d: LinkDiagram) -> list[list[int]]:
+    """The arc cycles of a code whose slots are a permutation, by a
+    plain successor walk: each from its lowest arc, sorted by it, as
+    ``diagram.component_cycles`` lists them, but with no validity
+    gate, so non-planar codes are walked too."""
+    nxt = {}
+    for cr in d.crossings:
+        nxt[cr.under_in], nxt[cr.over_in] = cr.under_out, cr.over_out
+    cycles, seen = [], set()
+    for start in sorted(nxt):
+        if start not in seen:
+            cyc, arc = [], start
+            while arc not in seen:
+                seen.add(arc)
+                cyc.append(arc)
+                arc = nxt[arc]
+            cycles.append(cyc)
+    return cycles
+
+
+# Codes that no planar diagram has.  In the first, arc 2 is produced
+# twice and arc 1 never, so the slots are not a permutation and the walk
+# from arc 1 circles 2, 3, 2, 3 without returning; in the second, no
+# crossing consumes arc 2, so every walk stops there; the third has
+# sound slots, two circles meeting in one crossing, and one face.
+REFUSED_CODES = {
+    "endless walk": LinkDiagram(
+        1, (Crossing(1, 1, 2, 4, 5), Crossing(1, 2, 3, 5, 6),
+            Crossing(1, 3, 2, 6, 4)), dict.fromkeys(range(1, 7), 1)),
+    "dead end": LinkDiagram(1, (Crossing(1, 1, 2, 3, 4),),
+                            dict.fromkeys(range(1, 5), 1)),
+    "one-crossing pair": LinkDiagram(2, (Crossing(1, 1, 1, 2, 2),),
+                                     {1: 1, 2: 2}),
+}
+
+
+def gated_readers(d: LinkDiagram) -> list[tuple[str, object]]:
+    """Every public reader of a diagram, as ``(name, call)`` pairs that
+    read ``d``; each starts at the validity gate, so on a code that
+    ``validate`` refuses each raises :class:`DiagramStructureError`
+    with its list, whatever the component arguments."""
+    site = MoveSite("R1+", arcs=(1,), sign=1, variant="under")
+    return [
+        ("wirtinger", lambda: wirtinger(d)),
+        ("invariant_tuple", lambda: invariant_tuple(d)),
+        ("classify", lambda: classify(d)),
+        ("equivalent", lambda: equivalent(d, d)),
+        ("is_zero_solvable", lambda: is_zero_solvable(d)),
+        ("linking_number", lambda: linking_number(d, 1, 2)),
+        ("triple_linking", lambda: triple_linking(d, 1, 2, 3)),
+        ("arf", lambda: arf(d, 1)),
+        ("sato_levine", lambda: sato_levine(d, 1, 2)),
+        ("conway_polynomial", lambda: conway_polynomial(d)),
+        ("smooth_crossing", lambda: smooth_crossing(d, 1)),
+        ("canonical_key", lambda: canonical_key(d)),
+        ("faces", lambda: faces(d)),
+        ("component_cycles", lambda: component_cycles(d)),
+        ("sublink", lambda: sublink(d, {1})),
+        *((f"enumerate_sites {kind}",
+           lambda kind=kind: enumerate_sites(d, kind)) for kind in KINDS),
+        ("apply_move", lambda: apply_move(d, site)),
+    ]
 
 
 def assert_sound(d: LinkDiagram) -> None:
@@ -173,7 +244,7 @@ def _violations(d: LinkDiagram) -> list[int]:
     """0-based indices of crossings first met on their under strand,
     walking components in numeric order, each from its lowest arc."""
     cons = consumer_map(d)
-    cycles = sorted(component_cycles(d), key=lambda c: d.arc_components[c[0]])
+    cycles = sorted(arc_cycles(d), key=lambda c: d.arc_components[c[0]])
     seen = set()
     bad = []
     for cyc in cycles:
@@ -233,7 +304,7 @@ def random_code(rng: random.Random, crossings: int) -> LinkDiagram:
                 for k in range(crossings))
     d = LinkDiagram(1, crs, dict.fromkeys(arcs, 1))
     comp = {}
-    for n, cyc in enumerate(component_cycles(d), start=1):
+    for n, cyc in enumerate(arc_cycles(d), start=1):
         comp.update(dict.fromkeys(cyc, n))
     d = LinkDiagram(max(comp.values()), crs, comp)
     assert diagram._violations(d) == [], d
@@ -447,7 +518,7 @@ def wirtinger_reference(d: LinkDiagram) -> ReferencePresentation:
     writhe = dict.fromkeys(comps, 0)
 
     walks = []
-    for cyc in component_cycles(d):
+    for cyc in arc_cycles(d):
         # Walk from the head of the base overpass, just past the last
         # underpass; each underpass starts the next overpass.
         p = len(cyc)
