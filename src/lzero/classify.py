@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .construct import build_from_gadgets, gadget_crossings
+from .construct import build_from_gadgets, stack_crossings
 from .diagram import LinkDiagram
 from .errors import (DiagramParseError, NotClassifiableError,
                      ResourceLimitError)
@@ -175,8 +175,9 @@ def is_zero_solvable(d: LinkDiagram) -> SolvableReport:
 
 
 # The most crossings ``representative`` builds: at the budget ``lzero
-# rep`` writes 2.3 MB in about half a second and 60 MB.  Every m = 8
-# class with |b| <= 34 fits.
+# rep`` writes 2.4 MB in about 0.7 seconds and 61 MB.  Every m = 8 class
+# with |b| <= 110 fits: the largest, every bit set and b = -110 on all
+# 56 triples (a negative insertion has the longer word), has 49,662.
 MAX_REP_CROSSINGS = 50_000
 
 
@@ -204,8 +205,7 @@ def representative(g: ZeroSolveClass) -> LinkDiagram:
     summand per set Arf bit, |b| Borromean insertions per triple and a
     clasped pair per set parity bit.  Refuses a class whose diagram
     would have more than ``MAX_REP_CROSSINGS`` crossings."""
-    n = sum(repeats * gadget_crossings(gadget)
-            for gadget, repeats in _gadget_runs(g))
+    n = stack_crossings(g.m, _gadget_runs(g))
     if n > MAX_REP_CROSSINGS:
         raise ResourceLimitError(
             f"the representative of this class would have {n} crossings, "

@@ -22,18 +22,39 @@ serially into an m-component unlink, one slice after another:
 * ``("BORROMEAN", (i, j, k), s)`` — thread i, j, k through a Borromean
                                  pattern of handedness s = +1 or -1
 
-These three kinds realize every class.  For each slice the
-participating components, the movers, dive into a workspace just below
-the last mover's row (the lowest participant's) — passing over every
-row they meet on the way and under the workspace strands of earlier
-movers, so each pairwise detour contributes one crossing of each sign
-and cancels — are spliced through the gadget pattern, and climb back
-the same way.  Rows below the last mover are never crossed, so a
-gadget adds the same crossings for every m.  The detours retract, so
-the built link is exactly the serial stack of the gadget links, and
-every detour crossing has the lower-numbered component on top (which
-keeps the skein oracle's walk order violation-free outside the gadget
-cores).
+These three kinds realize every class.  The rows move by *lazy
+transport*.  The builder keeps their order, top to bottom.  A gadget on
+c1 < ... < ck is spliced with the rows in one order: the other rows
+above ck, then c1..ck, then the rows below ck.  Between two gadgets the
+rows reach the next order by the fewest adjacent swaps, and after the
+last gadget they go home the same way.  At every swap the lower-numbered
+strand passes over (which keeps the skein oracle's walk order
+violation-free outside the gadget cores).  A one-strand gadget is a
+local knot, which slides along its strand, so it is spliced wherever
+its strand is and moves nothing.
+
+Every transport is layered: strand r can sit at height -r, since a
+lower-numbered strand passes over it wherever the two cross.  Two
+layered braids with the same ends are isotopic rel ends, because each
+strand can be moved within its own level.  Diving from home to every
+gadget and climbing back after it, as the tests' reference builder
+does, is layered too, so each transport is isotopic to one gadget's
+climb followed by the next one's dive.  The built link is therefore the
+serial stack of the gadget links, not just a link in the same class,
+and the pairs of rows that the climb and the dive cross twice are not
+drawn.
+
+The first multi-strand gadget is reached by that dive from home, not
+by the fewest swaps: each mover in turn passes down over the rows down
+to ck and then under the movers before it, so every two movers cross
+twice.  Those crossings give the m = 3 Borromean representatives their
+R3 sites; reached by the fewest swaps, 24 of the 128 m = 3 classes with
+b = +-1 (those with b = +1 and c12 = 0) would have none.
+
+``_schedule`` lists the gadgets with the transport each one needs.
+``build_from_gadgets`` draws that list, and ``stack_crossings`` counts
+it without building anything: the letters, the dive, and the pairs of
+rows that two consecutive orders put the other way round.
 """
 
 from __future__ import annotations
@@ -50,7 +71,7 @@ __all__ = [
     "BORROMEAN_NEG",
     "braid_closure",
     "build_from_gadgets",
-    "gadget_crossings",
+    "stack_crossings",
 ]
 
 
@@ -117,6 +138,7 @@ class _Builder:
         # free loops, touched ones become the closure point.
         self.arc_comp: dict[int, int] = {c: c for c in range(1, m + 1)}
         self.cur = {c: c for c in range(1, m + 1)}
+        self.order = list(range(1, m + 1))  # the rows, top to bottom
         self.next_id = m + 1
 
     def fresh(self, comp: int) -> int:
@@ -125,41 +147,36 @@ class _Builder:
         self.arc_comp[arc] = comp
         return arc
 
-    def cross_over(self, mover: int, other: int, sign: int):
-        """Mover's strand passes over the strand of ``other``."""
-        no = self.fresh(mover)
-        nu = self.fresh(other)
-        self.crossings.append(
-            Crossing(sign, self.cur[other], nu, self.cur[mover], no))
-        self.cur[mover], self.cur[other] = no, nu
-
-    def cross_under(self, mover: int, other: int, sign: int):
-        nu = self.fresh(mover)
-        no = self.fresh(other)
-        self.crossings.append(
-            Crossing(sign, self.cur[mover], nu, self.cur[other], no))
-        self.cur[mover], self.cur[other] = nu, no
+    def swap(self, p: int):
+        """The strands at positions ``p`` and ``p + 1`` (from 0, top
+        down) trade places; the lower-numbered one passes over, with
+        sign +1 if it was on top and -1 if not."""
+        a, b = self.order[p], self.order[p + 1]
+        ta, tb = self.fresh(a), self.fresh(b)
+        if a < b:
+            self.crossings.append(Crossing(1, self.cur[b], tb, self.cur[a], ta))
+        else:
+            self.crossings.append(Crossing(-1, self.cur[a], ta, self.cur[b], tb))
+        self.cur[a], self.cur[b] = ta, tb
+        self.order[p], self.order[p + 1] = b, a
 
     def dive(self, movers: tuple[int, ...]):
-        for idx, s in enumerate(movers):
-            for row in range(s + 1, movers[-1] + 1):
-                self.cross_over(s, row, 1)
-            for e in range(idx):
-                self.cross_under(s, movers[e], -1)
+        """From home, each mover in turn passes down to the last
+        mover's row, the bottom of rows 1..movers[-1]."""
+        for s in movers:
+            for p in range(self.order.index(s), movers[-1] - 1):
+                self.swap(p)
 
-    def climb(self, movers: tuple[int, ...]):
-        for idx in range(len(movers) - 1, -1, -1):
-            s = movers[idx]
-            for e in range(idx - 1, -1, -1):
-                self.cross_under(s, movers[e], 1)
-            for row in range(movers[-1], s, -1):
-                self.cross_over(s, row, -1)
+    def goto(self, movers: tuple[int, ...]):
+        """Reach the order of a gadget on ``movers`` (home for ``()``)
+        by the fewest swaps: lift each row of it into place in turn."""
+        for j, s in enumerate(_order(self.m, movers)):
+            for p in range(self.order.index(s, j) - 1, j - 1, -1):
+                self.swap(p)
 
     def splice(self, tangle: Tangle, movers: tuple[int, ...]):
         """Run the strands of ``movers`` through ``tangle``, one
         crossing per letter, and join each capped strand to itself."""
-        if len(movers) != tangle.strands - len(tangle.caps):
-            raise ValueError("gadget arity does not match the tangle")
         seeds = [self.fresh(movers[slot]) for slot in tangle.caps]
         arcs = [self.cur[c] for c in movers] + seeds
         labels = list(movers) + [movers[slot] for slot in tangle.caps]
@@ -211,11 +228,31 @@ class _Builder:
                            tuple(loops))
 
 
-def build_from_gadgets(m: int, gadgets):
-    """Compose gadget insertions serially into a validated diagram;
-    see the module docstring."""
-    b = _Builder(m)
-    for gadget in gadgets:
+def _order(m: int, movers: tuple[int, ...]) -> list[int]:
+    """The rows, top to bottom, with which a gadget on the sorted
+    ``movers`` is spliced; ``()`` gives home."""
+    last = movers[-1] if movers else 0
+    return ([r for r in range(1, last) if r not in movers] + list(movers)
+            + list(range(last + 1, m + 1)))
+
+
+def _inverted(movers: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The pairs of rows that the order of a gadget on ``movers`` puts
+    the other way round from home: each mover with each other row
+    between it and the last mover.  Two orders are as many adjacent
+    swaps apart as the pairs that exactly one of them inverts."""
+    return {(x, y) for x in movers for y in range(x + 1, movers[-1])
+            if y not in movers}
+
+
+def _schedule(m: int, runs):
+    """For each run (gadget, repeats), yield (tangle, movers, repeats,
+    move), where move says how the rows reach the gadget: ``"dive"``
+    for the first multi-strand gadget, ``"swap"`` for later ones, and
+    None for a one-strand gadget, which is spliced where its strand
+    is."""
+    dived = False
+    for gadget, repeats in runs:
         kind, comps = gadget[0], tuple(sorted(gadget[1]))
         if len(set(comps)) != len(comps):
             raise ValueError(f"gadget components must be distinct: {gadget}")
@@ -227,18 +264,41 @@ def build_from_gadgets(m: int, gadgets):
             kind = (kind, gadget[2])
         if kind not in _TANGLES:
             raise ValueError(f"unknown gadget kind {gadget[0]!r}")
-        b.dive(comps)
-        b.splice(_TANGLES[kind], comps)
-        b.climb(comps)
+        tangle = _TANGLES[kind]
+        if len(comps) != tangle.strands - len(tangle.caps):
+            raise ValueError("gadget arity does not match the tangle")
+        move = None
+        if len(comps) > 1:
+            move, dived = "swap" if dived else "dive", True
+        yield tangle, comps, repeats, move
+
+
+def build_from_gadgets(m: int, gadgets):
+    """Compose gadget insertions serially into a validated diagram;
+    see the module docstring."""
+    b = _Builder(m)
+    for tangle, movers, repeats, move in _schedule(
+            m, ((gadget, 1) for gadget in gadgets)):
+        if move == "dive":
+            b.dive(movers)
+        elif move == "swap":
+            b.goto(movers)
+        for _ in range(repeats):
+            b.splice(tangle, movers)
+    b.goto(())
     return _check_slots(b.finish())
 
 
-def gadget_crossings(gadget) -> int:
-    """Crossings ``gadget`` adds to a build of any component count,
-    counted without building it."""
-    kind = (gadget[0], gadget[2]) if gadget[0] == "BORROMEAN" else gadget[0]
-    # the k-th mover passes over the rows down to the lowest participant's
-    # and under the k movers before it, once down and once back up
-    comps = sorted(gadget[1])
-    return len(_TANGLES[kind].word) + sum(
-        2 * (comps[-1] - c + k) for k, c in enumerate(comps))
+def stack_crossings(m: int, runs) -> int:
+    """Crossings of ``build_from_gadgets(m, ...)`` on the gadget runs
+    (gadget, repeats), counted without building anything or expanding
+    the repeats."""
+    n, inverted = 0, set()
+    for tangle, movers, repeats, move in _schedule(m, runs):
+        if move:
+            now = _inverted(movers)
+            n += (len(inverted ^ now) if move == "swap" else
+                  sum(movers[-1] - c + i for i, c in enumerate(movers)))
+            inverted = now
+        n += repeats * len(tangle.word)
+    return n + len(inverted)

@@ -1,5 +1,6 @@
 """The classification group, diagram -> class, class -> diagram."""
 
+import itertools
 import random
 import time
 
@@ -13,7 +14,7 @@ from lzero.classify import (MAX_REP_CROSSINGS, ZeroSolveClass, class_add,
                             classify, equivalent, identity_class,
                             is_zero_solvable, parse_class, render_class,
                             representative)
-from lzero.construct import build_from_gadgets, gadget_crossings
+from lzero.construct import BORROMEAN_POS, build_from_gadgets, stack_crossings
 from lzero.diagram import disjoint_union, mirror, sublink
 from lzero.errors import (DiagramParseError, NotClassifiableError,
                           ResourceLimitError)
@@ -243,27 +244,31 @@ def test_representative_round_trip_random():
         assert classify(d) == g
 
 
-def test_gadget_crossings_count_the_built_diagram():
+def test_stack_crossings_count_the_built_diagram():
     """The count behind the crossing budget is exact, without building
     anything."""
     rng = random.Random(16)
     for _ in range(40):
         m = rng.randint(1, 6)
         g = random_class(rng, m, b_bound=2)
-        assert len(representative(g).crossings) == sum(
-            gadget_crossings(gadget) for gadget in class_gadgets(g))
+        runs = [(gadget, len(list(same)))
+                for gadget, same in itertools.groupby(class_gadgets(g))]
+        assert len(representative(g).crossings) == stack_crossings(m, runs)
 
 
 def test_representative_budget():
     """The largest class the budget lets through is built; one more
     Borromean insertion is refused before anything is built."""
-    per = gadget_crossings(("BORROMEAN", (1, 2, 3), 1))
-    most = MAX_REP_CROSSINGS // per
+    # the dive to the first Borromean insertion on (1, 2, 3) passes
+    # 2 + 2 + 2 rows, its order is home, and a repeat adds its word only
+    dive, per = 6, len(BORROMEAN_POS.word)
+    most = (MAX_REP_CROSSINGS - dive) // per
     assert len(representative(ZeroSolveClass(
-        3, (0, 0, 0), (most,), (0, 0, 0))).crossings) == most * per
-    with pytest.raises(ResourceLimitError) as exc:
-        representative(ZeroSolveClass(3, (0, 0, 0), (-most - 1,), (0, 0, 0)))
-    assert exc.value.exit_code == 3
+        3, (0, 0, 0), (most,), (0, 0, 0))).crossings) == dive + most * per
+    for b in (most + 1, -most - 1):
+        with pytest.raises(ResourceLimitError) as exc:
+            representative(ZeroSolveClass(3, (0, 0, 0), (b,), (0, 0, 0)))
+        assert exc.value.exit_code == 3
 
 
 def test_representative_of_identity_is_crossing_free():

@@ -269,7 +269,8 @@ def test_resource_failures_are_typed_refusals(fx, capsys, monkeypatch,
 
 
 def test_rep_refuses_a_class_over_the_crossing_budget(capsys, monkeypatch):
-    # 20000 Borromean insertions of 18 crossings each; nothing is built
+    # 20000 Borromean insertions of 6 crossings each, after a dive of 6;
+    # nothing is built
     monkeypatch.setattr(sys.modules["lzero.classify"], "build_from_gadgets",
                         None)
     start = time.perf_counter()
@@ -277,7 +278,7 @@ def test_rep_refuses_a_class_over_the_crossing_budget(capsys, monkeypatch):
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err == ("error: the representative of this class would have "
-                   "360000 crossings, over the budget of 50000\n")
+                   "120006 crossings, over the budget of 50000\n")
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 from lzero import fixtures
-from lzero.classify import (ZeroSolveClass, classify, render_class,
-                            representative)
-from lzero.construct import braid_closure, build_from_gadgets, gadget_crossings
-from lzero.diagram import disjoint_union, render_diagram
+from lzero.classify import (ZeroSolveClass, class_gadgets, classify,
+                            render_class, representative)
+from lzero.construct import (_TANGLES, braid_closure, build_from_gadgets,
+                             stack_crossings)
+from lzero.conway import conway_polynomial
+from lzero.diagram import disjoint_union, render_diagram, validate
 from lzero.invariants import sato_levine
 from lzero.milnor import linking_number, triple_linking
 from lzero.moves import apply_move, enumerate_sites
-from util import assert_sound, clasp_pair, random_class
+from util import assert_sound, clasp_pair, climbing_build, random_class
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +97,18 @@ def test_gadgets_on_far_components_are_sound():
 
 
 def test_a_trefoil_adds_three_crossings():
-    # a lone mover's detour ends at its own row, so only the word is left
+    # a one-strand gadget is spliced where its strand is, so only the
+    # word is left
     for m in range(1, 9):
         for comp in range(1, m + 1):
             gadget = ("TREFOIL", (comp,))
             d = build_from_gadgets(m, [gadget])
-            assert len(d.crossings) == gadget_crossings(gadget) == 3
+            assert len(d.crossings) == stack_crossings(m, [(gadget, 1)]) == 3
 
 
 def test_gadget_sizes_do_not_depend_on_m():
-    # movers stop at the lowest participant's row; rows below it cost
-    # nothing
+    # the dive and the way home stop at the lowest participant's row;
+    # rows below it cost nothing
     for m in range(1, 6):
         comps = range(1, m + 1)
         gadgets = [("TREFOIL", (c,)) for c in comps]
@@ -117,7 +120,93 @@ def test_gadget_sizes_do_not_depend_on_m():
         for gadget in gadgets:
             sizes = [len(build_from_gadgets(n, [gadget]).crossings)
                      for n in (m, m + 3)]
-            assert sizes[0] == sizes[1] == gadget_crossings(gadget), gadget
+            counts = [stack_crossings(n, [(gadget, 1)]) for n in (m, m + 3)]
+            assert sizes[0] == sizes[1] == counts[0] == counts[1], gadget
+
+
+# ---------------------------------------------------------------------------
+# lazy transport
+
+
+MIXED_STACK = [
+    ("TREFOIL", (3,)), ("BORROMEAN", (4, 1, 2), -1), ("WHITEHEAD", (1, 3)),
+    ("BORROMEAN", (1, 3, 4), 1), ("TREFOIL", (1,))]
+
+
+def _runs(gadgets):
+    return [(gadget, len(list(same)))
+            for gadget, same in itertools.groupby(gadgets)]
+
+
+def _core(gadgets) -> int:
+    """The crossings of the gadgets' own tangle words."""
+    return sum(len(_TANGLES[(g[0], g[2]) if g[0] == "BORROMEAN" else g[0]].word)
+               for g in gadgets)
+
+
+def _random_stack(rng: random.Random, m: int) -> list:
+    gadgets = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.choice(("TREFOIL", "WHITEHEAD", "BORROMEAN")[:m])
+        arity = {"TREFOIL": 1, "WHITEHEAD": 2, "BORROMEAN": 3}[kind]
+        gadget = (kind, tuple(rng.sample(range(1, m + 1), arity)))
+        if kind == "BORROMEAN":
+            gadget += (rng.choice((1, -1)),)
+        gadgets += [gadget] * rng.randint(1, 3)
+    return gadgets
+
+
+def test_lazy_transport_keeps_the_conway_polynomial():
+    """Every transport is isotopic to a climb home and the next dive,
+    so the link is the climbing builder's, not just one in its class."""
+    rng = random.Random(61)
+    stacks = [(4, MIXED_STACK)]
+    stacks += [(m, class_gadgets(random_class(rng, m, b_bound=1)))
+               for m in (2, 3, 4) for _ in range(8)]
+    for m, gadgets in stacks:
+        assert (conway_polynomial(build_from_gadgets(m, gadgets))
+                == conway_polynomial(climbing_build(m, gadgets))), gadgets
+
+
+def test_lazy_transport_keeps_the_class():
+    rng = random.Random(62)
+    for m in range(2, 9):
+        g = random_class(rng, m, b_bound=1)
+        gadgets = class_gadgets(g)
+        assert classify(build_from_gadgets(m, gadgets)) == g
+        assert classify(climbing_build(m, gadgets)) == g
+
+
+def test_stack_crossings_count_every_build():
+    """The count is exact with and without grouped repeats, and every
+    build passes the full validation, face count included."""
+    rng = random.Random(63)
+    for _ in range(30):
+        m = rng.randint(1, 10)
+        g = random_class(rng, m)
+        d = representative(g)
+        assert len(d.crossings) == stack_crossings(m, _runs(class_gadgets(g)))
+        assert validate(d) == [], render_class(g)
+    for _ in range(200):
+        m = rng.randint(1, 8)
+        gadgets = _random_stack(rng, m)
+        d = build_from_gadgets(m, gadgets)
+        assert (len(d.crossings) == stack_crossings(m, _runs(gadgets))
+                == stack_crossings(m, [(gadget, 1) for gadget in gadgets])), gadgets
+        assert validate(d) == [], gadgets
+
+
+def test_representatives_stay_within_twice_their_core():
+    for m in (4, 8, 12, 16):
+        gadgets = class_gadgets(random_class(random.Random(m), m))
+        assert len(build_from_gadgets(m, gadgets).crossings) <= 2 * _core(gadgets)
+
+
+def test_the_seeded_m20_class_builds_and_round_trips():
+    g = random_class(random.Random(20), 20)
+    d = representative(g)
+    assert len(d.crossings) == 19338 <= 2 * _core(class_gadgets(g))
+    assert classify(d) == g
 
 
 # sha256 of the bytes of the bundled ``.lz`` files, in ``fixtures.NAMES``
@@ -138,7 +227,7 @@ def test_fixture_files_are_pinned():
 # alters the construction bytes on purpose records the new digest here
 # and says so in CHANGES.md.
 CONSTRUCTION_SHA256 = (
-    "5d3c3ae4fa74fb79a152a6941213537e689ea58063283aafdf1bcc4226029aba")
+    "7c34d1ab0a6be57dfbefeabc1bb271bf935cbf689fc3cd067f1c89354a611446")
 
 BUILD_FIXTURES = (Path(__file__).resolve().parents[1] / "scripts"
                   / "build_fixtures.py")
@@ -161,9 +250,7 @@ def _construction_outputs():
         g = random_class(rng, m, b_bound=1)
         yield render_class(g)
         yield render_diagram(representative(g))
-    yield render_diagram(build_from_gadgets(4, [
-        ("TREFOIL", (3,)), ("BORROMEAN", (4, 1, 2), -1), ("WHITEHEAD", (1, 3)),
-        ("BORROMEAN", (1, 3, 4), 1), ("TREFOIL", (1,))]))
+    yield render_diagram(build_from_gadgets(4, MIXED_STACK))
 
 
 def test_construction_bytes_are_pinned():

@@ -251,11 +251,11 @@ def _pin_hosts():
 # kind -> (site count, sha256 of one ``render_site`` line per site) over
 # the hosts of ``_pin_hosts``, in order.
 _SITE_PINS = {
-    "R1+": (2736, "07ff5ff65c62093d65ce46431f448fb8653809488f498b5c268e3b2516247ee6"),
-    "R1-": (8, "9b29d0dcf53a5298d8bfef5d1765dd57ba520d30c1e8e0253b5b869addf13fac"),
-    "R2+": (8562, "7fdd609865aa9dea85c11701af1f83edbe5393e0ad8e730f108ab9f168c4548b"),
-    "R2-": (44, "b22322e32b03de66f893ab9359715fed70536d9b2028c9d9e0e03e8b25ac0f91"),
-    "R3": (90, "4a32fb21e3cae2eb224984b708ad05a59656ea08a4e79e777e0530bf41bd6b3f"),
+    "R1+": (1840, "f96cfa727af09d4a8070ab2050c1676663defb232ae08753c0c68123dbb8cfc8"),
+    "R1-": (8, "98fa6e3f53f9c816c8458c708abe9bd23f2d2c6877719322adab575744d8efc0"),
+    "R2+": (3582, "ab9d09e1e6ff5051cd91fa1982360e90a963dc5a3ec3408ec67f80a1fcc4bca5"),
+    "R2-": (8, "fbc6a4014e69733aaa78b999f7b5167e37d9833f09fff2ebe4fbec161a6a95f1"),
+    "R3": (36, "6eeaa492070ad648316bad2b9062818e18826e08d69a593555891c188fc0f25b"),
     "BANDPASS": (4, "d06b5d98bbf29e193e7aa1288d022fc32a0c5d3995df7f17657f045558386937"),
 }
 

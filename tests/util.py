@@ -6,8 +6,9 @@ class projection for sublink tests, the plain move-site formatter, the
 skein recursion that checks the Conway engine, the tuple-keyed face
 walk that checks the dart table, the multi-pass Wirtinger builder and
 the crossing scan that check the presentation's one walk and its pair
-totals, and the general two-letter Magnus algebra that checks the
-battery's (u, v) kernel."""
+totals, the general two-letter Magnus algebra that checks the
+battery's (u, v) kernel, and the gadget builder without lazy transport
+that checks the built links' isotopy class."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from itertools import combinations
 from lzero import diagram, fixtures
 from lzero.classify import (ZeroSolveClass, classify, equivalent,
                             is_zero_solvable, representative)
-from lzero.construct import braid_closure
+from lzero.construct import _TANGLES, _Builder, braid_closure
 from lzero.conway import (ConwayPolynomial, canonical_key, conway_polynomial,
                           smooth_crossing, switch_crossing)
 from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
@@ -210,6 +211,55 @@ def random_class(rng: random.Random, m: int,
               for _ in component_triples(m))
     c = tuple(rng.randint(0, 1) for _ in component_pairs(m))
     return ZeroSolveClass(m, a, b, c)
+
+
+class _ClimbingBuilder(_Builder):
+    """``lzero.construct``'s builder before lazy transport: every
+    gadget's movers dive from home to the last mover's row, passing over
+    the rows and under the movers before them, and climb back the same
+    way."""
+
+    def cross_over(self, mover: int, other: int, sign: int):
+        no = self.fresh(mover)
+        nu = self.fresh(other)
+        self.crossings.append(
+            Crossing(sign, self.cur[other], nu, self.cur[mover], no))
+        self.cur[mover], self.cur[other] = no, nu
+
+    def cross_under(self, mover: int, other: int, sign: int):
+        nu = self.fresh(mover)
+        no = self.fresh(other)
+        self.crossings.append(
+            Crossing(sign, self.cur[mover], nu, self.cur[other], no))
+        self.cur[mover], self.cur[other] = nu, no
+
+    def dive(self, movers: tuple[int, ...]):
+        for idx, s in enumerate(movers):
+            for row in range(s + 1, movers[-1] + 1):
+                self.cross_over(s, row, 1)
+            for e in range(idx):
+                self.cross_under(s, movers[e], -1)
+
+    def climb(self, movers: tuple[int, ...]):
+        for idx in range(len(movers) - 1, -1, -1):
+            s = movers[idx]
+            for e in range(idx - 1, -1, -1):
+                self.cross_under(s, movers[e], 1)
+            for row in range(movers[-1], s, -1):
+                self.cross_over(s, row, -1)
+
+
+def climbing_build(m: int, gadgets) -> LinkDiagram:
+    """The stack of valid ``gadgets`` with a dive and a climb around
+    each one: the same link as ``build_from_gadgets``, up to isotopy."""
+    b = _ClimbingBuilder(m)
+    for gadget in gadgets:
+        kind = (gadget[0], gadget[2]) if gadget[0] == "BORROMEAN" else gadget[0]
+        comps = tuple(sorted(gadget[1]))
+        b.dive(comps)
+        b.splice(_TANGLES[kind], comps)
+        b.climb(comps)
+    return b.finish()
 
 
 def project_class(g: ZeroSolveClass, keep) -> ZeroSolveClass:
