@@ -25,10 +25,11 @@ coefficient: det M is taken over the integers at s = 2^K, read back as
 signed base-2^K digits and rewritten in z = s - 1/s.
 
 The diagram passes ``diagram.check_valid`` first, so it is planar, and
-so is every reduction of it.  Curls and opposite-sign bigons go first,
-in batched rounds (one scan and one surgery per round), and split
-diagrams return 0.  The tests check the engine with the skein
-primitives kept here.
+so is every reduction of it.  Curls and the opposite-sign bigons of
+``diagram.bigons`` go first, in batched rounds (one scan and one
+surgery per round).  Split diagrams return 0: a free loop, or a face
+walk past n + 2 faces (p parts have n + 2p).  The tests check the
+engine with the skein primitives kept here.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ import itertools
 from dataclasses import dataclass
 
 from .diagram import (LinkDiagram, _darts, _orbits, _renumber_components,
-                      bigon_fusions, check_valid, component_cycles,
-                      consumer_map, crossing_graph_parts, delete_crossings,
-                      kink_fusion)
+                      bigon_fusions, bigons, check_valid, component_cycles,
+                      delete_crossings, kink_fusion)
 
 __all__ = [
     "ConwayPolynomial",
@@ -134,22 +134,16 @@ def _reduce(d: LinkDiagram) -> LinkDiagram:
     finds nothing.
     """
     while True:
-        kill: set[int] = set()
-        fusions = []
+        kill, fusions = set(), []
         for idx, cr in enumerate(d.crossings):
             fusion = kink_fusion(cr)
             if fusion is not None:
                 kill.add(idx)
                 fusions.append(fusion)
-        cons = consumer_map(d)
-        for idx, a in enumerate(d.crossings):
-            jdx, level = cons[a.over_out]
-            if idx in kill or jdx in kill or level != "over":
-                continue
-            pair = bigon_fusions(a, d.crossings[jdx])
-            if pair is not None:
+        for idx, jdx in bigons(d):
+            if idx not in kill and jdx not in kill:
                 kill.update((idx, jdx))
-                fusions += pair
+                fusions += bigon_fusions(d.crossings[idx], d.crossings[jdx])
         if not kill:
             return d
         d = delete_crossings(d, kill, fusions)
@@ -193,13 +187,11 @@ def conway_polynomial(d: LinkDiagram) -> ConwayPolynomial:
     d = _reduce(check_valid(d))
     if not d.crossings:
         return ONE if d.m == 1 else ZERO
-    if d.free_loops or crossing_graph_parts(d) > 1:
-        # a crossing-free circle, or a crossing graph in several parts
-        return ZERO
-
     n = len(d.crossings)
     _, nxt, order = _darts(d)
     walks = _orbits(nxt, order)
+    if d.free_loops or len(walks) > n + 2:  # split: p parts, n + 2p faces
+        return ZERO
     face_of = {p: f for f, walk in enumerate(walks) for p in walk}
     # ``order`` pairs each arc's backward dart with its forward one
     starred = next((face_of[p], face_of[q])

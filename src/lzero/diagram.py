@@ -393,8 +393,8 @@ def _checked(d: LinkDiagram, problems: list[str]) -> LinkDiagram:
 
 # ---------------------------------------------------------------------------
 # crossing-deletion surgery (shared by sublink, smoothing, the R1-/R2-
-# rewrites and the Conway reduction), and the curl and bigon matchers
-# that feed it
+# rewrites and the Conway reduction), the curl and bigon matchers that
+# feed it, and the bigon finder that R2- sites and the reduction share
 
 
 def delete_crossings(d: LinkDiagram, kill: set[int],
@@ -497,6 +497,24 @@ def bigon_fusions(a: Crossing, b: Crossing):
     else:
         return None
     return [(a.over_in, b.over_out), under]
+
+
+def bigons(d: LinkDiagram) -> list[tuple[int, int]]:
+    """The 0-based pairs ``(a, b)`` where a's over strand runs straight
+    into b's and :func:`bigon_fusions` matches, listed in order of a.
+
+    Each bounds a 2-gon face of any planar code.  With the under strand
+    heading east, the over strand heads north at a + crossing and south
+    at a - one.  The loop arrives at a by the under strand and leaves by
+    the over one, turning left if a is +; at b it arrives by the over
+    strand and leaves by the under one, turning left if b is -.  So
+    opposite signs put both corners on one side of the loop, and
+    nothing else of that part lies on that side."""
+    crossings = d.crossings
+    over = {cr.over_in: j for j, cr in enumerate(crossings)}
+    return [(i, j) for i, a in enumerate(crossings)
+            if (j := over.get(a.over_out)) is not None
+            and bigon_fusions(a, crossings[j]) is not None]
 
 
 def _renumber_components(d: LinkDiagram) -> LinkDiagram:
@@ -646,17 +664,13 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, bool]]]:
     return [[(arc[p], not p & 1) for p in face] for face in _orbits(nxt, order)]
 
 
-def _polygons(d: LinkDiagram, k: int) -> list[tuple[int, ...]]:
-    """The faces with k sides at k distinct crossings, each as its
-    sorted crossing ids; sorted."""
+def _triangles(d: LinkDiagram) -> list[tuple[int, int, int]]:
+    """The faces with three sides at three distinct crossings, each as
+    its sorted crossing ids; sorted."""
     _, nxt, order = _darts(d)
-    found = set()
-    for face in _orbits(nxt, order):
-        if len(face) == k:
-            corners = {(p >> 2) + 1 for p in face}
-            if len(corners) == k:
-                found.add(tuple(sorted(corners)))
-    return sorted(found)
+    corners = ({(p >> 2) + 1 for p in face}
+               for face in _orbits(nxt, order) if len(face) == 3)
+    return sorted({tuple(sorted(c)) for c in corners if len(c) == 3})
 
 
 def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:

@@ -37,8 +37,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, _check_slots, _polygons,
-                      bigon_fusions, check_valid, consumer_map,
+from .diagram import (Crossing, LinkDiagram, _check_slots, _triangles,
+                      bigon_fusions, bigons, check_valid, consumer_map,
                       delete_crossings, face_through, faces, kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
@@ -239,7 +239,7 @@ def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
 
 def _r3(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     ends, sides = _r3_match(d, site)
-    _need(tuple(sorted(site.crossings)) in _polygons(d, 3),
+    _need(tuple(sorted(site.crossings)) in _triangles(d),
           "the triangle is not a face; the slide would not be planar")
     # Slide: each strand swaps its (in, out) slot pairs between its two
     # crossings, keeping its level at each crossing and every sign.
@@ -327,10 +327,10 @@ def enumerate_sites(d: LinkDiagram, kind: str) -> list[MoveSite]:
     two darts on a common face can be slid across each other, with the
     variant and leading sign fixed by the darts' directions.
     ``apply_move`` refuses every other R2+ choice, so the R2+ sites it
-    accepts are exactly these.  R1- sites are the curls, each of which
-    bounds a 1-gon face; R2- and R3 sites are 2- and 3-gon faces that
-    match the pattern.  BANDPASS sites are pure pattern matches (the
-    pass pattern already pins the local picture).
+    accepts are exactly these.  R1- sites are the curls, R2- sites the
+    pairs of ``diagram.bigons`` and R3 sites the triangles that match
+    the pattern: 1-, 2- and 3-gon faces.  BANDPASS sites are pure
+    pattern matches (the pass pattern already pins the local picture).
     """
     _, finder = _kind(kind)
     return finder(check_valid(d))
@@ -379,14 +379,8 @@ def _r2_add_sites(d: LinkDiagram) -> list[MoveSite]:
 
 
 def _r2_remove_sites(d: LinkDiagram) -> list[MoveSite]:
-    sites = []
-    for i, j in _polygons(d, 2):
-        a, b = d.crossings[i - 1], d.crossings[j - 1]
-        if b.over_out == a.over_in:
-            a, b = b, a
-        if a.over_out == b.over_in and bigon_fusions(a, b) is not None:
-            sites.append(MoveSite("R2-", crossings=(i, j)))
-    return sites
+    pairs = {(min(i, j) + 1, max(i, j) + 1) for i, j in bigons(d)}
+    return [MoveSite("R2-", crossings=pair) for pair in sorted(pairs)]
 
 
 def _accepted(d: LinkDiagram, match, sites) -> list[MoveSite]:
@@ -404,7 +398,7 @@ def _accepted(d: LinkDiagram, match, sites) -> list[MoveSite]:
 def _r3_sites(d: LinkDiagram) -> list[MoveSite]:
     # the candidates are faces already, so only the pattern is checked
     return _accepted(d, _r3_match, [MoveSite("R3", crossings=tri)
-                                    for tri in _polygons(d, 3)])
+                                    for tri in _triangles(d)])
 
 
 def _band_pass_sites(d: LinkDiagram) -> list[MoveSite]:

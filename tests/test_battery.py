@@ -97,7 +97,9 @@ def test_zero_framed_longitudes_have_no_meridian_terms():
             assert (lon_i[1], lon_i[3], lon_j[2]) == (0, 0, 0), (seed, i, j)
             pairs += 1
             writhes.add(pres.writhe[i])
-    assert pairs >= 200 and {-4, 2, 5} <= writhes
+    # some strongly framed component of each sign, not one pinned set
+    assert pairs >= 200
+    assert max(writhes) >= 3 and min(writhes) <= -3, sorted(writhes)
 
 
 def _count_calls(monkeypatch, *funcs):

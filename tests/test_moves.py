@@ -12,13 +12,14 @@ from lzero import fixtures
 from lzero.classify import representative
 from lzero.construct import braid_closure
 from lzero.conway import conway_polynomial
+from lzero.diagram import disjoint_union, validate
 from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
 from util import (CLASP_SITE, assert_sound, clasp_pair, corpus, euler_ok,
-                  face_walks_reference, random_class, random_walk,
-                  render_site_reference, walked_hosts)
+                  face_walks_reference, random_class, random_code,
+                  random_walk, render_site_reference, walked_hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,28 @@ def test_enumerated_sites_are_all_accepted_faces():
     for d in walked_hosts(13):
         for kind, k in (("R1-", 1), ("R2-", 2), ("R3", 3)):
             assert enumerate_sites(d, kind) == _accepted_faces(d, kind, k)
+
+
+def test_bigon_sites_are_the_accepted_faces_on_split_and_random_codes():
+    """Every opposite-sign bigon bounds a 2-gon face (see
+    ``diagram.bigons``), so the R2- list is the face listing on split
+    unions and on random planar codes too."""
+    rng = random.Random(43)
+    pool = [d for _, d in corpus()]
+    pool += [representative(random_class(rng, m, b_bound=1))
+             for m in (2, 3, 4)]
+    hosts = [disjoint_union(rng.choice(pool), rng.choice(pool))
+             for _ in range(30)]
+    while len(hosts) < 230:
+        d = random_code(rng, rng.randint(2, 6))
+        if not validate(d):
+            hosts.append(d)
+    listed = 0
+    for d in hosts:
+        sites = enumerate_sites(d, "R2-")
+        assert sites == _accepted_faces(d, "R2-", 2), sites
+        listed += len(sites)
+    assert listed >= 50, listed
 
 
 # ---------------------------------------------------------------------------

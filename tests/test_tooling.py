@@ -126,7 +126,7 @@ def test_moves_leaves_the_dart_table_to_the_diagram_layer():
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "diagram"
              for alias in node.names}
-    assert "_polygons" in names
+    assert "_triangles" in names
     assert not names & {"_darts", "_orbits"}
 
 

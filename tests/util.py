@@ -2,13 +2,14 @@
 band-pass host), the planarity check and the cycle walk (neither calls
 the diagram layer's faces or cycles), every public reader of a
 diagram, a seeded random-move walker, random codes of sound slots,
-class projection for sublink tests, the plain move-site formatter, the
-skein recursion that checks the Conway engine, the tuple-keyed face
-walk that checks the dart table, the multi-pass Wirtinger builder and
-the crossing scan that check the presentation's one walk and its pair
-totals, the general two-letter Magnus algebra that checks the
-battery's (u, v) kernel, and the gadget builder without lazy transport
-that checks the built links' isotopy class."""
+component reversal, class projection for sublink tests, the plain
+move-site formatter, the skein recursion that checks the Conway
+engine, the tuple-keyed face walk that checks the dart table, the
+multi-pass Wirtinger builder and the crossing scan that check the
+presentation's one walk and its pair totals, the general two-letter
+Magnus algebra that checks the battery's (u, v) kernel, and the gadget
+builder without lazy transport that checks the built links' isotopy
+class."""
 
 from __future__ import annotations
 
@@ -23,8 +24,9 @@ from lzero.classify import (ZeroSolveClass, classify, equivalent,
 from lzero.construct import _TANGLES, _Builder, braid_closure
 from lzero.conway import (ConwayPolynomial, canonical_key, conway_polynomial,
                           smooth_crossing, switch_crossing)
-from lzero.diagram import (Crossing, LinkDiagram, component_cycles,
-                           consumer_map, crossing_graph_parts,
+from lzero.diagram import (Crossing, LinkDiagram, _renumber_components,
+                           component_cycles, consumer_map,
+                           crossing_graph_parts, delete_crossings,
                            disjoint_union, faces, mirror, parse_diagram,
                            render_diagram, sublink, validate)
 from lzero.errors import DiagramStructureError
@@ -262,6 +264,23 @@ def climbing_build(m: int, gadgets) -> LinkDiagram:
     return b.finish()
 
 
+def reverse_component(d: LinkDiagram, c: int) -> LinkDiagram:
+    """``d`` with component ``c`` reversed: each of c's passages swaps
+    its in and out arcs, and a crossing where exactly one of the two
+    strands is c's changes sign, so the picture stays the same."""
+    comp, crossings = d.arc_components, []
+    for cr in d.crossings:
+        ui, uo, oi, oo = cr.arcs()
+        under, over = comp[ui] == c, comp[oi] == c
+        if under:
+            ui, uo = uo, ui
+        if over:
+            oi, oo = oo, oi
+        crossings.append(Crossing(-cr.sign if under != over else cr.sign,
+                                  ui, uo, oi, oo))
+    return LinkDiagram(d.m, tuple(crossings), comp, d.free_loops)
+
+
 def project_class(g: ZeroSolveClass, keep) -> ZeroSolveClass:
     """Coordinate projection of a class onto a sublink.
 
@@ -318,9 +337,11 @@ def conway_polynomial_naive(d: LinkDiagram,
     Switching the first violating crossing moves the walk strictly
     forward and smoothing drops a crossing, so the recursion ends.  No
     rewrites, no split detection and no relabelling: exponential, but
-    independent of the determinant engine.  ``cache``, if given, keeps
-    results keyed by the exact code, to share work between calls on
-    the switches and smoothings of one diagram.
+    independent of the determinant engine.  Each node is switched and
+    smoothed by the bare surgery, with no validity gate: both keep a
+    valid code valid.  ``cache``, if given, keeps results keyed by the
+    exact code, to share work between calls on the switches and
+    smoothings of one diagram.
     """
     key = (d.m, d.crossings, tuple(sorted(d.arc_components.items())),
            d.free_loops)
@@ -330,12 +351,14 @@ def conway_polynomial_naive(d: LinkDiagram,
     if not bad:
         result = ConwayPolynomial.from_dict({0: 1} if d.m == 1 else {})
     else:
-        cid = bad[0] + 1
-        sign = d.crossing(cid).sign
-        out = conway_polynomial_naive(switch_crossing(d, cid), cache).as_dict()
-        for deg, c in conway_polynomial_naive(smooth_crossing(d, cid),
-                                              cache).coeffs:
-            out[deg + 1] = out.get(deg + 1, 0) + sign * c
+        idx = bad[0]
+        cr = d.crossings[idx]
+        smoothed = _renumber_components(delete_crossings(
+            d, {idx}, [(cr.under_in, cr.over_out), (cr.over_in, cr.under_out)]))
+        out = conway_polynomial_naive(switch_crossing(d, idx + 1),
+                                      cache).as_dict()
+        for deg, c in conway_polynomial_naive(smoothed, cache).coeffs:
+            out[deg + 1] = out.get(deg + 1, 0) + cr.sign * c
         result = ConwayPolynomial.from_dict(out)
     if cache is not None:
         cache[key] = result
