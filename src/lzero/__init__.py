@@ -9,14 +9,12 @@ construction, Conway polynomials, and diagram moves.
 """
 
 from .classify import (SolvableReport, ZeroSolveClass, class_add, class_json,
-                       class_neg, class_order, classify, equivalent,
-                       identity_class, is_zero_solvable, parse_class,
-                       render_class, representative)
+                       class_neg, classify, identity_class, is_zero_solvable,
+                       parse_class, render_class, representative)
 from .construct import braid_closure, build_from_gadgets
 from .conway import ConwayPolynomial, conway_polynomial
-from .diagram import (Crossing, LinkDiagram, check_valid, disjoint_union,
-                      mirror, parse_diagram, render_diagram, sublink,
-                      validate)
+from .diagram import (Crossing, LinkDiagram, check_valid, parse_diagram,
+                      render_diagram, sublink, validate)
 from .errors import (DiagramParseError, DiagramStructureError,
                      InvariantUndefinedError, LZeroError, MovePatternError,
                      NotClassifiableError, ResourceLimitError)
@@ -32,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Crossing", "LinkDiagram", "parse_diagram", "render_diagram",
-    "validate", "check_valid", "sublink", "disjoint_union", "mirror",
+    "validate", "check_valid", "sublink",
     "LZeroError", "DiagramParseError", "DiagramStructureError",
     "MovePatternError", "InvariantUndefinedError", "NotClassifiableError",
     "ResourceLimitError",
@@ -44,9 +42,8 @@ __all__ = [
     "InvariantTuple", "arf", "sato_levine", "invariant_tuple",
     "render_invariants", "invariants_json",
     "ZeroSolveClass", "identity_class", "class_add", "class_neg",
-    "class_order", "classify", "equivalent", "SolvableReport",
-    "is_zero_solvable", "representative", "render_class", "parse_class",
-    "class_json",
+    "classify", "SolvableReport", "is_zero_solvable", "representative",
+    "render_class", "parse_class", "class_json",
     "braid_closure", "build_from_gadgets",
     "__version__",
 ]

@@ -10,7 +10,8 @@ complete set of invariants is
 * ``c`` — the parity of the two-component degree-three Conway
   coefficient for each pair, lex ordered (bits),
 
-and two links are equivalent exactly when the tuples agree.  The tuples
+and two links are equivalent exactly when the tuples agree: equality
+of ``classify`` results, which ``lzero equiv`` compares.  The tuples
 form an abelian group under component-wise addition (bits mod 2,
 triples over the integers), realized geometrically by stacking; the
 identity is the unlink class, and a link is trivial in this sense —
@@ -44,9 +45,7 @@ __all__ = [
     "identity_class",
     "class_add",
     "class_neg",
-    "class_order",
     "classify",
-    "equivalent",
     "SolvableReport",
     "is_zero_solvable",
     "representative",
@@ -108,15 +107,6 @@ def class_neg(g: ZeroSolveClass) -> ZeroSolveClass:
     return ZeroSolveClass(g.m, g.a, tuple(-x for x in g.b), g.c)
 
 
-def class_order(g: ZeroSolveClass):
-    """1 for the identity, "infinite" with any nonzero triple, else 2."""
-    if g == identity_class(g.m):
-        return 1
-    if any(g.b):
-        return "infinite"
-    return 2
-
-
 # ---------------------------------------------------------------------------
 # diagrams -> classes
 
@@ -131,18 +121,6 @@ def classify(d: LinkDiagram) -> ZeroSolveClass:
                 pair=(i, j), linking=v)
     return ZeroSolveClass(d.m, t.arf, tuple(t.triple.values()),
                           tuple(v % 2 for v in t.sato_levine.values()))
-
-
-def equivalent(d1: LinkDiagram, d2: LinkDiagram) -> bool:
-    """Whether two diagrams present equivalent links.
-
-    Diagrams with different component counts are never equivalent;
-    either diagram having a nonzero linking number raises
-    :class:`NotClassifiableError`.
-    """
-    if d1.m != d2.m:
-        return False
-    return classify(d1) == classify(d2)
 
 
 @dataclass(frozen=True)

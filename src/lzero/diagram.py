@@ -46,8 +46,6 @@ __all__ = [
     "check_valid",
     "component_cycles",
     "sublink",
-    "disjoint_union",
-    "mirror",
     "faces",
 ]
 
@@ -580,26 +578,6 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     # one circle per kept component, so renumbering keeps their order
     return _renumber_components(replace(trimmed, free_loops=tuple(
         c for c in trimmed.free_loops if c in keep)))
-
-
-def disjoint_union(d1: LinkDiagram, d2: LinkDiagram) -> LinkDiagram:
-    """Split union; d2's components are renumbered after d1's, its arcs shifted."""
-    shift = d1.max_arc()
-    crossings = list(d1.crossings)
-    for cr in d2.crossings:
-        crossings.append(Crossing(cr.sign, cr.under_in + shift,
-                                  cr.under_out + shift, cr.over_in + shift,
-                                  cr.over_out + shift))
-    arc_comp = dict(d1.arc_components)
-    for a, c in d2.arc_components.items():
-        arc_comp[a + shift] = c + d1.m
-    loops = tuple(sorted(d1.free_loops + tuple(c + d1.m for c in d2.free_loops)))
-    return LinkDiagram(d1.m + d2.m, tuple(crossings), arc_comp, loops)
-
-
-def mirror(d: LinkDiagram) -> LinkDiagram:
-    """Mirror image: every sign flipped, under/over roles exchanged."""
-    return replace(d, crossings=tuple(cr.switched() for cr in d.crossings))
 
 
 # ---------------------------------------------------------------------------

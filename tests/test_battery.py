@@ -19,8 +19,8 @@ from lzero.cli import main
 from lzero.construct import braid_closure, build_from_gadgets
 from lzero.conway import conway_polynomial
 from lzero.diagram import (Crossing, LinkDiagram, _violations,
-                           component_cycles, consumer_map, disjoint_union,
-                           mirror, parse_diagram, render_diagram, sublink)
+                           component_cycles, consumer_map, parse_diagram,
+                           render_diagram, sublink)
 from lzero.errors import DiagramStructureError
 from lzero.invariants import (InvariantTuple, _gauss_arf, arf,
                               component_pairs, component_triples,
@@ -28,10 +28,11 @@ from lzero.invariants import (InvariantTuple, _gauss_arf, arf,
 from lzero.milnor import (_wirtinger, linking_number, longitude_series,
                           magnus_expand, triple_linking, wirtinger)
 from lzero.moves import apply_move, enumerate_sites, render_site
-from util import (_pair_totals, corpus, euler_ok, generators,
-                  linking_numbers, longitude_reference,
-                  magnus_expand_reference, random_class, random_code,
-                  random_walk, series_of, walked_hosts, wirtinger_reference)
+from util import (_pair_totals, corpus, disjoint_union, euler_ok,
+                  generators, linking_numbers, longitude_reference,
+                  magnus_expand_reference, mirror, random_class,
+                  random_code, random_walk, series_of, walked_hosts,
+                  wirtinger_reference)
 
 
 def _walked(g: ZeroSolveClass, rng: random.Random, steps: int, growth: int):

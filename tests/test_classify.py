@@ -10,18 +10,18 @@ from hypothesis import strategies as st
 
 from lzero import fixtures
 from lzero.classify import (MAX_REP_CROSSINGS, ZeroSolveClass, class_add,
-                            class_gadgets, class_json, class_neg, class_order,
-                            classify, equivalent, identity_class,
-                            is_zero_solvable, parse_class, render_class,
-                            representative)
+                            class_gadgets, class_json, class_neg, classify,
+                            identity_class, is_zero_solvable, parse_class,
+                            render_class, representative)
 from lzero.construct import BORROMEAN_POS, build_from_gadgets, stack_crossings
-from lzero.diagram import disjoint_union, mirror, sublink
+from lzero.diagram import sublink
 from lzero.errors import (DiagramParseError, NotClassifiableError,
                           ResourceLimitError)
 from lzero.invariants import component_pairs, component_triples
 from lzero.moves import apply_move
-from util import (CLASP_SITE, assert_sound, clasp_pair, project_class,
-                  random_class, random_walk, reverse_component)
+from util import (CLASP_SITE, assert_sound, clasp_pair, disjoint_union,
+                  mirror, project_class, random_class, random_walk,
+                  reverse_component)
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +64,15 @@ def test_group_axioms(g, h, k):
 
 @given(g=classes_strategy(3))
 @settings(max_examples=60, deadline=None)
-def test_order_dichotomy(g):
-    order = class_order(g)
-    if g == identity_class(3):
-        assert order == 1
-    elif any(g.b):
-        assert order == "infinite"
-        doubled = class_add(g, g)
-        assert doubled != identity_class(3)
-        assert class_add(doubled, doubled) != identity_class(3)
+def test_doubling_kills_exactly_the_classes_without_b(g):
+    # the triples span the Z summands, the bits the Z_2 summands
+    e = identity_class(3)
+    doubled = class_add(g, g)
+    if any(g.b):
+        assert doubled != e
+        assert class_add(doubled, doubled) != e
     else:
-        assert order == 2
-        assert class_add(g, g) == identity_class(3)
+        assert doubled == e
 
 
 def test_add_rejects_mismatched_sizes():
@@ -171,17 +168,14 @@ def test_classify_gate():
 
 def test_trefoil_and_fig8_agree_here():
     # genuinely different knots, same coarse class
-    assert equivalent(fixtures.load("trefoil"), fixtures.load("fig8"))
+    assert classify(fixtures.load("trefoil")) == \
+        classify(fixtures.load("fig8"))
 
 
 def test_whitehead_mirror_is_equivalent():
     # parity forgets the sign of the pair coefficient
     w = fixtures.load("whitehead")
-    assert equivalent(w, mirror(w))
-
-
-def test_component_count_mismatch_is_never_equivalent():
-    assert not equivalent(fixtures.load("unknot"), fixtures.load("whitehead"))
+    assert classify(w) == classify(mirror(w))
 
 
 def test_solvable_reports():

@@ -106,6 +106,18 @@ def test_equiv_text(fx, capsys):
                    "right: m=1; a=1; b=; c=\n")
 
 
+@pytest.mark.parametrize("right, code, out, err", [
+    pytest.param("whitehead", 0, "equivalent: no\n"
+                 "left: m=1; a=0; b=; c=\n"
+                 "right: m=2; a=0,0; b=; c=1\n", "", id="unknot-whitehead"),
+    pytest.param("hopf+", 1, "",
+                 "error: not classifiable: lk(K_1,K_2)=1\n", id="unknot-hopf"),
+])
+def test_equiv_across_component_counts(fx, capsys, right, code, out, err):
+    # a component count decides nothing alone: a linked side is refused
+    assert run(capsys, "equiv", fx("unknot"), fx(right)) == (code, out, err)
+
+
 def test_rep_round_trips_through_classify(fx, capsys, tmp_path):
     target = tmp_path / "rep.lz"
     code, out, _ = run(capsys, "rep", "m=2; a=1,0; b=; c=1",

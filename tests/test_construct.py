@@ -14,11 +14,12 @@ from lzero.classify import (ZeroSolveClass, class_gadgets, classify,
 from lzero.construct import (_TANGLES, braid_closure, build_from_gadgets,
                              stack_crossings)
 from lzero.conway import conway_polynomial
-from lzero.diagram import disjoint_union, render_diagram, validate
+from lzero.diagram import render_diagram, validate
 from lzero.invariants import sato_levine
 from lzero.milnor import linking_number, triple_linking
 from lzero.moves import apply_move, enumerate_sites
-from util import assert_sound, clasp_pair, climbing_build, random_class
+from util import (assert_sound, clasp_pair, climbing_build, disjoint_union,
+                  random_class)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ from lzero.classify import parse_class, representative
 from lzero.construct import braid_closure
 from lzero.conway import (ONE, ZERO, ConwayPolynomial, _reduce, canonical_key,
                           conway_polynomial, smooth_crossing, switch_crossing)
-from lzero.diagram import (disjoint_union, mirror, parse_diagram, sublink,
-                           validate)
+from lzero.diagram import parse_diagram, sublink, validate
 from lzero.moves import apply_move, enumerate_sites
-from util import (assert_sound, conway_polynomial_naive, corpus, random_class,
-                  random_walk)
+from util import (assert_sound, conway_polynomial_naive, corpus,
+                  disjoint_union, mirror, random_class, random_walk)
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,16 @@ from lzero.conway import conway_polynomial
 from lzero.diagram import (Crossing, LinkDiagram, _darts, _orbits,
                            check_valid, component_cycles,
                            crossing_graph_parts, delete_crossings,
-                           disjoint_union, face_through, faces, mirror,
-                           parse_diagram, render_diagram, sublink, validate)
+                           face_through, faces, parse_diagram,
+                           render_diagram, sublink, validate)
 from lzero.errors import (DiagramParseError, DiagramStructureError,
                           MovePatternError)
 from lzero.milnor import linking_number, wirtinger
 from lzero.moves import (_R2_SHAPE, KINDS, MoveSite, apply_move,
                          enumerate_sites)
-from util import (REFUSED_CODES, assert_sound, corpus, euler_ok,
-                  face_through_reference, face_walks_reference,
-                  gated_readers, random_code, walked_hosts)
+from util import (REFUSED_CODES, assert_sound, corpus, disjoint_union,
+                  euler_ok, face_through_reference, face_walks_reference,
+                  gated_readers, mirror, random_code, walked_hosts)
 
 
 def test_parse_render_round_trip_on_fixtures():

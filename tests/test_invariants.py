@@ -6,12 +6,11 @@ import pytest
 
 from lzero import fixtures
 from lzero.construct import build_from_gadgets
-from lzero.diagram import disjoint_union, mirror
 from lzero.errors import InvariantUndefinedError
 from lzero.invariants import (arf, component_pairs, component_triples,
                               invariant_tuple, invariants_json,
                               render_invariants, sato_levine)
-from util import clasp_pair
+from util import clasp_pair, disjoint_union, mirror
 
 
 def test_pair_and_triple_index_orders():

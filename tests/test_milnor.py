@@ -11,17 +11,17 @@ import random
 from lzero import fixtures
 from lzero.classify import representative
 from lzero.construct import braid_closure, build_from_gadgets
-from lzero.diagram import (Crossing, LinkDiagram, disjoint_union, mirror,
-                           parse_diagram, render_diagram)
+from lzero.diagram import (Crossing, LinkDiagram, parse_diagram,
+                           render_diagram)
 from lzero.errors import DiagramStructureError, InvariantUndefinedError
 from lzero.invariants import invariant_tuple, sato_levine
 from lzero.milnor import (WirtingerPresentation, _wirtinger, linking_number,
                           longitude_series, magnus_expand, triple_linking,
                           wirtinger)
-from util import (_inv2, _mul2, _pair_totals, euler_ok, generators,
-                  linking_numbers, presentation_reference, random_class,
-                  random_code, random_walk, series_of, walked_hosts,
-                  wirtinger_reference)
+from util import (_inv2, _mul2, _pair_totals, disjoint_union, euler_ok,
+                  generators, linking_numbers, mirror,
+                  presentation_reference, random_class, random_code,
+                  random_walk, series_of, walked_hosts, wirtinger_reference)
 
 
 # ---------------------------------------------------------------------------

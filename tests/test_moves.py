@@ -12,14 +12,15 @@ from lzero import fixtures
 from lzero.classify import representative
 from lzero.construct import braid_closure
 from lzero.conway import conway_polynomial
-from lzero.diagram import disjoint_union, validate
+from lzero.diagram import validate
 from lzero.errors import DiagramParseError, MovePatternError
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
-from util import (CLASP_SITE, assert_sound, clasp_pair, corpus, euler_ok,
-                  face_walks_reference, random_class, random_code,
-                  random_walk, render_site_reference, walked_hosts)
+from util import (CLASP_SITE, assert_sound, clasp_pair, corpus,
+                  disjoint_union, euler_ok, face_walks_reference,
+                  random_class, random_code, random_walk,
+                  render_site_reference, walked_hosts)
 
 
 # ---------------------------------------------------------------------------

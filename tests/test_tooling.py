@@ -1,8 +1,8 @@
 """The benchmark's layer tracer names only functions that exist, and
 still sees the face and site layers; the builders sit on the diagram
-layer alone, and it alone decides validity; the README's Python runs,
-and CI runs the README's test command and one checked short benchmark
-run per workload."""
+layer alone, and it alone decides validity; every module reads all it
+imports; the README's Python runs, and CI runs the README's test
+command and one checked short benchmark run per workload."""
 
 import ast
 import importlib
@@ -116,6 +116,23 @@ def test_validity_is_decided_in_the_diagram_layer_alone():
                     for alias in node.names}
         allowed = {"validate"} if name == "lzero/__init__.py" else set()
         assert imported & guarded <= allowed, name
+
+
+@pytest.mark.parametrize("path", [
+    p for p in sorted((ROOT / "src" / "lzero").rglob("*.py"))
+    if p != ROOT / "src" / "lzero" / "__init__.py"],
+    ids=lambda p: p.relative_to(ROOT / "src").as_posix())
+def test_every_imported_name_is_used(path):
+    """A module imports only what it reads, so a removal leaves no
+    stale import behind; the package ``__init__`` only re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_moves_leaves_the_dart_table_to_the_diagram_layer():
