@@ -23,9 +23,9 @@ computation of the invariant battery (:mod:`lzero.invariants`), which
 runs no expansion when some linking number is nonzero; both name the
 first such pair in lex order.
 
-``representative`` builds a canonical diagram in a given class from
-unknots decorated with trefoil summands, Borromean insertions and
-clasped pairs.  It refuses, before building anything, a class whose
+``representative`` builds a canonical diagram in a given class: an
+unlink with trefoil summands, clasped pairs and one gadget per nonzero
+triple.  It refuses, before building anything, a class whose
 representative would have more than ``MAX_REP_CROSSINGS`` crossings.
 """
 
@@ -153,42 +153,33 @@ def is_zero_solvable(d: LinkDiagram) -> SolvableReport:
 
 
 # The most crossings ``representative`` builds: at the budget ``lzero
-# rep`` writes 2.4 MB in about 0.7 seconds and 61 MB.  Every m = 8 class
-# with |b| <= 110 fits: the largest, every bit set and b = -110 on all
-# 56 triples (a negative insertion has the longer word), has 49,662.
+# rep`` writes 2.4 MB in about 0.4 seconds and 60 MB.  Every m = 8 class
+# with |b| <= 5548 fits: the largest, every bit set and b = -5548 on all
+# 56 triples, has 49,886.  At m = 3 every |b| <= 17,363,886 fits.
 MAX_REP_CROSSINGS = 50_000
 
 
-def _gadget_runs(g: ZeroSolveClass):
-    """(gadget, repeats) in the order of :func:`class_gadgets`."""
-    for comp, bit in enumerate(g.a, start=1):
-        if bit:
-            yield ("TREFOIL", (comp,)), 1
-    for triple, v in zip(component_triples(g.m), g.b):
-        if v:
-            yield ("BORROMEAN", triple, 1 if v > 0 else -1), abs(v)
-    for pair, bit in zip(component_pairs(g.m), g.c):
-        if bit:
-            yield ("WHITEHEAD", pair), 1
-
-
 def class_gadgets(g: ZeroSolveClass) -> list:
-    """Gadget list whose serial composition realizes ``g``."""
-    return [gadget for gadget, repeats in _gadget_runs(g)
-            for _ in range(repeats)]
+    """Gadget list whose serial composition realizes ``g``: a trefoil
+    per set Arf bit, one gadget per nonzero triple, a clasp per set
+    parity bit."""
+    triples, pairs = component_triples(g.m), component_pairs(g.m)
+    return ([("TREFOIL", (c,)) for c, bit in enumerate(g.a, start=1) if bit]
+            + [("BORROMEAN", t, v) for t, v in zip(triples, g.b) if v]
+            + [("WHITEHEAD", p) for p, bit in zip(pairs, g.c) if bit])
 
 
 def representative(g: ZeroSolveClass) -> LinkDiagram:
-    """Canonical diagram in class ``g``: an unlink with one trefoil
-    summand per set Arf bit, |b| Borromean insertions per triple and a
-    clasped pair per set parity bit.  Refuses a class whose diagram
-    would have more than ``MAX_REP_CROSSINGS`` crossings."""
-    n = stack_crossings(g.m, _gadget_runs(g))
+    """Canonical diagram in class ``g``: an unlink with the gadgets of
+    :func:`class_gadgets`.  Refuses a class whose diagram would have
+    more than ``MAX_REP_CROSSINGS`` crossings."""
+    gadgets = class_gadgets(g)
+    n = stack_crossings(g.m, gadgets)
     if n > MAX_REP_CROSSINGS:
         raise ResourceLimitError(
             f"the representative of this class would have {n} crossings, "
             f"over the budget of {MAX_REP_CROSSINGS}")
-    return build_from_gadgets(g.m, class_gadgets(g))
+    return build_from_gadgets(g.m, gadgets)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ serially into an m-component unlink, one slice after another:
 * ``("TREFOIL", (i,))``        — connect-sum a trefoil into component i
 * ``("WHITEHEAD", (i, j))``    — clasp components i and j (zero linking,
                                  odd double-pair invariant)
-* ``("BORROMEAN", (i, j, k), s)`` — thread i, j, k through a Borromean
-                                 pattern of handedness s = +1 or -1
+* ``("BORROMEAN", (i, j, k), v)`` — thread i, j, k through a braid
+                                 of triple linking number v != 0
 
 These three kinds realize every class.  The rows move by *lazy
 transport*.  The builder keeps their order, top to bottom.  A gadget on
@@ -51,6 +51,14 @@ twice.  Those crossings give the m = 3 Borromean representatives their
 R3 sites; reached by the fewest swaps, 24 of the 128 m = 3 classes with
 b = +-1 (those with b = +1 and c12 = 0) would have none.
 
+A triple number v is one gadget: the Borromean braid for v = +1, and
+otherwise the commutator [A12^p, A23^q] = s1^2p s2^2q s1^-2p s2^-2q of
+pure-braid generators, p = +-isqrt(|v|) with the sign of v and
+q = |v| // |p|, then [A12^+-1, A23^r] for the remainder r.  A
+commutator's closure has zero linking numbers, and mubar(123) is
+bilinear in its two exponents (Milnor, "Isotopy of links", 1957), so
+it is pq; v costs 4(|p| + q) letters, plus 4(1 + r) for a remainder.
+
 ``_schedule`` lists the gadgets with the transport each one needs.
 ``build_from_gadgets`` draws that list, and ``stack_crossings`` counts
 it without building anything: the letters, the dive, and the pairs of
@@ -60,19 +68,11 @@ rows that two consecutive orders put the other way round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .diagram import Crossing, LinkDiagram, _check_slots, _renumber_components
 
-__all__ = [
-    "Tangle",
-    "TREFOIL_T",
-    "WHITEHEAD_T",
-    "BORROMEAN_POS",
-    "BORROMEAN_NEG",
-    "braid_closure",
-    "build_from_gadgets",
-    "stack_crossings",
-]
+__all__ = ["braid_closure", "build_from_gadgets", "stack_crossings"]
 
 
 def braid_closure(word, strands: int) -> LinkDiagram:
@@ -114,16 +114,26 @@ class Tangle:
 TREFOIL_T = Tangle(2, (1, 1, 1), (0,))
 WHITEHEAD_T = Tangle(3, (-1, 2, -1, 2, -1), (1,))
 BORROMEAN_POS = Tangle(3, (1, -2, 1, -2, 1, -2))
-# The triple linking number of the rings is invariant under mirroring
-# (the meridian inversion contributes a sign per index, and two indices
-# beyond the longitude's own cancel), so the negative-handedness insert
-# conjugates the positive pattern by a transposition of the first two
-# strands instead: the triple linking number is antisymmetric in any
-# two indices, and the swap/unswap pair cancels in every pairwise count.
-BORROMEAN_NEG = Tangle(3, (1, 1, -2, 1, -2, 1, -2, -1))
 
 _TANGLES = {"TREFOIL": TREFOIL_T, "WHITEHEAD": WHITEHEAD_T,
-            ("BORROMEAN", 1): BORROMEAN_POS, ("BORROMEAN", -1): BORROMEAN_NEG}
+            "BORROMEAN": BORROMEAN_POS}
+
+
+def _commutators(v: int) -> list[tuple[int, int]]:
+    """The word of a triple number v != 1 as (letter, exponent) pairs."""
+    s, n = (1, v) if v > 0 else (-1, -v)
+    p = isqrt(n)
+    q, r = divmod(n, p)
+    return [(x, k) for i, j in ((p, q), (1, r)) if j
+            for x, k in ((s, 2 * i), (2, 2 * j), (-s, 2 * i), (-2, 2 * j))]
+
+
+def _tangle(gadget) -> Tangle:
+    """The tangle spliced for a checked gadget."""
+    if gadget[0] != "BORROMEAN" or gadget[2] == 1:
+        return _TANGLES[gadget[0]]
+    return Tangle(3, tuple(letter for letter, k in _commutators(gadget[2])
+                           for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,60 +255,56 @@ def _inverted(movers: tuple[int, ...]) -> set[tuple[int, int]]:
             if y not in movers}
 
 
-def _schedule(m: int, runs):
-    """For each run (gadget, repeats), yield (tangle, movers, repeats,
-    move), where move says how the rows reach the gadget: ``"dive"``
-    for the first multi-strand gadget, ``"swap"`` for later ones, and
-    None for a one-strand gadget, which is spliced where its strand
-    is."""
+def _schedule(m: int, gadgets):
+    """Check each gadget; yield it with its triple number v (1 for the
+    other kinds), its sorted movers and how the rows reach it: ``"dive"``
+    for the first multi-strand gadget, ``"swap"`` for later ones, None
+    for a one-strand gadget, which is spliced where its strand is."""
     dived = False
-    for gadget, repeats in runs:
+    for gadget in gadgets:
         kind, comps = gadget[0], tuple(sorted(gadget[1]))
         if len(set(comps)) != len(comps):
             raise ValueError(f"gadget components must be distinct: {gadget}")
         if any(not 1 <= c <= m for c in comps):
             raise ValueError(f"gadget components out of range 1..{m}: {gadget}")
-        if kind == "BORROMEAN":
-            if gadget[2] not in (1, -1):
-                raise ValueError(f"borromean handedness must be +-1: {gadget}")
-            kind = (kind, gadget[2])
+        v = gadget[2] if kind == "BORROMEAN" else 1
+        if type(v) is not int or not v:
+            raise ValueError(f"a triple number must be a nonzero int: {gadget}")
         if kind not in _TANGLES:
-            raise ValueError(f"unknown gadget kind {gadget[0]!r}")
+            raise ValueError(f"unknown gadget kind {kind!r}")
         tangle = _TANGLES[kind]
         if len(comps) != tangle.strands - len(tangle.caps):
             raise ValueError("gadget arity does not match the tangle")
         move = None
         if len(comps) > 1:
             move, dived = "swap" if dived else "dive", True
-        yield tangle, comps, repeats, move
+        yield gadget, v, comps, move
 
 
 def build_from_gadgets(m: int, gadgets):
     """Compose gadget insertions serially into a validated diagram;
     see the module docstring."""
     b = _Builder(m)
-    for tangle, movers, repeats, move in _schedule(
-            m, ((gadget, 1) for gadget in gadgets)):
+    for gadget, _, movers, move in _schedule(m, gadgets):
         if move == "dive":
             b.dive(movers)
         elif move == "swap":
             b.goto(movers)
-        for _ in range(repeats):
-            b.splice(tangle, movers)
+        b.splice(_tangle(gadget), movers)
     b.goto(())
     return _check_slots(b.finish())
 
 
-def stack_crossings(m: int, runs) -> int:
-    """Crossings of ``build_from_gadgets(m, ...)`` on the gadget runs
-    (gadget, repeats), counted without building anything or expanding
-    the repeats."""
+def stack_crossings(m: int, gadgets) -> int:
+    """Crossings of ``build_from_gadgets(m, gadgets)``, counted without
+    building anything or writing out any word."""
     n, inverted = 0, set()
-    for tangle, movers, repeats, move in _schedule(m, runs):
+    for gadget, v, movers, move in _schedule(m, gadgets):
         if move:
             now = _inverted(movers)
             n += (len(inverted ^ now) if move == "swap" else
                   sum(movers[-1] - c + i for i, c in enumerate(movers)))
             inverted = now
-        n += repeats * len(tangle.word)
+        n += (len(_TANGLES[gadget[0]].word) if v == 1
+              else sum(k for _, k in _commutators(v)))
     return n + len(inverted)

@@ -1,6 +1,5 @@
 """The classification group, diagram -> class, class -> diagram."""
 
-import itertools
 import random
 import time
 
@@ -13,15 +12,15 @@ from lzero.classify import (MAX_REP_CROSSINGS, ZeroSolveClass, class_add,
                             class_gadgets, class_json, class_neg, classify,
                             identity_class, is_zero_solvable, parse_class,
                             render_class, representative)
-from lzero.construct import BORROMEAN_POS, build_from_gadgets, stack_crossings
+from lzero.construct import build_from_gadgets, stack_crossings
 from lzero.diagram import sublink
 from lzero.errors import (DiagramParseError, NotClassifiableError,
                           ResourceLimitError)
 from lzero.invariants import component_pairs, component_triples
 from lzero.moves import apply_move
 from util import (CLASP_SITE, assert_sound, clasp_pair, disjoint_union,
-                  mirror, project_class, random_class, random_walk,
-                  reverse_component)
+                  mirror, project_class, random_class, random_walk, relabel,
+                  relabel_class, reverse_component)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +211,7 @@ def test_gadget_list_matches_coordinates():
     g = ZeroSolveClass(3, (1, 0, 0), (-2,), (0, 1, 0))
     gadgets = class_gadgets(g)
     assert gadgets == [("TREFOIL", (1,)),
-                       ("BORROMEAN", (1, 2, 3), -1),
-                       ("BORROMEAN", (1, 2, 3), -1),
+                       ("BORROMEAN", (1, 2, 3), -2),
                        ("WHITEHEAD", (1, 3))]
 
 
@@ -244,25 +242,37 @@ def test_stack_crossings_count_the_built_diagram():
     rng = random.Random(16)
     for _ in range(40):
         m = rng.randint(1, 6)
-        g = random_class(rng, m, b_bound=2)
-        runs = [(gadget, len(list(same)))
-                for gadget, same in itertools.groupby(class_gadgets(g))]
-        assert len(representative(g).crossings) == stack_crossings(m, runs)
+        g = random_class(rng, m, b_bound=50)
+        assert (len(representative(g).crossings)
+                == stack_crossings(m, class_gadgets(g))), render_class(g)
 
 
 def test_representative_budget():
-    """The largest class the budget lets through is built; one more
-    Borromean insertion is refused before anything is built."""
-    # the dive to the first Borromean insertion on (1, 2, 3) passes
-    # 2 + 2 + 2 rows, its order is home, and a repeat adds its word only
-    dive, per = 6, len(BORROMEAN_POS.word)
-    most = (MAX_REP_CROSSINGS - dive) // per
-    assert len(representative(ZeroSolveClass(
-        3, (0, 0, 0), (most,), (0, 0, 0))).crossings) == dive + most * per
-    for b in (most + 1, -most - 1):
+    """At m = 3, b = p^2 costs the dive to (1, 2, 3), 2 + 2 + 2 rows,
+    and the commutator [A12^p, A23^p], 8p letters.  The largest square
+    the budget lets through is built; one more is refused before
+    anything is built, since its remainder adds a second commutator."""
+    p = (MAX_REP_CROSSINGS - 6) // 8
+    for b in (p * p, -p * p):
+        d = representative(ZeroSolveClass(3, (0, 0, 0), (b,), (0, 0, 0)))
+        assert len(d.crossings) == 6 + 8 * p <= MAX_REP_CROSSINGS
+    for b in (p * p + 1, -p * p - 1):
         with pytest.raises(ResourceLimitError) as exc:
             representative(ZeroSolveClass(3, (0, 0, 0), (b,), (0, 0, 0)))
         assert exc.value.exit_code == 3
+        assert str(exc.value).startswith(
+            f"the representative of this class would have {6 + 8 * p + 8} ")
+
+
+def test_large_triple_numbers_round_trip():
+    # 8372 = 91 * 92 and 10^6 = 1000^2: one commutator each, plus the
+    # dive of 6
+    for v, crossings in ((8372, 738), (10**6, 8006)):
+        for b in (v, -v):
+            g = ZeroSolveClass(3, (0, 0, 0), (b,), (0, 0, 0))
+            d = representative(g)
+            assert len(d.crossings) == crossings
+            assert classify(d) == g
 
 
 def test_representative_of_identity_is_crossing_free():
@@ -326,3 +336,23 @@ def test_component_reversal_negates_its_triples():
                 host = reverse_component(host, comp)
             assert classify(mirror(host)) == class_neg(g), render_class(g)
     assert flipped >= 40, flipped
+
+
+def test_component_relabelling_permutes_the_class():
+    """Renaming the components by a permutation moves a and c with
+    them, and the triple on the sorted image of (i, j, k) is b_ijk times
+    the sign of the permutation that sorts the image.  On seeded
+    representatives with |b| <= 50, so that each triple position sees
+    both signs of the commutator gadget."""
+    rng = random.Random(18)
+    moved = 0
+    for m in (3, 4, 5, 6) * 5:
+        g = random_class(rng, m, b_bound=50)
+        images = list(range(1, m + 1))
+        rng.shuffle(images)
+        perm = dict(zip(range(1, m + 1), images))
+        want = relabel_class(g, perm)
+        moved += want.b != g.b
+        assert classify(relabel(representative(g), perm)) == want, (
+            render_class(g), perm)
+    assert moved >= 15, moved

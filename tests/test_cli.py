@@ -1,6 +1,7 @@
 """End-to-end command line behavior: text, JSON, exit codes, color."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,13 +19,13 @@ from hypothesis import strategies as st
 import lzero
 from lzero import fixtures
 from lzero.cli import main
-from lzero.classify import parse_class
+from lzero.classify import parse_class, render_class
 from lzero.construct import braid_closure
 from lzero.diagram import parse_diagram, render_diagram
 from lzero.errors import LZeroError, ResourceLimitError
-from lzero.moves import parse_site
-from util import (clasp_pair, corpus, presentation_reference, random_code,
-                  random_walk)
+from lzero.moves import KINDS, enumerate_sites, parse_site, render_site
+from util import (REFUSED_CODES, clasp_pair, corpus, presentation_reference,
+                  random_class, random_code, random_walk)
 
 
 @pytest.fixture
@@ -281,16 +282,16 @@ def test_resource_failures_are_typed_refusals(fx, capsys, monkeypatch,
 
 
 def test_rep_refuses_a_class_over_the_crossing_budget(capsys, monkeypatch):
-    # 20000 Borromean insertions of 6 crossings each, after a dive of 6;
-    # nothing is built
+    # b = 10^100 = p^2 with p = 10^50: one commutator of 8p letters,
+    # after a dive of 6, counted exactly and never written out
     monkeypatch.setattr(sys.modules["lzero.classify"], "build_from_gadgets",
                         None)
     start = time.perf_counter()
-    code, out, err = run(capsys, "rep", "m=3; a=0,0,0; b=20000; c=0,0,0")
-    assert time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, "rep", f"m=3; a=0,0,0; b={10**100}; c=0,0,0")
+    assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
     assert err == ("error: the representative of this class would have "
-                   "120006 crossings, over the budget of 50000\n")
+                   f"{8 * 10**50 + 6} crossings, over the budget of 50000\n")
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -529,3 +530,117 @@ def test_parsers_raise_only_typed_errors(parse, text):
         parse(text)
     except LZeroError as exc:
         assert exc.exit_code == 2, (text, exc)
+
+
+# ---------------------------------------------------------------------------
+# One pinned matrix of calls: the bytes and exit codes of every
+# subcommand on fixed inputs.  A change that alters output on purpose
+# records the new digests here and says in CHANGES.md which calls
+# changed and why.
+
+
+def _cli_matrix() -> list[list[str]]:
+    """Every subcommand on the six fixtures, ``equiv`` on every ordered
+    pair, the first site of each kind on each fixture, ``rep`` on
+    seeded classes, and the refusals; all text and ``--json``.  Paths
+    are relative to a folder that ``_write_matrix_files`` fills."""
+    files = [f"{name}.lz" for name in fixtures.NAMES]
+    calls = [[cmd, f] for f in files
+             for cmd in ("invariants", "conway", "classify", "solvable")]
+    calls += [["equiv", f, g] for f in files for g in files]
+    for f, name in zip(files, fixtures.NAMES):
+        d = fixtures.load(name)
+        calls += [["move", f, render_site(sites[0])] for kind in KINDS
+                  if (sites := enumerate_sites(d, kind))]
+    rng = random.Random(15)
+    calls += [["rep", render_class(random_class(rng, rng.randint(1, 5)))]
+              for _ in range(40)]
+    calls += [["rep", "m=3; a=0,0,0; b=-8372; c=0,0,0"],
+              ["rep", f"m=3; a=0,0,0; b={10**100}; c=0,0,0"],
+              ["rep", "m=3; a=0,0; b=0; c=0,0,0"],
+              ["rep", "m=x; a=; b=; c="],
+              ["rep", "m=2; a=0,0; b=; c=0; d=1"],
+              ["move", "trefoil.lz", "R2- crossings=1,2"],
+              ["move", "trefoil.lz", "R9 crossings=1"],
+              ["classify", "missing.lz"],
+              ["classify", "hopf+.lz"]]
+    calls += [[cmd, f"refused-{i}.lz"] for i in range(len(REFUSED_CODES))
+              for cmd in ("invariants", "classify")]
+    return [argv[:1] + flag + argv[1:] for argv in calls
+            for flag in ([], ["--json"])]
+
+
+def _write_matrix_files(folder: Path):
+    for name in fixtures.NAMES:
+        (folder / f"{name}.lz").write_text(fixtures.fixture_text(name),
+                                           encoding="utf-8")
+    for i, d in enumerate(REFUSED_CODES.values()):
+        (folder / f"refused-{i}.lz").write_text(render_diagram(d),
+                                                encoding="utf-8")
+
+
+# sha256 of the per-call sha256 digests of (argv, exit code, stdout,
+# stderr), in ``_cli_matrix`` order, and the first 8 hex digits of each.
+CLI_MATRIX_SHA256 = (
+    "5492c5e6ca1e70581c25761f750de2afd1e7eeb1ccc0001461d44892a18de6cf")
+CLI_MATRIX_CALLS = """
+b4fb1c3c 9f8fd286 0aae90e0 795242c5 a73f6557 8af13ceb 15da5071 3cf2633d
+9307f530 e6e72ee3 7136fbba 57c99944 35042786 bfce8024 2be039e8 c1f3439e
+468ea24f 4296e8dc 4f0f1695 83b2411a 9679fb14 fed9a067 7d4b65ef c99e393a
+df50e57f ab310c69 f5339718 58e745b8 ee103cf9 804834fc 88470799 ce13cb55
+11e9b2e4 6fcaca9f 5db9e467 e02907c6 ff8a8d4b cd8ef5d6 d8d77896 6c9673bc
+f48d62a7 079d2de8 dab7931d c58a9bd2 00c44e69 0744835f f3681fbe c9630ffd
+11880255 de725d36 e14d91c7 2af28d6b d6ed4bac dee56a4c 715f81e4 21aa1344
+2fb95863 d824632a 3daf5d72 ebed4889 f5e33f10 890dc4e7 cd8a9616 259855f6
+d533ece7 fc84abfc 526b9afe db393323 ca6f8de9 c13147d4 afd44996 82223d25
+7527e177 7c65b0b0 7c30f98b ef421e41 19d478df 9ba60aee 61c028f6 d99f8657
+844b9e93 fc7e683a 7acfe84f c32ae236 5e3ab83b bd126532 5222eef1 3763185c
+79b158d9 ea1114d8 99fe083b 4609d0c4 7e6d452d c514f53c 0337665e 83764327
+1887c111 a8934e39 62aa71ca 27fbc27f 4b243ffb 51ccd56b 59815231 2d302585
+648b057a c44f4642 c7f0c580 f490eedf d940dfa4 b7c082bc c853693f ecca86bb
+6eb327b6 b7c66d32 fb8c0aae 4812e5fe b9b15b7b 75a8f450 6d2df5f6 20f1501c
+4934da60 72ce9d93 66754318 9c636126 a2f4a908 69473d14 ffa0584f 8bc630d6
+6d1df2d3 25441e28 b653ab84 876d1929 73531b66 808376c3 db006e7b 639cc2e7
+90f9ae1a d320e00e 595c8cbe 9d8bb8c5 c448a201 fa5b176d c448a201 fa5b176d
+3adfd159 76799834 5e5c61a7 6dd7cc04 d22478a0 4b77aa9f e6e796e8 83163f32
+a6b8d11a efc85220 406384da 7a827b5b 9262cff7 0fdc1b77 513b50d9 b129d8e4
+321e502a b5e0f2d1 584acd97 697ffd0e 4c0ae65c 9cb6d6c8 c9be34ee aaa8efe4
+1e50fc53 59b2ae04 f3c5a10a 4c1c7f2b 8bdcb253 69dd4ac0 6fbc0bb7 ac446100
+8ae51c81 669ef53d 232958c5 9f4c2ead e3de50f5 3135bac5 43b46e29 f8d1b826
+1e50fc53 59b2ae04 f3697be7 7aee3fb8 5d4ddf4b 44d58287 616dd3b0 90a67288
+f3c5a10a 4c1c7f2b e64ae4e3 e3160c1a 4de76397 87e5571f b7153c9d f7aa102f
+f3c5a10a 4c1c7f2b 7e1a83e6 438357cf 517fa935 7c6eec87 6a96c7b5 09619b8a
+a70bf9b0 c2a32872 b7153c9d f7aa102f 5f26f5e5 23fbcd99 e30cec5e 2c0ed6c7
+3381e084 326d53b1 7fee557c e8c669df 0b14d338 27ab59c4 4bd9cbce f7ee9ea5
+29eba4b3 1563f339 f7ae5e58 8d213d17 8e071ff8 53ab7b32 1f39f10c 6905617b
+8219717a 80210674 cdf23f6a 94ba2896 ee103cf9 804834fc 7b70c1d9 f3b3037b
+22797520 590b985d 1842df6f ca0cdde4 807cc202 50ec7b4c ce0d1cdf f64a25db
+c6a0f429 2302f398
+""".split()
+
+
+def _matrix_digests(capsys) -> list[str]:
+    digests = []
+    for argv in _cli_matrix():
+        code = main(argv)
+        captured = capsys.readouterr()
+        text = repr((argv, code, captured.out, captured.err))
+        digests.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return digests
+
+
+def test_cli_matrix_is_pinned(capsys, monkeypatch, tmp_path):
+    """Byte identity of the command line, held as one digest; on a
+    mismatch the test names the first call whose bytes differ."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LZERO_COLOR", raising=False)
+    _write_matrix_files(tmp_path)
+    digests = _matrix_digests(capsys)
+    whole = hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+    if whole != CLI_MATRIX_SHA256:
+        calls = _cli_matrix()
+        short = [d[:8] for d in digests]
+        for i, (got, want) in enumerate(zip(short, CLI_MATRIX_CALLS)):
+            if got != want:
+                pytest.fail(f"call {i} changed: lzero {calls[i]!r}")
+        pytest.fail(f"{len(calls)} calls, {len(CLI_MATRIX_CALLS)} pinned")

@@ -277,9 +277,9 @@ def _pin_hosts():
 _SITE_PINS = {
     "R1+": (1840, "f96cfa727af09d4a8070ab2050c1676663defb232ae08753c0c68123dbb8cfc8"),
     "R1-": (8, "98fa6e3f53f9c816c8458c708abe9bd23f2d2c6877719322adab575744d8efc0"),
-    "R2+": (3582, "ab9d09e1e6ff5051cd91fa1982360e90a963dc5a3ec3408ec67f80a1fcc4bca5"),
-    "R2-": (8, "fbc6a4014e69733aaa78b999f7b5167e37d9833f09fff2ebe4fbec161a6a95f1"),
-    "R3": (36, "6eeaa492070ad648316bad2b9062818e18826e08d69a593555891c188fc0f25b"),
+    "R2+": (3666, "4f3b9456a8d290d39e697499e646dfafe75687e66ee277d0897eda8779023b5c"),
+    "R2-": (8, "7ea276b29df333982fe1c7e3e54df61c03c86c4289f089ead4ffc32e68b7bc90"),
+    "R3": (28, "9ac8d79878706905198666c723d3fb61c79d5fc42040da4b5ff7f834cb706c4e"),
     "BANDPASS": (4, "d06b5d98bbf29e193e7aa1288d022fc32a0c5d3995df7f17657f045558386937"),
 }
 

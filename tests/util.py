@@ -2,10 +2,11 @@
 band-pass host), the planarity check and the cycle walk (neither calls
 the diagram layer's faces or cycles), every public reader of a
 diagram, a seeded random-move walker, random codes of sound slots,
-mirror images, split unions, component reversal, class projection for
-sublink tests, the plain move-site formatter, the skein recursion that
-checks the Conway engine, the tuple-keyed face walk that checks the
-dart table, the multi-pass Wirtinger builder and the crossing scan
+mirror images, split unions, component reversal, component
+relabelling and the class it gives, class projection for sublink
+tests, the plain move-site formatter, the skein recursion that checks
+the Conway engine, the tuple-keyed face walk that checks the dart
+table, the multi-pass Wirtinger builder and the crossing scan
 that check the presentation's one walk and its pair totals, the
 general two-letter Magnus algebra that checks the battery's (u, v)
 kernel, and the gadget builder without lazy transport that checks the
@@ -21,7 +22,7 @@ from itertools import combinations
 from lzero import diagram, fixtures
 from lzero.classify import (ZeroSolveClass, classify, is_zero_solvable,
                             representative)
-from lzero.construct import _TANGLES, _Builder, braid_closure
+from lzero.construct import _Builder, _tangle, braid_closure
 from lzero.conway import (ConwayPolynomial, canonical_key, conway_polynomial,
                           smooth_crossing, switch_crossing)
 from lzero.diagram import (Crossing, LinkDiagram, _renumber_components,
@@ -254,10 +255,9 @@ def climbing_build(m: int, gadgets) -> LinkDiagram:
     each one: the same link as ``build_from_gadgets``, up to isotopy."""
     b = _ClimbingBuilder(m)
     for gadget in gadgets:
-        kind = (gadget[0], gadget[2]) if gadget[0] == "BORROMEAN" else gadget[0]
         comps = tuple(sorted(gadget[1]))
         b.dive(comps)
-        b.splice(_TANGLES[kind], comps)
+        b.splice(_tangle(gadget), comps)
         b.climb(comps)
     return b.finish()
 
@@ -297,6 +297,32 @@ def reverse_component(d: LinkDiagram, c: int) -> LinkDiagram:
         crossings.append(Crossing(-cr.sign if under != over else cr.sign,
                                   ui, uo, oi, oo))
     return LinkDiagram(d.m, tuple(crossings), comp, d.free_loops)
+
+
+def relabel(d: LinkDiagram, perm: dict[int, int]) -> LinkDiagram:
+    """``d`` with component c renamed ``perm[c]``, the picture kept."""
+    return LinkDiagram(d.m, d.crossings,
+                       {a: perm[c] for a, c in d.arc_components.items()},
+                       tuple(sorted(perm[c] for c in d.free_loops)))
+
+
+def relabel_class(g: ZeroSolveClass, perm: dict[int, int]) -> ZeroSolveClass:
+    """The class of a link of class ``g`` relabelled by ``perm``: a and
+    c move with their components, and the triple on the sorted image of
+    (i, j, k) is b_ijk times the sign of the permutation that sorts
+    (perm[i], perm[j], perm[k]), since mubar(ijk) is antisymmetric."""
+    a, b = [0] * g.m, {}
+    for c, bit in enumerate(g.a, start=1):
+        a[perm[c] - 1] = bit
+    for triple, v in zip(component_triples(g.m), g.b):
+        image = [perm[c] for c in triple]
+        odd = sum(x > y for x, y in combinations(image, 2)) % 2
+        b[tuple(sorted(image))] = -v if odd else v
+    c = {tuple(sorted((perm[i], perm[j]))): bit
+         for (i, j), bit in zip(component_pairs(g.m), g.c)}
+    return ZeroSolveClass(g.m, tuple(a),
+                          tuple(b[t] for t in component_triples(g.m)),
+                          tuple(c[pair] for pair in component_pairs(g.m)))
 
 
 def project_class(g: ZeroSolveClass, keep) -> ZeroSolveClass:
