@@ -10,13 +10,21 @@ per component.  Components with no crossings at all cannot be expressed
 that way, so they are kept separately as *free loops*.
 
 The face structure of a code follows from the crossing signs through
-one integer dart table, four darts per crossing numbered by the slot
-they enter, with the dart that leaves each corner: ``faces`` and
-``face_through`` are views of it, move generation reads it to stay
-inside the realizable world, and the Conway engine builds its matrices
-from it.  A code is a planar diagram exactly when every connected part
-of its crossing graph with v crossings has v + 2 faces; ``validate``
+one face-turn rule: four darts per crossing, numbered by the slot they
+enter, and the dart that leaves each corner.  The integer dart table
+built with it gives ``faces``, the triangle faces the R3 finder lists
+and the Conway engine's matrices; a one-face walk applies the same
+rule crossing by crossing through a map from each arc to the darts at
+its ends, so ``face_through`` and the R3 face check build no dart
+table.  A code is a planar diagram exactly when every connected part of
+its crossing graph with v crossings has v + 2 faces; ``validate``
 counts them, so parsing refuses a code that no planar diagram has.
+
+A move is a patch: the crossings it takes out and those it puts in.
+The diagram it gives is certified by those two tangles alone (same
+ends, joined in the same pairs; fresh inner arcs; no strand changing
+component), not by a whole-diagram check, since the input passed the
+gate.
 
 File format (UTF-8, one record per line, ``#`` starts a comment):
 
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, replace
 
 from .errors import DiagramParseError, DiagramStructureError
@@ -376,9 +385,8 @@ def check_valid(d: LinkDiagram) -> LinkDiagram:
 
 def _check_slots(d: LinkDiagram) -> LinkDiagram:
     """:func:`check_valid` without the face count, for the package's own
-    rewrites and splices: each of them keeps a planar code planar (the
-    tests apply every listed move site and count the faces), and the
-    count costs about half again as much as the slot checks."""
+    builders: each of them keeps a planar code planar, and the count
+    costs about half again as much as the slot checks."""
     return _checked(d, _capped(_violations(d)))
 
 
@@ -387,6 +395,130 @@ def _checked(d: LinkDiagram, problems: list[str]) -> LinkDiagram:
         raise DiagramStructureError(problems)
     object.__setattr__(d, "_valid", True)
     return d
+
+
+# ---------------------------------------------------------------------------
+# patches: a local rewrite as the crossings it takes out and puts in
+#
+# A patch ``(kill, put, arcs)`` deletes the crossings at the 0-based
+# indices ``kill``; ``put`` maps an index below the crossing count to
+# the crossing that replaces the one there, and the indices from the
+# count up to the crossings appended in that order; ``arcs`` gives the
+# component of each arc the patch brings in.  The crossings taken out
+# (killed or replaced) form the old tangle, those of ``put`` the new.
+
+
+def _spliced(d: LinkDiagram, kill, put: dict[int, Crossing],
+             arcs: dict[int, int], gone, loops) -> LinkDiagram:
+    """``d`` with the patch applied, the arcs ``gone`` dropped and the
+    free loops ``loops`` added; every untouched crossing is reused."""
+    n = len(d.crossings)
+    crossings = list(d.crossings)
+    for idx, cr in put.items():
+        if idx < n:
+            crossings[idx] = cr
+    if kill:
+        cuts = sorted(kill)
+        crossings = list(chain.from_iterable(
+            crossings[a + 1:b] for a, b in zip([-1, *cuts], [*cuts, n])))
+    crossings += [put[idx] for idx in sorted(put) if idx >= n]
+    arc_comp = dict(d.arc_components)
+    for a in gone:
+        del arc_comp[a]
+    arc_comp.update(arcs)
+    return LinkDiagram(d.m, tuple(crossings), arc_comp,
+                       tuple(sorted((*d.free_loops, *loops))))
+
+
+def _slots(crossings) -> list[int]:
+    """The slot arcs of ``crossings``, four each in ``Crossing.arcs()``
+    order: in-slots at even positions, each followed by its out-slot."""
+    return [a for cr in crossings
+            for a in (cr.under_in, cr.under_out, cr.over_in, cr.over_out)]
+
+
+def _strands(slots: list[int]):
+    """``(ends, inner, closed)`` of the crossings with the :func:`_slots`
+    ``slots``: each strand's in-end mapped to its out-end, the arcs both
+    produced and consumed among them, and each strand that closes among
+    them, as its arcs; None where two in-slots or two out-slots name one
+    arc."""
+    nxt = dict(zip(slots[0::2], slots[1::2]))
+    outs = set(slots[1::2])
+    if 2 * len(nxt) != len(slots) or len(outs) != len(nxt):
+        return None
+    inner = nxt.keys() & outs
+    ends, left = {}, set(inner)
+    for a in nxt.keys() - inner:
+        b = nxt[a]
+        while b in left:
+            left.remove(b)
+            b = nxt[b]
+        ends[a] = b
+    closed = []
+    while left:
+        cycle = [left.pop()]
+        while nxt[cycle[-1]] in left:
+            left.remove(nxt[cycle[-1]])
+            cycle.append(nxt[cycle[-1]])
+        closed.append(cycle)
+    return ends, inner, closed
+
+
+def _patched(d: LinkDiagram, kill, put: dict[int, Crossing],
+             arcs: dict[int, int]) -> LinkDiagram:
+    """``d``, which passed the gate, rewritten by a patch and certified
+    by its two tangles alone.  The arcs inside the old tangle that the
+    new one does not name leave the arc map, and each strand that
+    closes inside the old tangle becomes a free loop of its component,
+    unless a strand of that component closes inside the new one in its
+    place.  Where :func:`_fits` does not certify the result,
+    :func:`_check_slots` decides, with its own messages."""
+    n = len(d.crossings)
+    old = _strands(_slots(
+        [d.crossings[i] for i in (*kill, *(i for i in put if i < n))]))
+    slots = _slots(put.values())
+    new = _strands(slots)
+    comp = d.arc_components
+    loops = [comp[c[0]] for c in old[2]]
+    fits = new is not None
+    for c in new[2] if fits else ():
+        c = arcs.get(c[0], comp.get(c[0]))
+        if c in loops:
+            loops.remove(c)
+        else:
+            fits = False
+    gone = old[1].difference(slots) if old[1] else ()
+    result = _spliced(d, kill, put, arcs, gone, loops)
+    if fits and _fits(d, old, new, put, arcs, slots):
+        return _checked(result, [])
+    return _check_slots(result)
+
+
+def _fits(d: LinkDiagram, old, new, put: dict[int, Crossing],
+          arcs: dict[int, int], slots: list[int]) -> bool:
+    """Whether the new tangle of a patch keeps the valid ``d`` valid,
+    given the :func:`_strands` of both tangles, the new one's found and
+    closing no more strands of any component than the old one, and the
+    new one's ``slots``.  The new crossings must be sound and join the
+    old tangle's ends in the same pairs; each arc inside the new tangle
+    must be fresh, with its component in ``arcs``, or have been inside
+    the old one; and no new crossing may change a strand's component.
+    Then the result's slots are a permutation with the circles of
+    ``d``, so :func:`_violations` finds nothing there."""
+    if not (all(cr.sign in (1, -1) for cr in put.values())
+            and all(isinstance(a, int) and a > 0 for a in slots)):
+        return False
+    (ends, inner, _), (old_ends, old_inner, _) = new, old
+    comp = d.arc_components
+    if (ends != old_ends or arcs.keys() - inner
+            or not all(isinstance(c, int) for c in arcs.values())):
+        return False
+    for a in inner:
+        if a not in old_inner and (a in comp or a not in arcs):
+            return False
+    at = [arcs[a] if a in arcs else comp[a] for a in slots]
+    return at[0::2] == at[1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -405,37 +537,16 @@ def delete_crossings(d: LinkDiagram, kill: set[int],
     fusions are resolved so that the arc entering the killed region from
     a surviving crossing keeps its identity and absorbs the rest.  A
     fusion chain that closes on itself leaves a crossing-free circle,
-    which is recorded as a free loop; the closed chains are found in
-    one pass over the sources left, sorted once.  Arcs touching killed crossings on
-    both ends and not mentioned in any fusion simply disappear.
+    which is recorded as a free loop.  Every other arc of a killed
+    crossing disappears, and every untouched crossing is reused.
 
     Component numbering is preserved; callers renumber if components
     merge or split.
     """
-    nxt = dict(fusions)
-    if len(nxt) != len(fusions):
-        raise ValueError("duplicate fusion sources")
-
-    produced_by_kept = set()
-    for idx, cr in enumerate(d.crossings):
-        if idx not in kill:
-            produced_by_kept.update(cr.outputs())
-
-    relabel: dict[int, int] = {}
-    consumed = set()
-    for head in sorted(nxt):
-        if head not in produced_by_kept:
-            continue
-        tail = nxt[head]
-        consumed.add(head)
-        while tail in nxt:
-            consumed.add(tail)
-            tail = nxt[tail]
-        if tail != head:
-            relabel[tail] = head
-            consumed.add(tail)
-
-    loops = list(d.free_loops)
+    nxt, relabel, consumed = _fused(d, kill, fusions)
+    # the chains left close on themselves: one pass over their sources,
+    # sorted once
+    loops = []
     for start in sorted(nxt.keys() - consumed):
         if start in consumed:
             continue
@@ -446,22 +557,52 @@ def delete_crossings(d: LinkDiagram, kill: set[int],
             if arc == start:
                 break
         loops.append(d.arc_components[start])
+    put = _rethreaded(d, relabel)
+    heads = {a for cr in put.values() for a in (cr.under_in, cr.over_in)}
+    gone = {a for i in kill for a in d.crossings[i].arcs()} - heads
+    return _spliced(d, kill, put, {}, gone, loops)
 
-    new_crossings = []
-    for idx, cr in enumerate(d.crossings):
-        if idx in kill:
+
+def _fused(d: LinkDiagram, kill, fusions):
+    """``(nxt, relabel, consumed)`` of :func:`delete_crossings`: the
+    fusions as a map, the end of each chain that a kept crossing feeds
+    mapped to the chain's head, and the sources those chains consume.
+    ``d`` has sound slots, so an arc that no killed crossing produces
+    is produced by a kept one."""
+    nxt = dict(fusions)
+    if len(nxt) != len(fusions):
+        raise ValueError("duplicate fusion sources")
+    killed_out = {a for i in kill for a in d.crossings[i].outputs()}
+
+    relabel: dict[int, int] = {}
+    consumed = set()
+    for head in sorted(nxt):
+        if head in killed_out:
             continue
-        new_crossings.append(Crossing(
-            cr.sign,
-            relabel.get(cr.under_in, cr.under_in), cr.under_out,
-            relabel.get(cr.over_in, cr.over_in), cr.over_out))
+        tail = nxt[head]
+        consumed.add(head)
+        while tail in nxt:
+            consumed.add(tail)
+            tail = nxt[tail]
+        relabel[tail] = head
+        consumed.add(tail)
+    return nxt, relabel, consumed
 
-    live = set()
-    for cr in new_crossings:
-        live.update(cr.arcs())
-    arc_comp = {a: d.arc_components[a] for a in live}
-    return LinkDiagram(d.m, tuple(new_crossings), arc_comp,
-                       tuple(sorted(loops)))
+
+def _rethreaded(d: LinkDiagram, left: dict[int, int]) -> dict[int, Crossing]:
+    """The crossings that consume an arc of ``left``, by index, each
+    consuming ``left[arc]`` there instead; one scan, which stops once
+    every arc is found."""
+    left = dict(left)
+    put = {}
+    for idx, cr in enumerate(d.crossings):
+        if not left:
+            break
+        if cr.under_in in left or cr.over_in in left:
+            put[idx] = Crossing(
+                cr.sign, left.pop(cr.under_in, cr.under_in), cr.under_out,
+                left.pop(cr.over_in, cr.over_in), cr.over_out)
+    return put
 
 
 def kink_fusion(cr: Crossing):
@@ -589,29 +730,62 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
 # out-slot.  Orient the under strand east; the over strand heads north
 # at a positive crossing, south at a negative one.  A face boundary
 # entering at a slot turns to the slot before it counterclockwise, the
-# face on its left, and leaves along that slot's arc: slot k turns to
-# slot (3, 2, 0, 1)[k] at a positive crossing and to (2, 3, 1, 0)[k] at
-# a negative one, which ``_darts`` writes out once per crossing.
+# face on its left, and leaves along that slot's arc: forward, into its
+# consumer, from an out-slot, and backward, into its producer, from an
+# in-slot.  Slot k turns to slot (3, 2, 0, 1)[k] at a positive crossing
+# and to (2, 3, 1, 0)[k] at a negative one, which ``_turns`` writes out
+# once; the dart table and the one-face walk both read it.
 
 
-def _darts(d: LinkDiagram) -> tuple[list[int], list[int], list[int]]:
-    """The dart table ``(arc, nxt, order)``: each dart's arc, the dart
-    leaving the corner it enters, and all darts in ``(arc, forward)``
-    order.  Its size is set by the crossings, not by the arc ids."""
-    arc = [a for cr in d.crossings
-           for a in (cr.under_in, cr.under_out, cr.over_in, cr.over_out)]
-    # the forward and the backward dart of each arc
-    fwd = dict(zip(arc[0::2], range(0, len(arc), 2)))
-    back = dict(zip(arc[1::2], range(1, len(arc), 2)))
+def _ends(arc, base: int = 0) -> tuple[dict[int, int], dict[int, int]]:
+    """``(back, fwd)`` for the slot arcs ``arc`` of crossings numbered
+    from ``base // 4``: the dart that enters each arc's producer, and
+    the one that enters its consumer.  A boundary leaving along slot j
+    takes ``(back, fwd)[j & 1]`` of its arc."""
+    return (dict(zip(arc[1::2], range(base + 1, base + len(arc), 2))),
+            dict(zip(arc[0::2], range(base, base + len(arc), 2))))
+
+
+def _turns(crossings, back: dict[int, int], fwd: dict[int, int]) -> list[int]:
+    """For each dart into ``crossings``, four per crossing in slot
+    order, the dart leaving the corner it enters, read from the maps
+    ``back`` and ``fwd`` of :func:`_ends`."""
     nxt = []
-    for cr in d.crossings:
+    for cr in crossings:
         if cr.sign > 0:
             nxt += (fwd[cr.over_out], back[cr.over_in],
                     back[cr.under_in], fwd[cr.under_out])
         else:
             nxt += (back[cr.over_in], fwd[cr.over_out],
                     fwd[cr.under_out], back[cr.under_in])
-    return arc, nxt, [p for a in sorted(fwd) for p in (back[a], fwd[a])]
+    return nxt
+
+
+def _darts(d: LinkDiagram) -> tuple[list[int], list[int], list[int]]:
+    """The dart table ``(arc, nxt, order)``: each dart's arc, the dart
+    leaving the corner it enters, and all darts in ``(arc, forward)``
+    order.  Its size is set by the crossings, not by the arc ids."""
+    arc = _slots(d.crossings)
+    back, fwd = _ends(arc)
+    return (arc, _turns(d.crossings, back, fwd),
+            [p for a in sorted(fwd) for p in (back[a], fwd[a])])
+
+
+def _face_walk(crossings, ends, p: int, most: int) -> list[int] | None:
+    """The darts of the face left of dart ``p``, from it, when the walk
+    returns to ``p`` within ``most`` darts; None once it reaches a dart
+    that ``ends`` (see :func:`_ends`) gives as -1, or runs longer.
+    ``crossings`` maps each 0-based index the walk meets to its
+    crossing."""
+    face = [p]
+    while len(face) <= most:
+        p = _turns((crossings[p >> 2],), *ends)[p & 3]
+        if p == face[0]:
+            return face
+        if p < 0:
+            return None
+        face.append(p)
+    return None
 
 
 def _orbits(nxt: list[int], order: list[int]) -> list[list[int]]:
@@ -653,16 +827,33 @@ def _triangles(d: LinkDiagram) -> list[tuple[int, int, int]]:
 
 def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool]]:
     """The darts of the face left of ``dart``, from it; empty when no
-    crossing meets the dart's arc."""
-    arc, nxt, _ = _darts(d)
+    crossing meets the dart's arc.  One walk through the map from each
+    arc to the darts at its ends; ``d`` has sound slots."""
+    arc = _slots(d.crossings)
+    ends = _ends(arc)
     a, forward = dart
-    try:
-        p = arc.index(a)
-        if (p % 2 == 0) != forward:
-            p = arc.index(a, p + 1)
-    except ValueError:
-        return []
-    return [(arc[q], not q & 1) for q in _orbits(nxt, [p])[0]]
+    p = ends[forward].get(a)
+    face = p is not None and _face_walk(d.crossings, ends, p, len(arc))
+    return [(arc[q], not q & 1) for q in face] if face else []
+
+
+def _is_face(d: LinkDiagram, cids) -> bool:
+    """Whether one face has a corner at each crossing of the 1-based
+    ``cids`` and at no other, once each: a walk from each dart into the
+    first of them, through their own slots alone."""
+    at = {cid - 1: d.crossings[cid - 1] for cid in cids}
+    # the slots leaving the site end the walk
+    slots = _slots(at.values())
+    back, fwd = dict.fromkeys(slots, -1), dict.fromkeys(slots, -1)
+    for idx, cr in at.items():
+        b, f = _ends(cr.arcs(), 4 * idx)
+        back.update(b)
+        fwd.update(f)
+    first = 4 * (cids[0] - 1)
+    return any(
+        face is not None and len(face) == len(at) == len({p >> 2 for p in face})
+        for face in (_face_walk(at, (back, fwd), p, len(at))
+                     for p in range(first, first + 4)))
 
 
 def crossing_graph_parts(d: LinkDiagram) -> int:

@@ -8,10 +8,15 @@ returns a new diagram; inputs are never mutated.  Pattern checks are
 combinatorial, except that an R2+ slide is refused unless its two
 darts lie on one face of the embedding encoded by the crossing signs
 (see ``_R2_SHAPE``), and an R3 slide unless its triangle is a face;
-any other choice would leave a non-planar code.  ``enumerate_sites``
-only offers sites certified against that face structure, and tests a
-candidate with the same pattern matcher ``apply_move`` runs, without
-building the rewritten diagram.
+any other choice would leave a non-planar code.  Each is one face
+walk: R2+ from one dart through the whole diagram's arc ends, R3
+through the three site crossings' own slots.  A rewrite returns a
+patch, the crossings it takes out and puts in, and ``diagram`` builds
+and certifies the result from that patch alone, so a move costs time
+in proportion to the move plus a copy of the crossing tuple and arc
+map.  ``enumerate_sites`` only offers sites certified against the face
+structure, and tests a candidate with the same pattern matcher
+``apply_move`` runs, without building the rewritten diagram.
 
 A :class:`MoveSite` is a :class:`typing.NamedTuple`: immutable,
 hashable, and equal to the plain tuple of its fields.
@@ -37,9 +42,10 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, _check_slots, _triangles,
-                      bigon_fusions, bigons, check_valid, consumer_map,
-                      delete_crossings, face_through, faces, kink_fusion)
+from .diagram import (Crossing, LinkDiagram, _fused, _is_face, _patched,
+                      _rethreaded, _triangles, bigon_fusions, bigons,
+                      check_valid, consumer_map, face_through, faces,
+                      kink_fusion)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
@@ -118,10 +124,12 @@ def parse_site(text: str) -> MoveSite:
 
 
 def apply_move(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
-    """Rewrite ``d``, gated by ``check_valid``, at ``site``; the result's
-    slots are re-checked (every rewrite keeps a planar code planar)."""
+    """Rewrite ``d``, gated by ``check_valid``, at ``site``.  Each
+    rewrite returns a patch, which ``diagram`` applies and certifies
+    by the crossings it took out and put in (every rewrite keeps a
+    planar code planar)."""
     rewrite, _ = _kind(site.kind)
-    return _check_slots(rewrite(check_valid(d), site))
+    return _patched(d, *rewrite(check_valid(d), site))
 
 
 def _kind(kind: str):
@@ -140,37 +148,32 @@ def _fresh_arcs(d: LinkDiagram, n: int) -> list[int]:
     return [base + i for i in range(1, n + 1)]
 
 
-def _crossing_at(d: LinkDiagram, cid: int) -> Crossing:
+def _crossing_at(d: LinkDiagram, cid) -> Crossing:
+    _need(type(cid) is int, f"crossing ids must be integers, got {cid!r}")
     _need(1 <= cid <= len(d.crossings),
           f"no crossing {cid}; diagram has {len(d.crossings)}")
     return d.crossings[cid - 1]
 
 
-def _inserted(d: LinkDiagram, added: tuple[Crossing, ...],
-              threads) -> LinkDiagram:
-    """``d`` with the crossings ``added`` appended.  Each ``(old arc,
-    new arcs)`` in ``threads`` runs on through its new arcs, which join
-    the old arc's component, and the last of them takes over the old
-    arc's consumer, which every arc of a valid diagram has."""
-    left = {old: new[-1] for old, new in threads}
-    crossings = list(d.crossings)
-    for idx, cr in enumerate(crossings):
-        if cr.under_in in left or cr.over_in in left:
-            crossings[idx] = Crossing(
-                cr.sign, left.pop(cr.under_in, cr.under_in), cr.under_out,
-                left.pop(cr.over_in, cr.over_in), cr.over_out)
-            if not left:
-                break
-    arc_comp = dict(d.arc_components)
-    for old, new in threads:
-        for a in new:
-            arc_comp[a] = d.arc_components[old]
-    return LinkDiagram(d.m, tuple(crossings) + added, arc_comp, d.free_loops)
+def _signed(site: MoveSite) -> bool:
+    """Whether the site's sign is the int +1 or -1 (a bool is not)."""
+    return type(site.sign) is int and site.sign in (1, -1)
 
 
-def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+def _inserted(d: LinkDiagram, added: tuple[Crossing, ...], threads):
+    """The patch that appends the crossings ``added``.  Each ``(old
+    arc, new arcs)`` in ``threads`` runs on through its new arcs, which
+    join the old arc's component, and the last of them takes over the
+    old arc's consumer, which every arc of a valid diagram has."""
+    put = _rethreaded(d, {old: new[-1] for old, new in threads})
+    n = len(d.crossings)
+    put.update(zip(range(n, n + len(added)), added))
+    return (), put, {a: d.arc_components[old] for old, new in threads for a in new}
+
+
+def _r1_add(d: LinkDiagram, site: MoveSite):
     _need(len(site.arcs) == 1, "R1+ needs exactly one arc")
-    _need(site.sign in (1, -1), "R1+ needs sign=+ or sign=-")
+    _need(_signed(site), "R1+ needs sign=+ or sign=-")
     _need(site.variant in ("under", "over"),
           "R1+ needs variant=under or variant=over")
     a = site.arcs[0]
@@ -185,18 +188,24 @@ def _r1_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     return _inserted(d, (kink,), [(a, (n1, n2))])
 
 
-def _r1_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+def _removed(d: LinkDiagram, kill: set[int], fusions):
+    """The patch of :func:`diagram.delete_crossings`; the free loops it
+    leaves are the strands that close inside the killed crossings."""
+    return kill, _rethreaded(d, _fused(d, kill, fusions)[1]), {}
+
+
+def _r1_remove(d: LinkDiagram, site: MoveSite):
     _need(len(site.crossings) == 1, "R1- needs exactly one crossing")
     cid = site.crossings[0]
     fusion = kink_fusion(_crossing_at(d, cid))
     _need(fusion is not None, f"crossing {cid} is not a kink")
-    return delete_crossings(d, {cid - 1}, [fusion])
+    return _removed(d, {cid - 1}, [fusion])
 
 
-def _r2_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+def _r2_add(d: LinkDiagram, site: MoveSite):
     _need(len(site.arcs) == 2 and site.arcs[0] != site.arcs[1],
           "R2+ needs two distinct arcs")
-    _need(site.sign in (1, -1), "R2+ needs sign=+ or sign=-")
+    _need(_signed(site), "R2+ needs sign=+ or sign=-")
     _need(site.variant in ("par", "anti"), "R2+ needs variant=par or variant=anti")
     x, y = site.arcs
     for a in (x, y):
@@ -219,7 +228,7 @@ def _r2_add(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     return _inserted(d, (c1, c2), [(x, (n1, n2)), (y, (n3, n4))])
 
 
-def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+def _r2_remove(d: LinkDiagram, site: MoveSite):
     _need(len(site.crossings) == 2 and site.crossings[0] != site.crossings[1],
           "R2- needs two distinct crossings")
     i, j = site.crossings
@@ -234,23 +243,21 @@ def _r2_remove(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
     fusions = bigon_fusions(a, b)
     _need(fusions is not None,
           f"crossings {i} and {j} do not share an under arc")
-    return delete_crossings(d, {i - 1, j - 1}, fusions)
+    return _removed(d, {i - 1, j - 1}, fusions)
 
 
-def _r3(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+def _r3(d: LinkDiagram, site: MoveSite):
     ends, sides = _r3_match(d, site)
-    _need(tuple(sorted(site.crossings)) in _triangles(d),
+    _need(_is_face(d, site.crossings),
           "the triangle is not a face; the slide would not be planar")
     # Slide: each strand swaps its (in, out) slot pairs between its two
     # crossings, keeping its level at each crossing and every sign.
     slid = dict(ends)
     for p, c in sides.values():
         slid[p], slid[c] = ends[c], ends[p]
-    crossings = list(d.crossings)
-    for cid in site.crossings:
-        crossings[cid - 1] = Crossing(crossings[cid - 1].sign,
-                                      *slid[cid, "under"], *slid[cid, "over"])
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
+    return (), {cid - 1: Crossing(d.crossings[cid - 1].sign, *slid[cid, "under"],
+                                  *slid[cid, "over"])
+                for cid in site.crossings}, {}
 
 
 def _r3_match(d: LinkDiagram, site: MoveSite):
@@ -290,12 +297,10 @@ def _r3_match(d: LinkDiagram, site: MoveSite):
     return ends, sides
 
 
-def _band_pass(d: LinkDiagram, site: MoveSite) -> LinkDiagram:
+def _band_pass(d: LinkDiagram, site: MoveSite):
     _band_pass_match(d, site)
-    crossings = list(d.crossings)
-    for cid in site.crossings:
-        crossings[cid - 1] = crossings[cid - 1].switched()
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
+    return (), {cid - 1: d.crossings[cid - 1].switched()
+                for cid in site.crossings}, {}
 
 
 def _band_pass_match(d: LinkDiagram, site: MoveSite) -> None:

@@ -266,7 +266,8 @@ def test_an_unconsumed_arc_ends_the_walk(name):
 def test_each_diagram_is_validated_once(monkeypatch, tmp_path, capsys):
     """A diagram remembers passing the gate: a parsed, moved or built
     one is never checked again, and one made from it is checked on its
-    first read alone."""
+    first read alone.  A move certifies its patch instead of the whole
+    diagram."""
     runs = []
     slot_checks = diagram._violations
     monkeypatch.setattr(diagram, "_violations",
@@ -287,13 +288,22 @@ def test_each_diagram_is_validated_once(monkeypatch, tmp_path, capsys):
     d = fixtures.load("borromean")
     assert count(lambda: [enumerate_sites(d, kind) for kind in KINDS]) == 0
 
+    # a move certifies the patch it wrote, once, and never the whole
+    # diagram: the walk runs no slot check at all
+    patches = []
+    fits = diagram._fits
+    monkeypatch.setattr(diagram, "_fits",
+                        lambda *args: patches.append(1) or fits(*args))
+
     def walk(k):
         e = d
         for _ in range(k):
             e = apply_move(e, enumerate_sites(e, "R1+")[-1])
             classify(e)
     for k in (1, 2, 5):
-        assert count(lambda: walk(k)) == k
+        patches.clear()
+        assert count(lambda: walk(k)) == 0
+        assert len(patches) == k
 
     for made in (replace(d), mirror(d), disjoint_union(d, d),
                  sublink(d, {1, 2}), delete_crossings(d, set(), [])):

@@ -1,5 +1,6 @@
 """Local rewrites: site grammar, pattern checking, invariance smoke tests."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lzero import fixtures
+from lzero import diagram, fixtures, moves
 from lzero.classify import representative
 from lzero.construct import braid_closure
 from lzero.conway import conway_polynomial
 from lzero.diagram import validate
-from lzero.errors import DiagramParseError, MovePatternError
+from lzero.errors import (DiagramParseError, DiagramStructureError,
+                          MovePatternError)
 from lzero.milnor import linking_number
 from lzero.moves import (KINDS, MoveSite, apply_move, enumerate_sites,
                          parse_site, render_site)
@@ -122,6 +124,25 @@ def test_unknown_arc_in_r1_add():
     t = fixtures.load("trefoil")
     with pytest.raises(MovePatternError):
         apply_move(t, MoveSite("R1+", arcs=(99,), sign=1, variant="under"))
+
+
+@pytest.mark.parametrize("site", [
+    MoveSite("R1-", crossings=(1.0,)),
+    MoveSite("R1-", crossings=(True,)),
+    MoveSite("R2-", crossings=(1, 2.0)),
+    MoveSite("R3", crossings=(1, 2, "3")),
+    MoveSite("BANDPASS", crossings=("1", 2, 3, 4)),
+    MoveSite("R1+", arcs=(1,), sign=True, variant="under"),
+    MoveSite("R1+", arcs=(1,), sign=1.0, variant="over"),
+    MoveSite("R2+", arcs=(1, 2), sign=True, variant="par"),
+    MoveSite("R2+", arcs=(1, 2), sign=-1.0, variant="anti"),
+], ids=repr)
+def test_malformed_sites_are_refused_by_pattern(site):
+    """A crossing id that is no int, or a sign that is not the int +1
+    or -1, is a pattern refusal, not a traceback or a crossing with a
+    bool for its sign."""
+    with pytest.raises(MovePatternError):
+        apply_move(fixtures.load("borromean"), site)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +318,15 @@ def test_site_lists_are_pinned():
 
 
 # ---------------------------------------------------------------------------
-# every rewrite keeps planarity: ``apply_move`` re-checks the slots only
+# every rewrite keeps validity: ``apply_move`` certifies its patch only
 
 
 def test_every_listed_site_keeps_planarity():
     """On the corpus and seeded walks from it, every site that
-    ``enumerate_sites`` lists, of every kind, gives a code that passes
-    the Euler count; and of every ordered crossing pair, ``apply_move``
-    accepts as R2- just the pairs that sort to a listed R2- site."""
+    ``enumerate_sites`` lists, of every kind, gives a code that the
+    whole ``validate`` passes, the Euler count included; and of every
+    ordered crossing pair, ``apply_move`` accepts as R2- just the pairs
+    that sort to a listed R2- site."""
     rng = random.Random(29)
     hosts = [d for _, d in corpus() if d.crossings]
     for d in list(hosts):
@@ -314,7 +336,7 @@ def test_every_listed_site_keeps_planarity():
     for d in hosts:
         for kind in KINDS:
             for site in enumerate_sites(d, kind):
-                assert euler_ok(apply_move(d, site)), render_site(site)
+                assert validate(apply_move(d, site)) == [], render_site(site)
                 applied[kind] += 1
         accepted = set()
         for pair in itertools.permutations(range(1, len(d.crossings) + 1), 2):
@@ -325,6 +347,56 @@ def test_every_listed_site_keeps_planarity():
             accepted.add(tuple(sorted(pair)))
         assert accepted == {s.crossings for s in enumerate_sites(d, "R2-")}
     assert min(applied.values()) >= 10, applied
+
+
+def _mutants(rng, d, patch):
+    """``patch`` and one-field mutations of it: the sign or one slot of
+    a crossing it puts in, or the component of an arc it brings in."""
+    kill, put, arcs = patch
+    yield patch
+    for idx, cr in put.items():
+        field = rng.choice([f.name for f in dataclasses.fields(cr)])
+        value = getattr(cr, field)
+        if field == "sign":
+            choices = (-value, 0, 2)
+        else:
+            choices = (value + 1, d.max_arc() + 9, float(value),
+                       rng.choice(cr.arcs()), rng.choice(list(d.arc_components)))
+        value = rng.choice([v for v in choices if v is not value])
+        yield kill, {**put, idx: dataclasses.replace(cr, **{field: value})}, arcs
+    for a, c in arcs.items():
+        c = rng.choice([c % d.m + 1, 0, d.m + 1, True])
+        if c != arcs[a] or type(c) is bool:
+            yield kill, put, {**arcs, a: c}
+
+
+def test_the_patch_check_refuses_exactly_where_the_slot_check_does(monkeypatch):
+    """On walked hosts, a sample of each kind's sites: the patch each
+    rewrite returns, and one-field mutations of it.  The local check
+    falls back to ``_check_slots`` exactly where ``_violations`` finds
+    a fault in the result."""
+    real = diagram._check_slots
+    fallbacks = []
+    monkeypatch.setattr(diagram, "_check_slots",
+                        lambda r: fallbacks.append(r) or real(r))
+    rng = random.Random(37)
+    seen = {"accepted": 0, "refused": 0}
+    for d in walked_hosts(17):
+        for kind in KINDS:
+            rewrite, _ = moves._kind(kind)
+            sites = enumerate_sites(d, kind)
+            for site in rng.sample(sites, min(len(sites), 4)):
+                for patch in _mutants(rng, d, rewrite(d, site)):
+                    fallbacks.clear()
+                    try:
+                        result = diagram._patched(d, *patch)
+                    except DiagramStructureError:
+                        refused = True
+                    else:
+                        refused = diagram._violations(result) != []
+                    assert bool(fallbacks) == refused, (kind, patch)
+                    seen["refused" if refused else "accepted"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 # ---------------------------------------------------------------------------

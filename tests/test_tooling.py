@@ -137,14 +137,21 @@ def test_every_imported_name_is_used(path):
 
 def test_moves_leaves_the_dart_table_to_the_diagram_layer():
     """``lzero.moves`` reads faces through ``diagram``'s views; the dart
-    numbering stays in ``diagram`` (and in ``conway``'s matrices)."""
+    numbering stays in ``diagram`` (and in ``conway``'s matrices), and
+    so does the check of a rewrite, which certifies its patch.  The
+    face-turn rule is written out once in ``src``."""
     tree = ast.parse((ROOT / "src" / "lzero" / "moves.py").read_text(
         encoding="utf-8"))
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "diagram"
              for alias in node.names}
-    assert "_triangles" in names
-    assert not names & {"_darts", "_orbits"}
+    assert {"_triangles", "_is_face", "_patched"} <= names
+    assert not names & {"_darts", "_orbits", "_check_slots"}
+    text = "".join(p.read_text(encoding="utf-8")
+                   for p in sorted((ROOT / "src").rglob("*.py")))
+    rows = ("fwd[cr.over_out], back[cr.over_in],",
+            "back[cr.over_in], fwd[cr.over_out],")
+    assert [text.count(row) for row in rows] == [1, 1]
 
 
 def test_readme_python_runs():
@@ -223,3 +230,15 @@ def test_ci_bench_step_fails_unless_correct_and_clean(last, code, ok):
     done = subprocess.run(["bash", "-e", "-c", _FAKE_BENCH + _bench_step()],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode == 0) == ok, done.stderr
+
+
+def test_move_walk_skips_a_kind_with_no_site():
+    """The CI move walk names and skips a step whose kind has no site
+    (a crossing-free representative has none) instead of failing."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "move_walk.py"),
+         "--moves", "2", "--components", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "step 1: no R1+ site, skipped" in done.stdout
+    assert "0 moves, every result valid" in done.stdout
