@@ -37,9 +37,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import (LinkDiagram, _darts, _orbits, _renumber_components,
-                      bigon_fusions, bigons, check_valid, component_cycles,
-                      delete_crossings, kink_fusion)
+from .diagram import (Crossing, LinkDiagram, _darts, _orbits,
+                      _renumber_components, bigons, check_valid,
+                      component_cycles, delete_crossings, is_curl)
 
 __all__ = [
     "ConwayPolynomial",
@@ -100,23 +100,28 @@ ONE = ConwayPolynomial(((0, 1),))
 
 def switch_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
     """Exchange over and under at crossing ``cid`` (1-based), flip its sign."""
-    cr = d.crossing(cid)
-    crossings = list(d.crossings)
-    crossings[cid - 1] = cr.switched()
-    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
+    return _replaced(d, cid, d.crossing(cid).switched())
 
 
 def smooth_crossing(d: LinkDiagram, cid: int) -> LinkDiagram:
     """Oriented smoothing of crossing ``cid``: each incoming strand
-    continues into the other strand's outgoing arc.  Components are
-    renumbered from the resulting circle structure (keyed by smallest
-    old component id, then smallest arc id), so the count may go up or
-    down by one."""
+    continues into the other strand's outgoing arc.  With the crossing's
+    two out-slots swapped, each strand runs straight through it, and
+    it is deleted.  Components are renumbered from the resulting circle
+    structure (keyed by smallest old component id, then smallest arc
+    id), so the count may go up or down by one."""
     cr = check_valid(d).crossing(cid)
-    fused = delete_crossings(d, {cid - 1},
-                             [(cr.under_in, cr.over_out),
-                              (cr.over_in, cr.under_out)])
-    return _renumber_components(fused)
+    swapped = Crossing(cr.sign, cr.under_in, cr.over_out, cr.over_in,
+                       cr.under_out)
+    return _renumber_components(
+        delete_crossings(_replaced(d, cid, swapped), {cid - 1}))
+
+
+def _replaced(d: LinkDiagram, cid: int, cr: Crossing) -> LinkDiagram:
+    """``d`` with crossing ``cid`` (1-based) replaced by ``cr``."""
+    crossings = list(d.crossings)
+    crossings[cid - 1] = cr
+    return LinkDiagram(d.m, tuple(crossings), d.arc_components, d.free_loops)
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +133,18 @@ def _reduce(d: LinkDiagram) -> LinkDiagram:
 
     Each round scans the diagram once: it takes every curl, then every
     opposite-sign bigon whose two crossings are still untaken, and
-    removes them all with one :func:`delete_crossings` call, which
-    resolves fusion chains through adjacent removals and records
-    chains that close up as free loops.  Rounds repeat until a scan
-    finds nothing.
+    removes them all with one :func:`delete_crossings` call, through
+    which each strand runs straight; a strand that closes among them
+    becomes a free loop.  Rounds repeat until a scan finds nothing.
     """
     while True:
-        kill, fusions = set(), []
-        for idx, cr in enumerate(d.crossings):
-            fusion = kink_fusion(cr)
-            if fusion is not None:
-                kill.add(idx)
-                fusions.append(fusion)
+        kill = {idx for idx, cr in enumerate(d.crossings) if is_curl(cr)}
         for idx, jdx in bigons(d):
             if idx not in kill and jdx not in kill:
                 kill.update((idx, jdx))
-                fusions += bigon_fusions(d.crossings[idx], d.crossings[jdx])
         if not kill:
             return d
-        d = delete_crossings(d, kill, fusions)
+        d = delete_crossings(d, kill)
 
 
 # ---------------------------------------------------------------------------

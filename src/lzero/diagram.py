@@ -24,7 +24,9 @@ A move is a patch: the crossings it takes out and those it puts in.
 The diagram it gives is certified by those two tangles alone (same
 ends, joined in the same pairs; fresh inner arcs; no strand changing
 component), not by a whole-diagram check, since the input passed the
-gate.
+gate.  A deletion puts nothing in: each strand runs straight through
+the killed crossings, and a strand that closes among them becomes a
+free loop.
 
 File format (UTF-8, one record per line, ``#`` starts a comment):
 
@@ -68,9 +70,6 @@ class Crossing:
     under_out: int
     over_in: int
     over_out: int
-
-    def outputs(self):
-        return (self.under_out, self.over_out)
 
     def arcs(self):
         return (self.under_in, self.under_out, self.over_in, self.over_out)
@@ -273,7 +272,7 @@ def _face_count(d: LinkDiagram) -> list[str]:
 
 def _violations(d: LinkDiagram) -> list[str]:
     problems: list[str] = []
-    if not isinstance(d.m, int) or d.m < 1:
+    if type(d.m) is not int or d.m < 1:
         problems.append(f"component count must be a positive integer, got {d.m!r}")
         return problems
     # Each crossing adds two arcs, so no code holds more circles than this;
@@ -290,12 +289,12 @@ def _violations(d: LinkDiagram) -> list[str]:
     for idx, cr in enumerate(d.crossings, start=1):
         sign, ui, uo, oi, oo = (cr.sign, cr.under_in, cr.under_out,
                                 cr.over_in, cr.over_out)
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             problems.append(f"crossing {idx}: sign must be +1 or -1, got {sign!r}")
         if not (type(ui) is type(uo) is type(oi) is type(oo) is int
                 and ui > 0 and uo > 0 and oi > 0 and oo > 0):
             for arc in (ui, uo, oi, oo):
-                if not isinstance(arc, int) or arc < 1:
+                if type(arc) is not int or arc < 1:
                     problems.append(f"crossing {idx}: arc ids must be positive, got {arc!r}")
                     return problems
         if (ui in in_seen or oi in in_seen or ui == oi
@@ -337,10 +336,10 @@ def _violations(d: LinkDiagram) -> list[str]:
                     f"arc {arc} is assigned to component {arc_comp[arc]} "
                     "but appears in no crossing")
             comp = arc_comp[arc]
-            if not isinstance(comp, int) or not 1 <= comp <= m:
+            if type(comp) is not int or not 1 <= comp <= m:
                 problems.append(f"arc {arc}: component {comp!r} out of range 1..{m}")
     for comp in d.free_loops:
-        if not isinstance(comp, int) or not 1 <= comp <= m:
+        if type(comp) is not int or not 1 <= comp <= m:
             problems.append(f"free loop component {comp!r} out of range 1..{m}")
 
     if problems:
@@ -506,13 +505,14 @@ def _fits(d: LinkDiagram, old, new, put: dict[int, Crossing],
     the old one; and no new crossing may change a strand's component.
     Then the result's slots are a permutation with the circles of
     ``d``, so :func:`_violations` finds nothing there."""
-    if not (all(cr.sign in (1, -1) for cr in put.values())
-            and all(isinstance(a, int) and a > 0 for a in slots)):
+    if not (all(type(cr.sign) is int and cr.sign in (1, -1)
+                for cr in put.values())
+            and all(type(a) is int and a > 0 for a in slots)):
         return False
     (ends, inner, _), (old_ends, old_inner, _) = new, old
     comp = d.arc_components
     if (ends != old_ends or arcs.keys() - inner
-            or not all(isinstance(c, int) for c in arcs.values())):
+            or not all(type(c) is int for c in arcs.values())):
         return False
     for a in inner:
         if a not in old_inner and (a in comp or a not in arcs):
@@ -523,70 +523,32 @@ def _fits(d: LinkDiagram, old, new, put: dict[int, Crossing],
 
 # ---------------------------------------------------------------------------
 # crossing-deletion surgery (shared by sublink, smoothing, the R1-/R2-
-# rewrites and the Conway reduction), the curl and bigon matchers that
-# feed it, and the bigon finder that R2- sites and the reduction share
+# rewrites and the Conway reduction), the curl and bigon matchers, and
+# the bigon finder that R2- sites and the reduction share
 
 
-def delete_crossings(d: LinkDiagram, kill: set[int],
-                     fusions: list[tuple[int, int]]) -> LinkDiagram:
-    """Remove the crossings with 0-based indices in ``kill``.
-
-    ``fusions`` is a list of (in_arc, out_arc) pairs, one per surviving
-    strand passage through a killed crossing: the strand that entered on
-    ``in_arc`` continues into whatever consumed ``out_arc``.  Chains of
-    fusions are resolved so that the arc entering the killed region from
-    a surviving crossing keeps its identity and absorbs the rest.  A
-    fusion chain that closes on itself leaves a crossing-free circle,
-    which is recorded as a free loop.  Every other arc of a killed
+def delete_crossings(d: LinkDiagram, kill: set[int]) -> LinkDiagram:
+    """Remove the crossings with 0-based indices in ``kill``, each strand
+    running straight through them: one that enters from a kept crossing
+    keeps the arc it enters on, which now feeds the kept crossing that
+    consumed the arc it leaves on, and one that closes among them
+    becomes a free loop of its component.  Every other arc of a killed
     crossing disappears, and every untouched crossing is reused.
-
     Component numbering is preserved; callers renumber if components
-    merge or split.
-    """
-    nxt, relabel, consumed = _fused(d, kill, fusions)
-    # the chains left close on themselves: one pass over their sources,
-    # sorted once
-    loops = []
-    for start in sorted(nxt.keys() - consumed):
-        if start in consumed:
-            continue
-        arc = start
-        while True:
-            consumed.add(arc)
-            arc = nxt[arc]
-            if arc == start:
-                break
-        loops.append(d.arc_components[start])
-    put = _rethreaded(d, relabel)
-    heads = {a for cr in put.values() for a in (cr.under_in, cr.over_in)}
-    gone = {a for i in kill for a in d.crossings[i].arcs()} - heads
-    return _spliced(d, kill, put, {}, gone, loops)
+    merge or split."""
+    put, (ends, inner, closed) = _bypassed(d, kill)
+    comp = d.arc_components
+    return _spliced(d, kill, put, {}, inner.union(ends.values()),
+                    [comp[c[0]] for c in closed])
 
 
-def _fused(d: LinkDiagram, kill, fusions):
-    """``(nxt, relabel, consumed)`` of :func:`delete_crossings`: the
-    fusions as a map, the end of each chain that a kept crossing feeds
-    mapped to the chain's head, and the sources those chains consume.
-    ``d`` has sound slots, so an arc that no killed crossing produces
-    is produced by a kept one."""
-    nxt = dict(fusions)
-    if len(nxt) != len(fusions):
-        raise ValueError("duplicate fusion sources")
-    killed_out = {a for i in kill for a in d.crossings[i].outputs()}
-
-    relabel: dict[int, int] = {}
-    consumed = set()
-    for head in sorted(nxt):
-        if head in killed_out:
-            continue
-        tail = nxt[head]
-        consumed.add(head)
-        while tail in nxt:
-            consumed.add(tail)
-            tail = nxt[tail]
-        relabel[tail] = head
-        consumed.add(tail)
-    return nxt, relabel, consumed
+def _bypassed(d: LinkDiagram, kill):
+    """``(put, strands)``: the :func:`_strands` of the crossings at the
+    0-based indices ``kill``, and the kept crossings that consume a
+    strand's out-end there, by index, each consuming that strand's
+    in-end instead."""
+    strands = _strands(_slots(d.crossings[i] for i in kill))
+    return _rethreaded(d, {b: a for a, b in strands[0].items()}), strands
 
 
 def _rethreaded(d: LinkDiagram, left: dict[int, int]) -> dict[int, Crossing]:
@@ -605,42 +567,24 @@ def _rethreaded(d: LinkDiagram, left: dict[int, int]) -> dict[int, Crossing]:
     return put
 
 
-def kink_fusion(cr: Crossing):
-    """The fusion that deletes the curl ``cr``, or None if it is none.
+def is_curl(cr: Crossing) -> bool:
+    """Whether ``cr`` is a curl: one output feeds straight back into its
+    other input."""
+    return cr.under_out == cr.over_in or cr.over_out == cr.under_in
 
-    A curl feeds one output straight back into its other input; the
-    strand entering on the remaining input leaves on the remaining
-    output.
+
+def is_bigon(a: Crossing, b: Crossing) -> bool:
+    """Whether ``a`` and ``b``, where a's over strand runs straight into
+    b's (``a.over_out == b.over_in``), are a bigon: the signs are
+    opposite and the under strands share an arc, in either direction.
     """
-    if cr.under_out == cr.over_in:
-        return (cr.under_in, cr.over_out)
-    if cr.over_out == cr.under_in:
-        return (cr.over_in, cr.under_out)
-    return None
-
-
-def bigon_fusions(a: Crossing, b: Crossing):
-    """The two fusions that delete ``a`` and ``b`` as a bigon, or None.
-
-    Applies when a's over strand runs straight into b's
-    (``a.over_out == b.over_in``).  The pair is a bigon when the signs
-    are opposite and the under strands share an arc, in either
-    direction.
-    """
-    if a.sign != -b.sign:
-        return None
-    if a.under_out == b.under_in:
-        under = (a.under_in, b.under_out)
-    elif b.under_out == a.under_in:
-        under = (b.under_in, a.under_out)
-    else:
-        return None
-    return [(a.over_in, b.over_out), under]
+    return a.sign == -b.sign and (a.under_out == b.under_in
+                                  or b.under_out == a.under_in)
 
 
 def bigons(d: LinkDiagram) -> list[tuple[int, int]]:
     """The 0-based pairs ``(a, b)`` where a's over strand runs straight
-    into b's and :func:`bigon_fusions` matches, listed in order of a.
+    into b's and :func:`is_bigon` holds, listed in order of a.
 
     Each bounds a 2-gon face of any planar code.  With the under strand
     heading east, the over strand heads north at a + crossing and south
@@ -653,7 +597,7 @@ def bigons(d: LinkDiagram) -> list[tuple[int, int]]:
     over = {cr.over_in: j for j, cr in enumerate(crossings)}
     return [(i, j) for i, a in enumerate(crossings)
             if (j := over.get(a.over_out)) is not None
-            and bigon_fusions(a, crossings[j]) is not None]
+            and is_bigon(a, crossings[j])]
 
 
 def _renumber_components(d: LinkDiagram) -> LinkDiagram:
@@ -691,8 +635,9 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     """Diagram of the sublink spanned by the component set ``keep``.
 
     Kept components are renumbered 1..|keep| in increasing order of
-    their old ids.  At each deleted crossing the surviving strand's
-    in-arc absorbs the out-arc's identity.
+    their old ids.  Every crossing with a dropped strand is deleted:
+    the dropped components close into free loops, which are dropped
+    too.
     """
     check_valid(d)
     keep = set(keep)
@@ -702,20 +647,10 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
     if bad:
         raise ValueError(f"components out of range 1..{d.m}: {bad}")
 
-    kill: set[int] = set()
-    fusions: list[tuple[int, int]] = []
-    for idx, cr in enumerate(d.crossings):
-        under_kept = d.arc_components[cr.under_in] in keep
-        over_kept = d.arc_components[cr.over_in] in keep
-        if under_kept and over_kept:
-            continue
-        kill.add(idx)
-        if under_kept:
-            fusions.append((cr.under_in, cr.under_out))
-        elif over_kept:
-            fusions.append((cr.over_in, cr.over_out))
-
-    trimmed = delete_crossings(d, kill, fusions)
+    comp = d.arc_components
+    trimmed = delete_crossings(d, {
+        idx for idx, cr in enumerate(d.crossings)
+        if comp[cr.under_in] not in keep or comp[cr.over_in] not in keep})
     # one circle per kept component, so renumbering keeps their order
     return _renumber_components(replace(trimmed, free_loops=tuple(
         c for c in trimmed.free_loops if c in keep)))

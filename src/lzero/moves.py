@@ -42,10 +42,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .diagram import (Crossing, LinkDiagram, _fused, _is_face, _patched,
-                      _rethreaded, _triangles, bigon_fusions, bigons,
-                      check_valid, consumer_map, face_through, faces,
-                      kink_fusion)
+from .diagram import (Crossing, LinkDiagram, _bypassed, _is_face, _patched,
+                      _rethreaded, _triangles, bigons, check_valid,
+                      consumer_map, face_through, faces, is_bigon, is_curl)
 from .errors import DiagramParseError, MovePatternError
 
 __all__ = ["MoveSite", "apply_move", "parse_site", "render_site",
@@ -188,18 +187,17 @@ def _r1_add(d: LinkDiagram, site: MoveSite):
     return _inserted(d, (kink,), [(a, (n1, n2))])
 
 
-def _removed(d: LinkDiagram, kill: set[int], fusions):
+def _removed(d: LinkDiagram, kill: set[int]):
     """The patch of :func:`diagram.delete_crossings`; the free loops it
     leaves are the strands that close inside the killed crossings."""
-    return kill, _rethreaded(d, _fused(d, kill, fusions)[1]), {}
+    return kill, _bypassed(d, kill)[0], {}
 
 
 def _r1_remove(d: LinkDiagram, site: MoveSite):
     _need(len(site.crossings) == 1, "R1- needs exactly one crossing")
     cid = site.crossings[0]
-    fusion = kink_fusion(_crossing_at(d, cid))
-    _need(fusion is not None, f"crossing {cid} is not a kink")
-    return _removed(d, {cid - 1}, [fusion])
+    _need(is_curl(_crossing_at(d, cid)), f"crossing {cid} is not a kink")
+    return _removed(d, {cid - 1})
 
 
 def _r2_add(d: LinkDiagram, site: MoveSite):
@@ -240,10 +238,8 @@ def _r2_remove(d: LinkDiagram, site: MoveSite):
           f"crossings {i} and {j} do not share an over arc")
     _need(a.sign == -b.sign,
           f"crossings {i} and {j} have equal signs; not a bigon pair")
-    fusions = bigon_fusions(a, b)
-    _need(fusions is not None,
-          f"crossings {i} and {j} do not share an under arc")
-    return _removed(d, {i - 1, j - 1}, fusions)
+    _need(is_bigon(a, b), f"crossings {i} and {j} do not share an under arc")
+    return _removed(d, {i - 1, j - 1})
 
 
 def _r3(d: LinkDiagram, site: MoveSite):
@@ -356,7 +352,7 @@ def _r1_add_sites(d: LinkDiagram) -> list[MoveSite]:
 def _r1_remove_sites(d: LinkDiagram) -> list[MoveSite]:
     return [MoveSite("R1-", crossings=(cid,))
             for cid, cr in enumerate(d.crossings, start=1)
-            if kink_fusion(cr) is not None]
+            if is_curl(cr)]
 
 
 # Two darts bounding a common face with the region on their left can be

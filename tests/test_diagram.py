@@ -28,9 +28,10 @@ from lzero.errors import (DiagramParseError, DiagramStructureError,
 from lzero.milnor import linking_number, wirtinger
 from lzero.moves import (_R2_SHAPE, KINDS, MoveSite, apply_move,
                          enumerate_sites)
-from util import (REFUSED_CODES, assert_sound, corpus, disjoint_union,
-                  euler_ok, face_through_reference, face_walks_reference,
-                  gated_readers, mirror, random_code, walked_hosts)
+from util import (REFUSED_CODES, assert_sound, corpus, deletion_reference,
+                  disjoint_union, euler_ok, face_through_reference,
+                  face_walks_reference, gated_readers, mirror, random_class,
+                  random_code, walked_hosts)
 
 
 def test_parse_render_round_trip_on_fixtures():
@@ -164,6 +165,24 @@ def test_validate_texts_are_pinned(d, texts):
     assert validate(d) == texts
 
 
+# a bool is an int to ``isinstance`` and equals 1, but no field takes one
+@pytest.mark.parametrize("d, text", [
+    (_edited("trefoil", {2: {"sign": True}}),
+     "crossing 2: sign must be +1 or -1, got True"),
+    (_edited("trefoil", m=True),
+     "component count must be a positive integer, got True"),
+    (_edited("trefoil", {3: {"under_out": True}}),
+     "crossing 3: arc ids must be positive, got True"),
+    (_edited("trefoil", arc_components={**dict.fromkeys(range(1, 7), 1),
+                                        4: True}),
+     "arc 4: component True out of range 1..1"),
+    (_edited("unknot", free_loops=(True,)),
+     "free loop component True out of range 1..1"),
+], ids=["sign", "m", "arc", "component", "free loop"])
+def test_validate_refuses_a_bool(d, text):
+    assert validate(d) == [text]
+
+
 _DEAD_KNOT = REFUSED_CODES["dead end"]
 
 
@@ -229,8 +248,9 @@ def test_unpermuted_slots_end_every_walk():
 
 
 # 20000 one-crossing curls, each its own component, in a seeded order
-# and with seeded signs: reduction closes 20000 fusion chains into free
-# loops, which must take one pass, not one sort per chain.
+# and with seeded signs: one reduction round deletes them all, and the
+# 20000 strands that close among them become free loops, which must
+# take one pass, not one sort per strand.
 _SEPARATE_CURLS = """
 import random, time
 from lzero.conway import conway_polynomial
@@ -306,7 +326,7 @@ def test_each_diagram_is_validated_once(monkeypatch, tmp_path, capsys):
         assert len(patches) == k
 
     for made in (replace(d), mirror(d), disjoint_union(d, d),
-                 sublink(d, {1, 2}), delete_crossings(d, set(), [])):
+                 sublink(d, {1, 2}), delete_crossings(d, set())):
         assert count(lambda: [classify(made), faces(made)]) == 1
         # the flag is no field: a fresh copy compares equal
         assert replace(made) == made and "_valid" not in repr(made)
@@ -390,6 +410,47 @@ def test_disjoint_union_is_sound_and_additive():
     assert_sound(u)
     # components of the second summand are shifted up
     assert linking_number(u, 2, 3) == 1
+
+
+def _kill_sets(rng, d):
+    """``(kill, planar)`` pairs: seeded random sets, whose results are
+    often no planar code, and the curl-and-bigon and sublink sets,
+    whose results stay planar."""
+    n = len(d.crossings)
+    for _ in range(4):
+        yield set(rng.sample(range(n), rng.randint(1, n))), False
+    # a round of the Conway reduction: the curls, then disjoint bigons
+    kill = {idx for idx, cr in enumerate(d.crossings) if diagram.is_curl(cr)}
+    for pair in diagram.bigons(d):
+        if not kill.intersection(pair):
+            kill.update(pair)
+    yield kill, True
+    comp = d.arc_components
+    for c in range(1, d.m + 1):
+        yield {idx for idx, cr in enumerate(d.crossings)
+               if c in (comp[cr.under_in], comp[cr.over_in])}, True
+
+
+def test_deletion_matches_the_component_walk():
+    """``delete_crossings`` leaves the arc cycles and free loops that a
+    walk of each component, dropping its passages at the killed
+    crossings, predicts; the arcs keep their components, and the slots
+    stay sound (the whole check passes where the code stays planar)."""
+    rng = random.Random(38)
+    hosts = walked_hosts(3) + [representative(random_class(rng, m, 1))
+                               for m in (4, 5)]
+    checked = 0
+    for d in hosts:
+        for kill, planar in _kill_sets(rng, d):
+            cut = delete_crossings(d, kill)
+            assert (validate(cut) if planar else diagram._violations(cut)) == []
+            cycles, loops = deletion_reference(d, kill)
+            assert diagram._cycles(cut) == cycles
+            assert cut.free_loops == loops
+            assert cut.arc_components == {a: d.arc_components[a]
+                                          for cyc in cycles for a in cyc}
+            checked += 1
+    assert checked > 600
 
 
 def test_faces_satisfy_euler_count_on_corpus():

@@ -358,9 +358,9 @@ def _mutants(rng, d, patch):
         field = rng.choice([f.name for f in dataclasses.fields(cr)])
         value = getattr(cr, field)
         if field == "sign":
-            choices = (-value, 0, 2)
+            choices = (-value, 0, 2, True)
         else:
-            choices = (value + 1, d.max_arc() + 9, float(value),
+            choices = (value + 1, d.max_arc() + 9, float(value), True,
                        rng.choice(cr.arcs()), rng.choice(list(d.arc_components)))
         value = rng.choice([v for v in choices if v is not value])
         yield kill, {**put, idx: dataclasses.replace(cr, **{field: value})}, arcs

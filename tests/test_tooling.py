@@ -135,6 +135,26 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def test_every_private_definition_is_referenced():
+    """Each module-level ``_private`` function or class of ``src/lzero``
+    is named somewhere in ``src`` outside its own body, so a helper that
+    loses its last caller goes with it."""
+    defined, named = {}, set()
+    for path in sorted((ROOT / "src" / "lzero").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defined[owner] = path.name
+            for node in ast.walk(top):
+                name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                        or isinstance(node, ast.alias) and node.name)
+                if name and name != owner:
+                    named.add(name)
+    assert sorted(f"{path}: {name}" for name, path in defined.items()
+                  if name not in named) == []
+
+
 def test_moves_leaves_the_dart_table_to_the_diagram_layer():
     """``lzero.moves`` reads faces through ``diagram``'s views; the dart
     numbering stays in ``diagram`` (and in ``conway``'s matrices), and

@@ -1,6 +1,7 @@
 """Shared test helpers: the small-diagram corpus, the clasp pair (a
-band-pass host), the planarity check and the cycle walk (neither calls
-the diagram layer's faces or cycles), every public reader of a
+band-pass host), the planarity check, the cycle walk and the deletion
+walk that checks ``delete_crossings`` (none calls the diagram layer's
+faces or cycles), every public reader of a
 diagram, a seeded random-move walker, random codes of sound slots,
 mirror images, split unions, component reversal, component
 relabelling and the class it gives, class projection for sublink
@@ -70,6 +71,27 @@ def arc_cycles(d: LinkDiagram) -> list[list[int]]:
                 arc = nxt[arc]
             cycles.append(cyc)
     return cycles
+
+
+def deletion_reference(d: LinkDiagram, kill) -> tuple[list[list[int]],
+                                                     tuple[int, ...]]:
+    """The arc cycles and free loops left by deleting the crossings at
+    the 0-based indices ``kill``, strands running straight through, by
+    walking each component of ``d`` and dropping its passages at killed
+    crossings: an arc stays exactly when a kept crossing produces it,
+    and a cycle with no arc left is a free loop of its component.
+    Cycles are listed as :func:`arc_cycles` lists them."""
+    made_by = {a: idx for idx, cr in enumerate(d.crossings)
+               for a in (cr.under_out, cr.over_out)}
+    cycles, loops = [], list(d.free_loops)
+    for cyc in arc_cycles(d):
+        kept = [a for a in cyc if made_by[a] not in kill]
+        if kept:
+            low = kept.index(min(kept))
+            cycles.append(kept[low:] + kept[:low])
+        else:
+            loops.append(d.arc_components[cyc[0]])
+    return sorted(cycles), tuple(sorted(loops))
 
 
 # Codes that no planar diagram has.  In the first, arc 2 is produced
@@ -397,8 +419,13 @@ def conway_polynomial_naive(d: LinkDiagram,
     else:
         idx = bad[0]
         cr = d.crossings[idx]
+        # swapped out-slots: each strand runs straight through, then the
+        # crossing is deleted
+        swapped = list(d.crossings)
+        swapped[idx] = Crossing(cr.sign, cr.under_in, cr.over_out,
+                                cr.over_in, cr.under_out)
         smoothed = _renumber_components(delete_crossings(
-            d, {idx}, [(cr.under_in, cr.over_out), (cr.over_in, cr.under_out)]))
+            replace(d, crossings=tuple(swapped)), {idx}))
         out = conway_polynomial_naive(switch_crossing(d, idx + 1),
                                       cache).as_dict()
         for deg, c in conway_polynomial_naive(smoothed, cache).coeffs:
