@@ -20,6 +20,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from lzero import fixtures
 from lzero.classify import (classify, is_zero_solvable, render_class,
                             representative)
+from lzero.errors import LZeroError
 from util import random_class
 
 
@@ -40,7 +41,7 @@ def main() -> int:
         report = is_zero_solvable(d)
         try:
             cls = render_class(classify(d))
-        except Exception as exc:
+        except LZeroError as exc:
             cls = f"({exc})"
         print(f"{name:11s} -> {cls}")
         print(f"{'':11s}    solvable: {report.solvable}"

@@ -71,7 +71,7 @@ class ZeroSolveClass:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError("component count must be positive")
         if len(self.a) != self.m:
             raise ValueError(f"a needs {self.m} entries, got {len(self.a)}")
@@ -81,11 +81,11 @@ class ZeroSolveClass:
         n2 = comb(self.m, 2)
         if len(self.c) != n2:
             raise ValueError(f"c needs {n2} entries, got {len(self.c)}")
-        if any(x not in (0, 1) for x in self.a):
+        if any(type(x) is not int or x not in (0, 1) for x in self.a):
             raise ValueError("a entries must be 0 or 1")
-        if any(x not in (0, 1) for x in self.c):
+        if any(type(x) is not int or x not in (0, 1) for x in self.c):
             raise ValueError("c entries must be 0 or 1")
-        if any(not isinstance(x, int) for x in self.b):
+        if any(type(x) is not int for x in self.b):
             raise ValueError("b entries must be integers")
 
 

@@ -60,15 +60,6 @@ class ConwayPolynomial:
         return ConwayPolynomial(tuple(sorted(
             (deg, c) for deg, c in d.items() if c != 0)))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def coefficient(self, degree: int) -> int:
-        return dict(self.coeffs).get(degree, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def text(self) -> str:
         if not self.coeffs:
             return "0"
@@ -173,7 +164,7 @@ def canonical_key(d: LinkDiagram):
 # the state-sum determinant
 
 # sign -> (entry of S, power of s in M) of the corner a dart entering at
-# slot k of ``Crossing.arcs()`` meets (see ``diagram._darts``).  Rows of
+# slot k of ``diagram._slots`` meets (see ``diagram._darts``).  Rows of
 # M are scaled by s: s^(1+e) on the out-corner, s^(1-e) on the black
 # hole (entry -1 in S), s on the sides.
 _CORNERS = {1: ((1, 1), (1, 1), (-1, 0), (1, 2)),

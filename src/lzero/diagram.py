@@ -71,9 +71,6 @@ class Crossing:
     over_in: int
     over_out: int
 
-    def arcs(self):
-        return (self.under_in, self.under_out, self.over_in, self.over_out)
-
     def switched(self) -> "Crossing":
         """Same four arcs with under/over roles exchanged, sign flipped."""
         return Crossing(-self.sign, self.over_in, self.over_out,
@@ -135,10 +132,9 @@ def parse_diagram(text: str) -> LinkDiagram:
         return v
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kw = parts[0]
         if kw == "components":
             if m is not None:
@@ -326,7 +322,12 @@ def _violations(d: LinkDiagram) -> list[str]:
     arc_comp, m = d.arc_components, d.m
     comps = arc_comp.values()
     if (used != arc_comp.keys() or set(map(type, comps)) != {int}
+            or set(map(type, arc_comp)) != {int}
             or min(comps) < 1 or max(comps) > m):
+        for arc in arc_comp:
+            if type(arc) is not int:
+                problems.append(f"arc id {arc!r} in the component map is not an integer")
+                return problems
         for arc in sorted(used):
             if arc not in arc_comp:
                 problems.append(f"arc {arc} has no 'a' component assignment")
@@ -430,8 +431,8 @@ def _spliced(d: LinkDiagram, kill, put: dict[int, Crossing],
 
 
 def _slots(crossings) -> list[int]:
-    """The slot arcs of ``crossings``, four each in ``Crossing.arcs()``
-    order: in-slots at even positions, each followed by its out-slot."""
+    """The slot arcs of ``crossings``, four each: under_in, under_out,
+    over_in, over_out, so each in-slot is followed by its out-slot."""
     return [a for cr in crossings
             for a in (cr.under_in, cr.under_out, cr.over_in, cr.over_out)]
 
@@ -512,7 +513,7 @@ def _fits(d: LinkDiagram, old, new, put: dict[int, Crossing],
     (ends, inner, _), (old_ends, old_inner, _) = new, old
     comp = d.arc_components
     if (ends != old_ends or arcs.keys() - inner
-            or not all(type(c) is int for c in arcs.values())):
+            or not all(type(c) is int for c in chain(arcs, arcs.values()))):
         return False
     for a in inner:
         if a not in old_inner and (a in comp or a not in arcs):
@@ -553,9 +554,8 @@ def _bypassed(d: LinkDiagram, kill):
 
 def _rethreaded(d: LinkDiagram, left: dict[int, int]) -> dict[int, Crossing]:
     """The crossings that consume an arc of ``left``, by index, each
-    consuming ``left[arc]`` there instead; one scan, which stops once
-    every arc is found."""
-    left = dict(left)
+    consuming ``left[arc]`` there instead; one scan, which empties
+    ``left`` and stops once every arc is found."""
     put = {}
     for idx, cr in enumerate(d.crossings):
         if not left:
@@ -661,7 +661,7 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
 #
 # A dart walks an arc, along its orientation or against it, into a
 # crossing: dart 4 * idx + k enters crossing idx (0-based) at slot k of
-# ``Crossing.arcs()``, forward at an in-slot (k even), backward at an
+# :func:`_slots`, forward at an in-slot (k even), backward at an
 # out-slot.  Orient the under strand east; the over strand heads north
 # at a positive crossing, south at a negative one.  A face boundary
 # entering at a slot turns to the slot before it counterclockwise, the
@@ -672,13 +672,13 @@ def sublink(d: LinkDiagram, keep) -> LinkDiagram:
 # once; the dart table and the one-face walk both read it.
 
 
-def _ends(arc, base: int = 0) -> tuple[dict[int, int], dict[int, int]]:
-    """``(back, fwd)`` for the slot arcs ``arc`` of crossings numbered
-    from ``base // 4``: the dart that enters each arc's producer, and
-    the one that enters its consumer.  A boundary leaving along slot j
-    takes ``(back, fwd)[j & 1]`` of its arc."""
-    return (dict(zip(arc[1::2], range(base + 1, base + len(arc), 2))),
-            dict(zip(arc[0::2], range(base, base + len(arc), 2))))
+def _ends(arc) -> tuple[dict[int, int], dict[int, int]]:
+    """``(back, fwd)`` for the slot arcs ``arc``: the dart that enters
+    each arc's producer, and the one that enters its consumer.  A
+    boundary leaving along slot j takes ``(back, fwd)[j & 1]`` of its
+    arc."""
+    return (dict(zip(arc[1::2], range(1, len(arc), 2))),
+            dict(zip(arc[0::2], range(0, len(arc), 2))))
 
 
 def _turns(crossings, back: dict[int, int], fwd: dict[int, int]) -> list[int]:
@@ -710,8 +710,7 @@ def _face_walk(crossings, ends, p: int, most: int) -> list[int] | None:
     """The darts of the face left of dart ``p``, from it, when the walk
     returns to ``p`` within ``most`` darts; None once it reaches a dart
     that ``ends`` (see :func:`_ends`) gives as -1, or runs longer.
-    ``crossings`` maps each 0-based index the walk meets to its
-    crossing."""
+    ``crossings`` lists the crossings that the darts number."""
     face = [p]
     while len(face) <= most:
         p = _turns((crossings[p >> 2],), *ends)[p & 3]
@@ -775,20 +774,15 @@ def face_through(d: LinkDiagram, dart: tuple[int, bool]) -> list[tuple[int, bool
 def _is_face(d: LinkDiagram, cids) -> bool:
     """Whether one face has a corner at each crossing of the 1-based
     ``cids`` and at no other, once each: a walk from each dart into the
-    first of them, through their own slots alone."""
-    at = {cid - 1: d.crossings[cid - 1] for cid in cids}
+    first of them, through their own slots alone, which number their
+    darts from 0."""
+    at = [d.crossings[cid - 1] for cid in cids]
+    slots = _slots(at)
     # the slots leaving the site end the walk
-    slots = _slots(at.values())
-    back, fwd = dict.fromkeys(slots, -1), dict.fromkeys(slots, -1)
-    for idx, cr in at.items():
-        b, f = _ends(cr.arcs(), 4 * idx)
-        back.update(b)
-        fwd.update(f)
-    first = 4 * (cids[0] - 1)
+    ends = [{**dict.fromkeys(slots, -1), **e} for e in _ends(slots)]
     return any(
         face is not None and len(face) == len(at) == len({p >> 2 for p in face})
-        for face in (_face_walk(at, (back, fwd), p, len(at))
-                     for p in range(first, first + 4)))
+        for face in (_face_walk(at, ends, p, len(at)) for p in range(4)))
 
 
 def crossing_graph_parts(d: LinkDiagram) -> int:

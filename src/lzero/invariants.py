@@ -49,8 +49,9 @@ def component_triples(m: int):
     return list(itertools.combinations(range(1, m + 1), 3))
 
 
-def _gauss_arf(crs, word) -> int:
-    """Arf invariant of a component from its Gauss word (see ``arf``)."""
+def _gauss_arf(word) -> int:
+    """Arf invariant of a component from its Gauss word (see ``arf``):
+    each term e_a e_b is +-1, so the signs never change the parity."""
     pos = {passage: p for p, passage in enumerate(word)}
     a2 = 0
     for (a, level), ua in pos.items():
@@ -58,7 +59,7 @@ def _gauss_arf(crs, word) -> int:
             oa = pos[a, "over"]
             for b, lv in word[ua + 1:oa]:
                 if lv == "over" and pos[b, "under"] > oa:
-                    a2 += crs[a].sign * crs[b].sign
+                    a2 += 1
     return a2 % 2
 
 
@@ -74,7 +75,7 @@ def arf(d: LinkDiagram, comp: int) -> int:
     """
     if not 1 <= comp <= d.m:
         raise ValueError(f"component {comp} out of range 1..{d.m}")
-    return _gauss_arf(d.crossings, wirtinger(d).gauss[comp])
+    return _gauss_arf(wirtinger(d).gauss[comp])
 
 
 def sato_levine(d: LinkDiagram, i: int, j: int) -> int:
@@ -111,8 +112,7 @@ def invariant_tuple(d: LinkDiagram) -> InvariantTuple:
     lists its pairs in lex order."""
     pres, m = wirtinger(d), d.m
     linking = {pair: total // 2 for pair, total in pres.totals.items()}
-    arfs = tuple(_gauss_arf(d.crossings, pres.gauss[c])
-                 for c in range(1, m + 1))
+    arfs = tuple(_gauss_arf(pres.gauss[c]) for c in range(1, m + 1))
     if any(v != 0 for v in linking.values()):
         return InvariantTuple(m, linking, arfs, None, None)
     triple, sato = {}, {}

@@ -43,11 +43,11 @@ def test_criterion_1_anchored_values():
     t0 = time.perf_counter()
     try:
         checks = [
-            ("trefoil a2", lambda: conway_polynomial(
-                fixtures.load("trefoil")).coefficient(2), 1),
+            ("trefoil a2", lambda: dict(conway_polynomial(
+                fixtures.load("trefoil")).coeffs).get(2, 0), 1),
             ("trefoil arf", lambda: arf(fixtures.load("trefoil"), 1), 1),
-            ("fig8 a2", lambda: conway_polynomial(
-                fixtures.load("fig8")).coefficient(2), -1),
+            ("fig8 a2", lambda: dict(conway_polynomial(
+                fixtures.load("fig8")).coeffs).get(2, 0), -1),
             ("whitehead lk", lambda: linking_number(
                 fixtures.load("whitehead"), 1, 2), 0),
             ("whitehead sl", lambda: sato_levine(
@@ -262,7 +262,7 @@ def test_criterion_9_twelve_crossing_performance():
         poly = conway_polynomial(d)
         dt = time.perf_counter() - t1
         assert dt < 5.0, f"took {dt:.2f}s (budget 5s)"
-        assert not poly.is_zero()
+        assert poly.coeffs
     except BaseException:
         _fail_line(9, desc)
         raise

@@ -199,8 +199,7 @@ def _reference_battery(d, ref):
     reference presentation ``ref``, with its Gauss words and the
     crossing scan."""
     linking = dict(linking_numbers(d))
-    arfs = tuple(_gauss_arf(d.crossings, ref.gauss[c])
-                 for c in range(1, d.m + 1))
+    arfs = tuple(_gauss_arf(ref.gauss[c]) for c in range(1, d.m + 1))
     if any(linking.values()):
         return InvariantTuple(d.m, linking, arfs, None, None)
     triple, sato = {}, {}
@@ -235,7 +234,7 @@ def test_leading_conway_coefficient_is_triple_squared():
                            (0, 0, 0))
         d, _ = _walked(g, rng, 8, 4)
         (b,) = classify(d).b
-        assert conway_polynomial(d).coefficient(4) == b * b, (seed, b)
+        assert dict(conway_polynomial(d).coeffs).get(4, 0) == b * b, (seed, b)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def test_arf_matches_the_skein_on_knot_sublinks():
     odd = 0
     for name, d in cases:
         for c in range(1, d.m + 1):
-            want = conway_polynomial(sublink(d, [c])).coefficient(2) % 2
+            want = dict(conway_polynomial(sublink(d, [c])).coeffs).get(2, 0) % 2
             assert arf(d, c) == want, (name, c)
             odd += want
     assert odd > 10
@@ -283,7 +282,7 @@ def test_sato_levine_matches_the_skein_on_pair_sublinks():
         for i, j in component_pairs(d.m):
             if linking_number(d, i, j):
                 continue
-            want = conway_polynomial(sublink(d, [i, j])).coefficient(3)
+            want = dict(conway_polynomial(sublink(d, [i, j])).coeffs).get(3, 0)
             assert sato_levine(d, i, j) == sato_levine(d, j, i) == want, \
                 (name, i, j)
             seen.add(want)

@@ -49,6 +49,16 @@ def test_class_shape_validation():
         ZeroSolveClass(2, (0, 0), (), (2,))         # c not a bit
     with pytest.raises(ValueError, match="^b entries must be integers$"):
         ZeroSolveClass(3, (0, 0, 0), (1.5,), (0, 0, 0))
+    # every field takes exact ints: not a bool, which equals 0 or 1, nor 2.0
+    for m in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^component count must be positive$"):
+            ZeroSolveClass(m, (0, 0), (), (0,))
+    with pytest.raises(ValueError, match="^a entries must be 0 or 1$"):
+        ZeroSolveClass(3, (True, 0, 0), (0,), (0, 0, 0))
+    with pytest.raises(ValueError, match="^b entries must be integers$"):
+        ZeroSolveClass(3, (0, 0, 0), (True,), (0, 0, 0))
+    with pytest.raises(ValueError, match="^c entries must be 0 or 1$"):
+        ZeroSolveClass(2, (0, 0), (), (1.0,))
 
 
 @given(g=classes_strategy(3), h=classes_strategy(3), k=classes_strategy(3))

@@ -98,7 +98,7 @@ def test_conway_z4_of_a_triple_number_is_its_square():
     values += [rng.choice((1, -1)) * rng.randint(3, 400) for _ in range(14)]
     for v in values:
         g = ZeroSolveClass(3, (0, 0, 0), (v,), (0, 0, 0))
-        assert conway_polynomial(representative(g)).coefficient(4) == v * v, v
+        assert dict(conway_polynomial(representative(g)).coeffs).get(4, 0) == v * v, v
 
 
 def test_a_triple_number_costs_its_two_commutators():

@@ -178,7 +178,11 @@ def test_validate_texts_are_pinned(d, texts):
      "arc 4: component True out of range 1..1"),
     (_edited("unknot", free_loops=(True,)),
      "free loop component True out of range 1..1"),
-], ids=["sign", "m", "arc", "component", "free loop"])
+    (_edited("trefoil", arc_components={True: 1, **dict.fromkeys(range(2, 7), 1)}),
+     "arc id True in the component map is not an integer"),
+    (_edited("trefoil", arc_components={1.0: 1, **dict.fromkeys(range(2, 7), 1)}),
+     "arc id 1.0 in the component map is not an integer"),
+], ids=["sign", "m", "arc", "component", "free loop", "arc key", "float arc key"])
 def test_validate_refuses_a_bool(d, text):
     assert validate(d) == [text]
 
@@ -394,6 +398,14 @@ def test_sublink_renumbers_components():
     assert set(s.arc_components.values()) <= {1} or s.free_loops == (1,)
 
 
+def test_sublink_refuses_an_empty_or_out_of_range_keep():
+    d = fixtures.load("borromean")
+    with pytest.raises(ValueError, match="^sublink needs at least one component$"):
+        sublink(d, set())
+    with pytest.raises(ValueError, match=r"^components out of range 1\.\.3: \[0, 4\]$"):
+        sublink(d, {0, 1, 4})
+
+
 def test_sublink_keep_all_changes_nothing_essential():
     d = fixtures.load("whitehead")
     s = sublink(d, (1, 2))
@@ -543,7 +555,8 @@ def test_face_layer_is_sized_by_crossings_not_arc_ids():
     d = fixtures.load("whitehead")
     shift = 10 ** 15
     big = LinkDiagram(
-        d.m, tuple(Crossing(cr.sign, *(a + shift for a in cr.arcs()))
+        d.m, tuple(Crossing(cr.sign, *(a + shift for a in (
+            cr.under_in, cr.under_out, cr.over_in, cr.over_out)))
                    for cr in d.crossings),
         {a + shift: c for a, c in d.arc_components.items()}, d.free_loops)
     assert validate(big) == []

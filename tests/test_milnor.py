@@ -196,6 +196,8 @@ def test_expansion_and_longitude_reject_bad_components():
     for i, j in ((1, 9), (0, 2), (4, 1)):
         with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
             magnus_expand(pres, i, j)
+    with pytest.raises(ValueError, match="needs two distinct components"):
+        magnus_expand(pres, 1, 1)
     series = magnus_expand(pres, 1, 2)
     for comp in (0, 4, 9):
         with pytest.raises(ValueError, match=r"out of range 1\.\.3"):

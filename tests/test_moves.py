@@ -351,7 +351,8 @@ def test_every_listed_site_keeps_planarity():
 
 def _mutants(rng, d, patch):
     """``patch`` and one-field mutations of it: the sign or one slot of
-    a crossing it puts in, or the component of an arc it brings in."""
+    a crossing it puts in, or the component, the entry or the key of an
+    arc it brings in."""
     kill, put, arcs = patch
     yield patch
     for idx, cr in put.items():
@@ -361,13 +362,18 @@ def _mutants(rng, d, patch):
             choices = (-value, 0, 2, True)
         else:
             choices = (value + 1, d.max_arc() + 9, float(value), True,
-                       rng.choice(cr.arcs()), rng.choice(list(d.arc_components)))
+                       rng.choice((cr.under_in, cr.under_out, cr.over_in,
+                                   cr.over_out)),
+                       rng.choice(list(d.arc_components)))
         value = rng.choice([v for v in choices if v is not value])
         yield kill, {**put, idx: dataclasses.replace(cr, **{field: value})}, arcs
     for a, c in arcs.items():
         c = rng.choice([c % d.m + 1, 0, d.m + 1, True])
         if c != arcs[a] or type(c) is bool:
             yield kill, put, {**arcs, a: c}
+        rest = {b: c for b, c in arcs.items() if b != a}
+        yield kill, put, rest  # a fresh arc with no component
+        yield kill, put, {**rest, float(a): arcs[a]}  # a key that is no int
 
 
 def test_the_patch_check_refuses_exactly_where_the_slot_check_does(monkeypatch):

@@ -136,23 +136,36 @@ def test_every_imported_name_is_used(path):
 
 
 def test_every_private_definition_is_referenced():
-    """Each module-level ``_private`` function or class of ``src/lzero``
-    is named somewhere in ``src`` outside its own body, so a helper that
-    loses its last caller goes with it."""
+    """Each module-level ``_private`` function or class of ``src/lzero``,
+    and each method of a class there, dunders aside, is named somewhere
+    in ``src`` outside its own body, so a helper or a method that loses
+    its last caller goes with it."""
     defined, named = {}, set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or isinstance(node, ast.alias) and node.name)
+        if name and name not in owners:
+            named.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
     for path in sorted((ROOT / "src" / "lzero").rglob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = getattr(top, "name", None)
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and owner.startswith("_") and not owner.startswith("__")):
-                defined[owner] = path.name
-            for node in ast.walk(top):
-                name = (getattr(node, "id", None) or getattr(node, "attr", None)
-                        or isinstance(node, ast.alias) and node.name)
-                if name and name != owner:
-                    named.add(name)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if top.name.startswith("_") and not top.name.startswith("__"):
+                defined[top.name] = path.name
+            for node in top.body if isinstance(top, ast.ClassDef) else ():
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    defined[f"{top.name}.{node.name}"] = path.name
+        visit(tree, frozenset())
     assert sorted(f"{path}: {name}" for name, path in defined.items()
-                  if name not in named) == []
+                  if name.rpartition(".")[2] not in named) == []
 
 
 def test_moves_leaves_the_dart_table_to_the_diagram_layer():

@@ -310,7 +310,7 @@ def reverse_component(d: LinkDiagram, c: int) -> LinkDiagram:
     strands is c's changes sign, so the picture stays the same."""
     comp, crossings = d.arc_components, []
     for cr in d.crossings:
-        ui, uo, oi, oo = cr.arcs()
+        ui, uo, oi, oo = (cr.under_in, cr.under_out, cr.over_in, cr.over_out)
         under, over = comp[ui] == c, comp[oi] == c
         if under:
             ui, uo = uo, ui
@@ -426,8 +426,8 @@ def conway_polynomial_naive(d: LinkDiagram,
                                 cr.over_in, cr.under_out)
         smoothed = _renumber_components(delete_crossings(
             replace(d, crossings=tuple(swapped)), {idx}))
-        out = conway_polynomial_naive(switch_crossing(d, idx + 1),
-                                      cache).as_dict()
+        out = dict(conway_polynomial_naive(switch_crossing(d, idx + 1),
+                                           cache).coeffs)
         for deg, c in conway_polynomial_naive(smoothed, cache).coeffs:
             out[deg + 1] = out.get(deg + 1, 0) + cr.sign * c
         result = ConwayPolynomial.from_dict(out)
@@ -476,7 +476,7 @@ def _face_turns_reference(d: LinkDiagram) -> dict:
     counterclockwise order, ``nslot``, and the next dart leaves there."""
     turns = {}
     for idx, cr in enumerate(d.crossings):
-        arcs = cr.arcs()
+        arcs = (cr.under_in, cr.under_out, cr.over_in, cr.over_out)
         order = _CCW[cr.sign]
         for slot, nslot in zip(order, order[-1:] + order[:-1]):
             k, n = _SLOTS.index(slot), _SLOTS.index(nslot)
